@@ -20,9 +20,14 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterable, NamedTuple
 
-import numpy as np
-
-from .matroid import Geometry, Matroid, from_geometry, matroid_from_json_dict
+from .matroid import (
+    Geometry,
+    Matroid,
+    canonical_form,
+    from_geometry,
+    lines_of,
+    matroid_from_json_dict,
+)
 
 
 class NamedInstance(NamedTuple):
@@ -107,47 +112,14 @@ def named(name: str) -> Matroid:
 _MAX_N = 8
 
 
-@lru_cache(maxsize=None)
-def _perm_images(n: int) -> np.ndarray:
-    """images[mask, p] = image of `mask` under the p-th permutation of range(n).
-
-    Permutations are taken in itertools order.  Values fit in uint16 for n <= 8.
-    """
-    perms = list(itertools.permutations(range(n)))
-    pow_cols = np.array(
-        [[1 << p[i] for p in perms] for i in range(n)], dtype=np.uint16
-    )
-    bits = np.array(
-        [[(mask >> i) & 1 for i in range(n)] for mask in range(1 << n)],
-        dtype=np.uint16,
-    )
-    return bits @ pow_cols
-
-
 def _is_canonical(masks: tuple[int, ...], n: int) -> bool:
     """Is the ascending mask tuple lex-minimal over all point relabelings?"""
-    if not masks:
-        return True
-    images = np.sort(_perm_images(n)[list(masks), :], axis=0)
-    undecided = np.ones(images.shape[1], dtype=bool)
-    for row, base in enumerate(masks):
-        col = images[row]
-        if (undecided & (col < base)).any():
-            return False
-        undecided &= col == base
-        if not undecided.any():
-            break
-    return True
+    return canonical_form(masks, n, beat=masks) is None
 
 
 def canonical_line_key(masks: Iterable[int], n: int) -> tuple[int, ...]:
     """Lex-minimal ascending mask tuple over all point relabelings."""
-    masks = tuple(sorted(masks))
-    if not masks:
-        return masks
-    images = np.sort(_perm_images(n)[list(masks), :], axis=0)
-    best = np.lexsort(images[::-1])[0]
-    return tuple(int(v) for v in images[:, best])
+    return canonical_form(masks, n)[0]
 
 
 def _candidate_lines(n: int) -> list[int]:
@@ -167,8 +139,6 @@ def _space_matroid(masks: tuple[int, ...], n: int) -> Matroid:
 
 def _line_masks(m: Matroid) -> tuple[int, ...]:
     """Line bitmasks of a simple rank-3 matroid in its own element order."""
-    from .matroid import lines_of
-
     index = {el: i for i, el in enumerate(m.elements)}
     out = []
     for line in lines_of(m):

@@ -39,8 +39,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
-from .catalog import enumerate_simple_rank3, named
-from .matroid import Matroid, lines_of
+from .catalog import _line_masks, enumerate_simple_rank3, named
+from .matroid import Matroid, canonical_form
 from .poly import (
     GGHH,
     GGHI,
@@ -51,7 +51,12 @@ from .poly import (
     dominates,
     format_polynomial,
 )
-from .rayleigh import PairContext, minor_polynomial, rayleigh_difference
+from .rayleigh import (
+    PairContext,
+    closed_pair_filter,
+    minor_polynomial,
+    rayleigh_difference,
+)
 
 REPORT_SCHEMA = "rayleigh-kit/1"
 
@@ -106,12 +111,14 @@ def _all_parts(m: Matroid, e: str, f: str) -> list[AnsatzParts]:
     return [ansatz_parts(m, e, f, a) for a in m.elements if a not in (e, f)]
 
 
+def _sum_of_squares(parts_list: list[AnsatzParts]) -> Polynomial:
+    """4P: the plain sum of the square terms T_a."""
+    return sum((parts.T_a for parts in parts_list), Polynomial.zero())
+
+
 def ansatz_polynomial(m: Matroid, e: str, f: str) -> Polynomial:
     """P = 1/4 * sum of T_a over all a outside {e,f}; a sum of squares."""
-    total = Polynomial.zero()
-    for parts in _all_parts(m, e, f):
-        total = total + parts.T_a
-    return total * Fraction(1, 4)
+    return _sum_of_squares(_all_parts(m, e, f)) * Fraction(1, 4)
 
 
 def _check_closed_pair_structure(
@@ -298,9 +305,7 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
             unreduced_dominance=None,
         )
     parts_list = _all_parts(reduced, e, f)
-    four_p = Polynomial.zero()
-    for parts in parts_list:
-        four_p = four_p + parts.T_a
+    four_p = _sum_of_squares(parts_list)
     p_poly = four_p * Fraction(1, 4)
     delta_red = rayleigh_difference(PairContext(reduced, e, f))
     verdict = dominates(delta_red * 4, four_p)
@@ -433,25 +438,11 @@ def _pinned_key(m: Matroid, e: str, f: str, g: Optional[str]) -> tuple:
     Minimal sorted line-mask tuple over all relabelings sending {e,f} to
     positions {0,1} and g (when given) to position 2.
     """
-    els = m.elements
-    n = len(els)
-    lines = lines_of(m)
-    rest = [x for x in els if x not in (e, f) and x != g]
-    offset = 3 if g is not None else 2
-    best = None
-    for e_pos, f_pos in ((0, 1), (1, 0)):
-        base = {e: e_pos, f: f_pos}
-        if g is not None:
-            base[g] = 2
-        for perm in itertools.permutations(range(offset, n)):
-            pos = dict(base)
-            pos.update(zip(rest, perm))
-            key = tuple(
-                sorted(sum(1 << pos[p] for p in line) for line in lines)
-            )
-            if best is None or key < best:
-                best = key
-    return (n, g is not None, best)
+    index = {el: i for i, el in enumerate(m.elements)}
+    pinned = [[index[e], index[f]]] + ([[index[g]]] if g is not None else [])
+    rest = [i for x, i in index.items() if x not in (e, f, g)]
+    form, _ = canonical_form(_line_masks(m), m.n, pinned + [rest])
+    return (m.n, g is not None, form)
 
 
 @lru_cache(maxsize=None)
@@ -465,11 +456,11 @@ def _pair_polys(
 
 
 def _closed_pairs(m: Matroid) -> list[tuple[str, str]]:
-    out = []
-    for e, f in itertools.combinations(m.elements, 2):
-        if m.is_independent((e, f)) and m.closure((e, f)) == frozenset((e, f)):
-            out.append((e, f))
-    return out
+    return [
+        (e, f)
+        for e, f in itertools.combinations(m.elements, 2)
+        if m.is_independent((e, f)) and closed_pair_filter(m, e, f)
+    ]
 
 
 def _shape_monomials(others: list[str], family: str):

@@ -16,8 +16,7 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
 from .catalog import catalog_names, enumerate_simple_rank3, named
 from .certificate import REPORT_SCHEMA, certify, table_coefficients
@@ -79,29 +78,6 @@ def _parse_pairs(m: Matroid, args: argparse.Namespace) -> list[tuple[str, str]]:
     return list(itertools.combinations(m.elements, 2))
 
 
-def _jobs(args: argparse.Namespace) -> int:
-    if getattr(args, "jobs", None) is not None:
-        value = args.jobs
-    else:
-        raw = os.environ.get("RAYLEIGH_KIT_JOBS", "1")
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise CliError(f"RAYLEIGH_KIT_JOBS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise CliError("--jobs must be at least 1")
-    return value
-
-
-def _map_ordered(fn: Callable, items: Iterable, jobs: int) -> list:
-    """Apply fn over items, optionally in a thread pool, preserving order."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _emit_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
@@ -119,7 +95,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     pairs = _parse_pairs(m, args)
     if m.rank > 3:
         return _verify_sampled(args, m, notes, pairs)
-    reports = _map_ordered(lambda p: certify(m, p[0], p[1]), pairs, _jobs(args))
+    reports = [certify(m, e, f) for e, f in pairs]
     all_ok = all(r.verdict for r in reports)
     if args.format == "json":
         _emit_json(
@@ -252,7 +228,7 @@ def cmd_certificate(args: argparse.Namespace) -> int:
     m, notes = _load_matroid(args.matroid)
     pairs = _parse_pairs(m, args)
     try:
-        reports = _map_ordered(lambda p: certify(m, p[0], p[1]), pairs, _jobs(args))
+        reports = [certify(m, e, f) for e, f in pairs]
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     if args.format == "text":
@@ -498,10 +474,6 @@ def _add_common(sub: argparse.ArgumentParser, *, pairs: bool = True) -> None:
     sub.add_argument(
         "--samples", type=int, default=1000,
         help="random weight vectors to draw (default 1000)",
-    )
-    sub.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker threads (default: RAYLEIGH_KIT_JOBS or 1)",
     )
     sub.add_argument(
         "--format", choices=("text", "json"), default="text",

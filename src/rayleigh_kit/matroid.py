@@ -26,6 +26,7 @@ __all__ = [
     "Matroid",
     "Geometry",
     "SimplifyResult",
+    "canonical_form",
     "from_geometry",
     "is_isomorphic",
     "lines_of",
@@ -159,10 +160,7 @@ class Matroid:
         Every independent set extends to a basis, so this is simply the
         maximum of |subset ∩ B| over bases B.
         """
-        mask = self._mask(subset)
-        if not self._masks:
-            return 0
-        return max((mask & b).bit_count() for b in self._masks)
+        return self._rank_of_mask(self._mask(subset))
 
     def _rank_of_mask(self, mask: int) -> int:
         if not self._masks:
@@ -450,92 +448,148 @@ def lines_of(m: Matroid) -> list[tuple[str, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism by pruned backtracking (intended for |E| <= 8).
+# Canonical forms and isomorphism.
+
+
+def canonical_form(
+    masks: Iterable[int],
+    n: int,
+    cells: Optional[Iterable[Iterable[int]]] = None,
+    *,
+    beat: Optional[tuple[int, ...]] = None,
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Lex-minimal image of a family of bitmasks over relabellings of range(n).
+
+    A relabelling sends point i to position ``labelling[i]``; the image of the
+    family is the ascending tuple of its relabelled masks.  `cells` is an
+    ordered partition of range(n) (default: one cell): the points of the first
+    cell take the first positions, those of the second the next ones, and so
+    on.  Returns ``(form, labelling)`` for the minimal image.
+
+    With `beat`, an ascending image of the same family (for instance the
+    family itself), the search stops at the first relabelling whose image is
+    lex-smaller than `beat` and returns it, or returns None if there is none.
+
+    Positions are filled in order.  A mask's image is fixed once its last
+    point is placed at position j, and then lies in [2^j, 2^(j+1)), so the
+    sorted image only ever grows by appending.  A branch is cut when its
+    prefix exceeds the best image, or ties with it while the best image's
+    next entry is below 2^(j+1); of two unplaced points whose transposition
+    maps the family onto itself only one is tried at each position.
+    """
+    family = frozenset(masks)
+    size = len(family)
+    cells = [range(n)] if cells is None else [list(c) for c in cells]
+    if sorted(p for cell in cells for p in cell) != list(range(n)):
+        raise ValueError("cells must partition range(n)")
+    slots: list[int] = []  # slots[j]: bitmask of the points allowed at position j
+    cell_of = [0] * n
+    for cell in cells:
+        cell_mask = sum(1 << p for p in cell)
+        for p in cell:
+            cell_of[p] = cell_mask
+        slots += [cell_mask] * len(cell)
+    by_point = [[m for m in family if m >> p & 1] for p in range(n)]
+    twins = [0] * n  # twins[p]: points q of p's cell with (p q) an automorphism
+    for p in range(n):
+        for q in range(p + 1, n):
+            swap = 1 << p | 1 << q
+            if cell_of[p] >> q & 1 and all(
+                (m ^ swap) in family for m in family if (m & swap) not in (0, swap)
+            ):
+                twins[p] |= 1 << q
+                twins[q] |= 1 << p
+
+    pos = [0] * n
+    prefix = [0] if 0 in family else []
+    best = None if beat is None else list(beat)
+    labelling: Optional[tuple[int, ...]] = None
+
+    def image(mask: int) -> int:
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= 1 << pos[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    def search(j: int, placed: int, tied: bool) -> bool:
+        """Extend the placement from position j; True means stop."""
+        nonlocal best, labelling
+        if j == n:
+            if tied:
+                return False
+            best, labelling = prefix[:], tuple(pos)
+            return beat is not None
+        start = len(prefix)
+        tried = 0
+        free = slots[j] & ~placed
+        while free:
+            bit = free & -free
+            free ^= bit
+            p = bit.bit_length() - 1
+            if twins[p] & tried:
+                continue
+            tried |= bit
+            pos[p] = j
+            now = placed | bit
+            seg = [image(m) for m in by_point[p] if not m & ~now]
+            seg.sort()
+            end = start + len(seg)
+            child_tied = False
+            if tied:
+                target = best[start:end]
+                if seg > target:
+                    continue
+                if seg == target:
+                    if end == size or best[end] < 2 << j:
+                        continue
+                    child_tied = True
+            prefix.extend(seg)
+            before = labelling
+            if search(j + 1, now, child_tied):
+                return True
+            del prefix[start:]
+            # A new best found below extends this node's prefix.
+            if labelling is not before:
+                tied = True
+        return False
+
+    search(0, 0, beat is not None)
+    if labelling is None:
+        return None
+    return tuple(best), labelling
 
 
 def is_isomorphic(
     m1: Matroid, m2: Matroid, pin: Mapping[str, str] | None = None
 ) -> Optional[dict[str, str]]:
-    """Search for an element bijection carrying bases onto bases.
+    """Find an element bijection carrying bases onto bases, or None.
 
-    `pin` forces specific images.  Returns one bijection (deterministic:
-    candidates are tried in label order) or None.
+    `pin` forces specific images.  Both basis families are brought to
+    canonical form, each pinned element a leading singleton cell in pin
+    order; when the forms agree, the bijection follows m1's relabelling and
+    then the inverse of m2's.
     """
     if m1.n != m2.n or m1.rank != m2.rank or len(m1.basis_masks) != len(m2.basis_masks):
         return None
-
-    def degrees(m: Matroid) -> dict[str, int]:
-        out = {}
-        for i, e in enumerate(m.elements):
-            bit = 1 << i
-            out[e] = sum(1 for b in m.basis_masks if b & bit)
-        return out
-
-    deg1, deg2 = degrees(m1), degrees(m2)
-    if sorted(deg1.values()) != sorted(deg2.values()):
-        return None
-
     pin = dict(pin or {})
-    for a, b in pin.items():
-        if a not in m1._index or b not in m2._index:
-            return None
-        if deg1[a] != deg2[b]:
-            return None
-
-    bases2 = set(m2.basis_masks)
-    bases1_sets = [
-        tuple(e for i, e in enumerate(m1.elements) if b >> i & 1)
-        for b in m1.basis_masks
-    ]
-
-    # Most-constrained-first: rarer degrees earlier; pins first of all.
-    degree_freq: dict[int, int] = {}
-    for d in deg1.values():
-        degree_freq[d] = degree_freq.get(d, 0) + 1
-    order = sorted(
-        m1.elements, key=lambda e: (e not in pin, degree_freq[deg1[e]], e)
-    )
-
-    assigned: dict[str, str] = {}
-    used: set[str] = set()
-
-    def image_mask(basis: tuple[str, ...]) -> int:
-        mask = 0
-        for el in basis:
-            mask |= 1 << m2._index[assigned[el]]
-        return mask
-
-    def consistent() -> bool:
-        for basis in bases1_sets:
-            if all(el in assigned for el in basis):
-                if image_mask(basis) not in bases2:
-                    return False
-        return True
-
-    def extend(k: int) -> Optional[dict[str, str]]:
-        if k == len(order):
-            return dict(assigned)
-        el = order[k]
-        forced = pin.get(el)
-        candidates = (
-            [forced]
-            if forced is not None
-            else [c for c in sorted(m2.elements) if deg2[c] == deg1[el]]
-        )
-        for cand in candidates:
-            if cand in used:
-                continue
-            assigned[el] = cand
-            used.add(cand)
-            if consistent():
-                found = extend(k + 1)
-                if found is not None:
-                    return found
-            del assigned[el]
-            used.discard(cand)
+    if not (set(pin) <= set(m1.elements) and set(pin.values()) <= set(m2.elements)):
+        return None
+    if len(set(pin.values())) != len(pin):
         return None
 
-    return extend(0)
+    def form(m: Matroid, pinned: Iterable[str]):
+        heads = [m._index[el] for el in pinned]
+        rest = [i for i in range(m.n) if i not in heads]
+        return canonical_form(m.basis_masks, m.n, [[i] for i in heads] + [rest])
+
+    form1, lab1 = form(m1, pin)
+    form2, lab2 = form(m2, pin.values())
+    if form1 != form2:
+        return None
+    at = {position: el for el, position in zip(m2.elements, lab2)}
+    return {el: at[position] for el, position in zip(m1.elements, lab1)}
 
 
 # ---------------------------------------------------------------------------

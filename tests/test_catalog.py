@@ -13,7 +13,7 @@ from rayleigh_kit.catalog import (
     naive_enumerate_simple_rank3,
     uniform,
 )
-from rayleigh_kit.matroid import is_isomorphic, lines_of
+from rayleigh_kit.matroid import Matroid, is_isomorphic, lines_of
 
 
 def test_catalog_names_listing():
@@ -66,8 +66,9 @@ def test_named_instances_are_valid_simple_rank3():
 
 
 def test_census_counts():
-    # 1, 2, 4, 9 are classical; 23 and 68 are frozen from this enumeration
-    # and confirmed below by the naive path for n <= 6
+    # the published counts (Matsumoto-Moriyama-Imai-Bremner, "Matroid
+    # enumeration for incidence geometry", 2012); the naive path below
+    # confirms them independently for n <= 6
     expected = {3: 1, 4: 2, 5: 4, 6: 9, 7: 23, 8: 68}
     for n, count in expected.items():
         assert enumerate_simple_rank3(n).count == count
@@ -149,3 +150,30 @@ def test_census_members_are_valid():
             for m in enumerate_simple_rank3(n).classes
         }
         assert len(keys) == enumerate_simple_rank3(n).count
+
+
+def _relabelled(m, seed):
+    """A copy of m under a seeded random renaming of its elements."""
+    names = [f"x{i}" for i in range(m.n)]
+    random.Random(seed).shuffle(names)
+    rename = dict(zip(m.elements, names))
+    copy = Matroid.from_bases(
+        sorted(names), [[rename[x] for x in b] for b in m.bases], rank=m.rank
+    )
+    return copy, rename
+
+
+def _assert_isomorphism(m1, m2, iso, pin):
+    assert iso is not None
+    assert sorted(iso) == sorted(m1.elements)
+    assert sorted(iso.values()) == sorted(m2.elements)
+    assert {frozenset(iso[x] for x in b) for b in m1.bases} == m2.bases
+    assert all(iso[a] == b for a, b in pin.items())
+
+
+def test_is_isomorphic_on_symmetric_inputs():
+    cases = [uniform(4, 8)] + list(enumerate_simple_rank3(7).classes)
+    for seed, m in enumerate(cases):
+        copy, rename = _relabelled(m, seed)
+        for pin in ({}, {m.elements[0]: rename[m.elements[0]]}):
+            _assert_isomorphism(m, copy, is_isomorphic(m, copy, pin=pin), pin)

@@ -192,15 +192,6 @@ def test_sample_json(capsys):
     assert doc["pass_rate"] == "100.00"
 
 
-def test_jobs_via_flag_and_env(capsys, monkeypatch):
-    _, out1, _ = run(capsys, "verify", "K4")
-    _, out2, _ = run(capsys, "verify", "K4", "--jobs", "2")
-    assert out1 == out2
-    monkeypatch.setenv("RAYLEIGH_KIT_JOBS", "3")
-    _, out3, _ = run(capsys, "verify", "K4")
-    assert out1 == out3
-
-
 def test_out_dir_receives_report_copy(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "U_3_4", "--pairs", "1,2",
                        "--format", "json", "--out", str(tmp_path))

@@ -1,6 +1,8 @@
 """Matroid core: bases, minors, duality, geometry and JSON interchange."""
 
+import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from rayleigh_kit.matroid import (
     Geometry,
     Matroid,
+    canonical_form,
     dumps_matroid,
     from_geometry,
     is_isomorphic,
@@ -217,3 +220,85 @@ def test_isomorphism_invariant_under_relabeling(perm):
         [tuple(mapping[x] for x in b) for b in m1.bases],
     )
     assert is_isomorphic(m1, m2) is not None
+
+
+def _image(masks, labelling):
+    return tuple(
+        sorted(
+            sum(1 << labelling[p] for p in range(len(labelling)) if m >> p & 1)
+            for m in masks
+        )
+    )
+
+
+def _brute_canonical_form(masks, n, cells):
+    """Reference: the minimum image over every cell-respecting relabelling."""
+    starts = list(itertools.accumulate((len(c) for c in cells), initial=0))
+    best = None
+    for perms in itertools.product(
+        *(itertools.permutations(range(s, s + len(c))) for s, c in zip(starts, cells))
+    ):
+        labelling = [0] * n
+        for cell, perm in zip(cells, perms):
+            for p, position in zip(cell, perm):
+                labelling[p] = position
+        image = _image(masks, labelling)
+        if best is None or image < best:
+            best = image
+    return best
+
+
+def _random_instance(rng):
+    n = rng.randint(0, 6)
+    masks = {rng.randrange(1 << n) for _ in range(rng.randint(0, 12))}
+    points = list(range(n))
+    rng.shuffle(points)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) if n else []
+    cells = [points[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    return masks, n, cells
+
+
+def _random_labelling(rng, n, cells):
+    """A relabelling sending each cell onto its own block of positions."""
+    labelling = [0] * n
+    start = 0
+    for cell in cells:
+        block = list(range(start, start + len(cell)))
+        rng.shuffle(block)
+        for p, position in zip(cell, block):
+            labelling[p] = position
+        start += len(cell)
+    return labelling
+
+
+def test_canonical_form_matches_brute_force():
+    rng = random.Random(2012)
+    for _ in range(400):
+        masks, n, cells = _random_instance(rng)
+        expected = _brute_canonical_form(masks, n, cells)
+        form, labelling = canonical_form(masks, n, cells)
+        assert form == expected, (masks, n, cells)
+        assert _image(masks, labelling) == form
+        start = 0
+        for cell in cells:
+            assert sorted(labelling[p] for p in cell) == list(
+                range(start, start + len(cell))
+            )
+            start += len(cell)
+        # early stop: a cell-respecting image is beaten iff it is not minimal
+        candidate = _image(masks, _random_labelling(rng, n, cells))
+        beaten = canonical_form(masks, n, cells, beat=candidate)
+        if candidate == expected:
+            assert beaten is None
+        else:
+            assert beaten[0] < candidate
+            assert _image(masks, beaten[1]) == beaten[0]
+
+
+def test_canonical_form_cells_must_partition():
+    with pytest.raises(ValueError):
+        canonical_form([0b11], 3, [[0, 1]])
+    with pytest.raises(ValueError):
+        canonical_form([0b11], 2, [[0, 1], [1]])
+    with pytest.raises(ValueError):
+        canonical_form([0b11], 2, [[0, 2]])
