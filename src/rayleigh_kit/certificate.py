@@ -83,18 +83,16 @@ class AnsatzParts:
         return Polynomial.variable(self.a) * self.B_a - self.C_a * self.D_a
 
 
-def ansatz_parts(m: Matroid, e: str, f: str, a: str) -> AnsatzParts:
-    """Compute L(a,e), L(a,f), U(a) and the polynomials B, C, D, T for one a."""
+def _require_rank3(m: Matroid) -> None:
     if m.rank != 3:
         raise ValueError("certificate Ansatz undefined above rank 3"
                          if m.rank > 3 else "Ansatz requires a rank-3 matroid")
-    for el in (e, f, a):
-        if el not in m.elements:
-            raise ValueError(f"element {el!r} not in the ground set")
-    if e == f:
-        raise ValueError("Ansatz needs two distinct elements e, f")
-    if a in (e, f):
-        raise ValueError("Ansatz element a must differ from e and f")
+
+
+def ansatz_parts(m: Matroid, e: str, f: str, a: str) -> AnsatzParts:
+    """Compute L(a,e), L(a,f), U(a) and the polynomials B, C, D, T for one a."""
+    _require_rank3(m)
+    PairContext(m, e, f).check_third(a)
     cl_ae = m.closure((a, e))
     cl_af = m.closure((a, f))
     l_ae = cl_ae - {a, e}
@@ -172,26 +170,19 @@ def lemma33_reduce(m: Matroid, e: str, f: str) -> ReductionResult:
 
     Each deleted g satisfies rank({e,f,g}) = 2, and the deletion can only
     shrink the Rayleigh difference coefficientwise, so certifying the reduced
-    matroid certifies the original.  A dependent (parallel) pair is returned
-    unchanged with `pair_dependent` set; the caller should use the product
-    form of the difference instead.
+    matroid certifies the original.  Deletion restricts the rank function, so
+    cl_{M\\X}({e,f}) = cl_M({e,f}) - X: the whole chain is read off one
+    closure and deleted at once, in ground-set order.  A dependent (parallel)
+    pair is returned unchanged with `pair_dependent` set; the caller should
+    use the product form of the difference instead.
     """
-    if m.rank != 3:
-        raise ValueError("reduction applies to rank-3 matroids")
-    for el in (e, f):
-        if el not in m.elements:
-            raise ValueError(f"element {el!r} not in the ground set")
+    _require_rank3(m)
+    PairContext(m, e, f)
     if m.is_dependent((e, f)):
         return ReductionResult(m, (), True)
-    chain: list[str] = []
-    current = m
-    while True:
-        extra = current.closure((e, f)) - {e, f}
-        if not extra:
-            return ReductionResult(current, tuple(chain), False)
-        g = next(el for el in current.elements if el in extra)
-        chain.append(g)
-        current = current.delete((g,))
+    extra = m.closure((e, f)) - {e, f}
+    chain = tuple(el for el in m.elements if el in extra)
+    return ReductionResult(m.delete(chain) if chain else m, chain, False)
 
 
 # ---------------------------------------------------------------------------
@@ -259,47 +250,29 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
     Inputs must be loopless; rank > 3 is rejected (non-Rayleigh matroids
     exist there, and the Ansatz is not defined).
     """
-    for el in (e, f):
-        if el not in m.elements:
-            raise ValueError(f"element {el!r} not in the ground set")
-    if e == f:
-        raise ValueError("certify needs two distinct elements")
+    ctx = PairContext(m, e, f)
     if m.rank > 3:
         raise ValueError("certificate Ansatz undefined above rank 3")
     if m.loops():
         raise ValueError(
             f"certify requires a loopless matroid (loops: {sorted(m.loops())})"
         )
-    pair = (e, f)
-    delta_orig = rayleigh_difference(PairContext(m, e, f))
-    if m.rank <= 2:
-        verdict = dominates(delta_orig, Polynomial.zero())
+    delta_orig = rayleigh_difference(ctx)
+    pair_dependent = False
+    if m.rank == 3:
+        reduced, chain, pair_dependent = lemma33_reduce(m, e, f)
+    if m.rank <= 2 or pair_dependent:
+        # Rank <= 2: Delta itself is >> 0.  Dependent pair: no basis contains
+        # both e and f, so Delta = M_e^f * M_f^e >> 0.  Either way P = 0.
         return CertificateReport(
-            pair=pair,
-            mode="rank-le-2",
-            reduced_pair_closed=m.closure((e, f)) == frozenset((e, f)),
+            pair=(e, f),
+            mode="product" if pair_dependent else "rank-le-2",
+            reduced_pair_closed=not pair_dependent and closed_pair_filter(m, e, f),
             reduction_chain=(),
             P=Polynomial.zero(),
             delta=delta_orig,
             residual=delta_orig,
-            verdict=verdict,
-            square_terms=(),
-            delta_original=delta_orig,
-            unreduced_dominance=None,
-        )
-    reduced, chain, pair_dependent = lemma33_reduce(m, e, f)
-    if pair_dependent:
-        # No basis contains both e and f, so Delta = M_e^f * M_f^e >> 0.
-        verdict = dominates(delta_orig, Polynomial.zero())
-        return CertificateReport(
-            pair=pair,
-            mode="product",
-            reduced_pair_closed=False,
-            reduction_chain=(),
-            P=Polynomial.zero(),
-            delta=delta_orig,
-            residual=delta_orig,
-            verdict=verdict,
+            verdict=dominates(delta_orig, Polynomial.zero()),
             square_terms=(),
             delta_original=delta_orig,
             unreduced_dominance=None,
@@ -316,7 +289,7 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
     else:
         unreduced = verdict
     return CertificateReport(
-        pair=pair,
+        pair=(e, f),
         mode="reduced-ansatz",
         reduced_pair_closed=True,
         reduction_chain=chain,

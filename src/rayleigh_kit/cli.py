@@ -19,7 +19,9 @@ import sys
 from typing import Optional
 
 from .catalog import catalog_names, enumerate_simple_rank3, named
-from .certificate import REPORT_SCHEMA, certify, table_coefficients
+from .certificate import (
+    REPORT_SCHEMA, CertificateReport, certify, table_coefficients,
+)
 from .matroid import Matroid, loads_matroid, matroid_to_json_dict
 from .poly import GGHH, GGHI, GHIJ, format_polynomial
 from .rayleigh import PairContext, negative_correlation_sample, rayleigh_difference
@@ -41,7 +43,7 @@ def _load_matroid(token: str) -> tuple[Matroid, list[str]]:
         try:
             with open(token, "r", encoding="utf-8") as fh:
                 m = loads_matroid(fh.read())
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (ValueError, KeyError, OSError) as exc:
             raise CliError(f"cannot load matroid file {token!r}: {exc}") from exc
     else:
         try:
@@ -68,11 +70,10 @@ def _parse_pairs(m: Matroid, args: argparse.Namespace) -> list[tuple[str, str]]:
             if len(pieces) != 2:
                 raise CliError(f"--pairs expects 'e,f', got {token!r}")
             e, f = pieces
-            for el in (e, f):
-                if el not in m.elements:
-                    raise CliError(f"element {el!r} not in the ground set")
-            if e == f:
-                raise CliError("pair elements must be distinct")
+            try:
+                PairContext(m, e, f)
+            except ValueError as exc:
+                raise CliError(str(exc)) from exc
             out.append((e, f))
         return out
     return list(itertools.combinations(m.elements, 2))
@@ -80,6 +81,15 @@ def _parse_pairs(m: Matroid, args: argparse.Namespace) -> list[tuple[str, str]]:
 
 def _emit_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
+
+
+def _json_header(kind: str, args: argparse.Namespace, notes: list[str]) -> dict:
+    return {"schema": REPORT_SCHEMA, "kind": kind, "input": args.matroid, "notes": notes}
+
+
+def _print_notes(notes: list[str]) -> None:
+    for note in notes:
+        print(f"note: {note}")
 
 
 def _format_point(m: Matroid, point: dict) -> str:
@@ -90,28 +100,33 @@ def _format_point(m: Matroid, point: dict) -> str:
 # verify
 
 
+def _certify_all(
+    m: Matroid, pairs: list[tuple[str, str]]
+) -> list[CertificateReport]:
+    try:
+        return [certify(m, e, f) for e, f in pairs]
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     m, notes = _load_matroid(args.matroid)
     pairs = _parse_pairs(m, args)
     if m.rank > 3:
         return _verify_sampled(args, m, notes, pairs)
-    reports = [certify(m, e, f) for e, f in pairs]
+    reports = _certify_all(m, pairs)
     all_ok = all(r.verdict for r in reports)
     if args.format == "json":
         _emit_json(
             {
-                "schema": REPORT_SCHEMA,
-                "kind": "verify",
-                "input": args.matroid,
-                "notes": notes,
+                **_json_header("verify", args, notes),
                 "rank": m.rank,
                 "reports": [r.to_json_dict() for r in reports],
                 "all_verified": all_ok,
             }
         )
     else:
-        for note in notes:
-            print(f"note: {note}")
+        _print_notes(notes)
         for rep in reports:
             e, f = rep.pair
             if rep.verdict:
@@ -141,10 +156,7 @@ def _verify_sampled(
     if args.format == "json":
         _emit_json(
             {
-                "schema": REPORT_SCHEMA,
-                "kind": "verify",
-                "input": args.matroid,
-                "notes": notes,
+                **_json_header("verify", args, notes),
                 "rank": m.rank,
                 "mode": "sampled",
                 "samples": args.samples,
@@ -166,8 +178,7 @@ def _verify_sampled(
             }
         )
     else:
-        for note in notes:
-            print(f"note: {note}")
+        _print_notes(notes)
         for pair in pairs:
             e, f = pair
             if pair in by_pair:
@@ -199,10 +210,7 @@ def cmd_delta(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit_json(
             {
-                "schema": REPORT_SCHEMA,
-                "kind": "delta",
-                "input": args.matroid,
-                "notes": notes,
+                **_json_header("delta", args, notes),
                 "pairs": [
                     {"pair": list(pair), "delta": format_polynomial(d)}
                     for pair, d in deltas
@@ -213,8 +221,7 @@ def cmd_delta(args: argparse.Namespace) -> int:
         # Single explicit pair: print the bare polynomial.
         print(format_polynomial(deltas[0][1]))
     else:
-        for note in notes:
-            print(f"note: {note}")
+        _print_notes(notes)
         for (e, f), d in deltas:
             print(f"delta {{{e},{f}}}: {format_polynomial(d)}")
     return 0
@@ -227,13 +234,9 @@ def cmd_delta(args: argparse.Namespace) -> int:
 def cmd_certificate(args: argparse.Namespace) -> int:
     m, notes = _load_matroid(args.matroid)
     pairs = _parse_pairs(m, args)
-    try:
-        reports = [certify(m, e, f) for e, f in pairs]
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    reports = _certify_all(m, pairs)
     if args.format == "text":
-        for note in notes:
-            print(f"note: {note}")
+        _print_notes(notes)
         for rep in reports:
             e, f = rep.pair
             verdict = "certified" if rep.verdict else "NOT CERTIFIED"
@@ -248,10 +251,7 @@ def cmd_certificate(args: argparse.Namespace) -> int:
     else:
         _emit_json(
             {
-                "schema": REPORT_SCHEMA,
-                "kind": "certificate-set",
-                "input": args.matroid,
-                "notes": notes,
+                **_json_header("certificate-set", args, notes),
                 "reports": [r.to_json_dict() for r in reports],
                 "all_verified": all(r.verdict for r in reports),
             }
@@ -410,10 +410,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit_json(
             {
-                "schema": REPORT_SCHEMA,
-                "kind": "sample",
-                "input": args.matroid,
-                "notes": notes,
+                **_json_header("sample", args, notes),
                 "seed": args.seed,
                 "samples": result.samples,
                 "pairs": [list(p) for p in result.pairs],
@@ -431,8 +428,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
             }
         )
     else:
-        for note in notes:
-            print(f"note: {note}")
+        _print_notes(notes)
         print(
             f"checked {len(result.pairs)} pairs x {result.samples} samples "
             f"= {result.checks} exact comparisons (seed {args.seed})"
@@ -456,25 +452,29 @@ def cmd_sample(args: argparse.Namespace) -> int:
 # parser
 
 
-def _add_common(sub: argparse.ArgumentParser, *, pairs: bool = True) -> None:
+def _sample_count(value: str) -> int:
+    count = int(value)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
+def _add_common(
+    sub: argparse.ArgumentParser, *, pairs: bool = True, sampling: bool = False
+) -> None:
     if pairs:
-        group = sub.add_mutually_exclusive_group()
-        group.add_argument(
+        sub.add_argument(
             "--pairs",
             action="append",
             metavar="e,f",
             help="check this pair (repeatable); default is all pairs",
         )
-        group.add_argument(
-            "--all-pairs",
-            action="store_true",
-            help="check every unordered pair (the default)",
+    if sampling:
+        sub.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        sub.add_argument(
+            "--samples", type=_sample_count, default=1000,
+            help="random weight vectors to draw (default 1000)",
         )
-    sub.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    sub.add_argument(
-        "--samples", type=int, default=1000,
-        help="random weight vectors to draw (default 1000)",
-    )
     sub.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="output format (default text)",
@@ -494,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="certify every selected pair")
     p.add_argument("matroid", metavar="MATROID", help="JSON file or catalog name")
-    _add_common(p)
+    _add_common(p, sampling=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("delta", help="print Rayleigh differences")
@@ -524,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="randomized exact negative-correlation checks")
     p.add_argument("matroid", metavar="MATROID")
-    _add_common(p)
+    _add_common(p, sampling=True)
     p.set_defaults(func=cmd_sample)
 
     return parser

@@ -601,6 +601,11 @@ def is_isomorphic(
 # Unknown keys are rejected so that typos fail loudly.
 
 
+def _is_string_list(value) -> bool:
+    # Checked before any entry is hashed: a list or object id is unhashable.
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 def matroid_from_json_dict(data: Mapping) -> Matroid:
     if not isinstance(data, Mapping):
         raise ValueError("matroid JSON must be an object")
@@ -608,15 +613,15 @@ def matroid_from_json_dict(data: Mapping) -> Matroid:
     if "elements" not in keys:
         raise ValueError("missing key 'elements'")
     elements = data["elements"]
-    if not isinstance(elements, list):
-        raise ValueError("'elements' must be a list")
+    if not _is_string_list(elements):
+        raise ValueError("'elements' must be a list of strings")
     if keys == {"elements", "rank", "bases"}:
         rank = data["rank"]
         if not isinstance(rank, int) or rank < 0:
             raise ValueError("'rank' must be a nonnegative integer")
         bases = data["bases"]
-        if not isinstance(bases, list) or not all(isinstance(b, list) for b in bases):
-            raise ValueError("'bases' must be a list of lists")
+        if not isinstance(bases, list) or not all(_is_string_list(b) for b in bases):
+            raise ValueError("'bases' must be a list of lists of strings")
         if not bases and rank > 0:
             raise ValueError("empty basis family with positive rank")
         m = Matroid.from_bases(elements, bases, rank=rank)
@@ -626,8 +631,8 @@ def matroid_from_json_dict(data: Mapping) -> Matroid:
         return m
     if keys == {"elements", "lines"}:
         lines = data["lines"]
-        if not isinstance(lines, list) or not all(isinstance(l, list) for l in lines):
-            raise ValueError("'lines' must be a list of lists")
+        if not isinstance(lines, list) or not all(_is_string_list(l) for l in lines):
+            raise ValueError("'lines' must be a list of lists of strings")
         return from_geometry(Geometry.build(elements, lines))
     unknown = keys - {"elements", "rank", "bases", "lines"}
     if unknown:
@@ -659,7 +664,7 @@ def matroid_to_json_dict(m: Matroid, form: str = "auto") -> dict:
 def loads_matroid(text: str) -> Matroid:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
     return matroid_from_json_dict(data)
 

@@ -62,21 +62,36 @@ def minor_polynomial(m: Matroid, contract: Iterable[str], delete: Iterable[str])
 
 @dataclass(frozen=True)
 class PairContext:
-    """A matroid together with a distinguished pair of distinct elements."""
+    """A matroid together with a distinguished pair of distinct elements.
+
+    This is the one place where a pair, and a third element `g` next to it,
+    is checked against the matroid.
+    """
 
     matroid: Matroid
     e: str
     f: str
 
     def __post_init__(self):
-        if self.e == self.f:
-            raise ValueError("pair elements must be distinct")
         for el in (self.e, self.f):
             if el not in self.matroid.elements:
-                raise ValueError(f"element {el!r} not in ground set")
+                raise ValueError(f"element {el!r} not in the ground set")
+        if self.e == self.f:
+            raise ValueError("pair elements must be distinct")
 
-    def _others(self) -> tuple[str, ...]:
-        return tuple(x for x in self.matroid.elements if x not in (self.e, self.f))
+    def check_third(self, g: str, *, dependent: bool = False) -> None:
+        """Check that g is a ground-set element other than e and f.
+
+        With `dependent`, also require {e,f,g} to be dependent.
+        """
+        if g not in self.matroid.elements:
+            raise ValueError(f"element {g!r} not in the ground set")
+        if g in (self.e, self.f):
+            raise ValueError(
+                f"element {g!r} must differ from e and f (distinct from the pair)"
+            )
+        if dependent and self.matroid.is_independent((self.e, self.f, g)):
+            raise ValueError("precondition: {e,f,g} must be dependent")
 
 
 def rayleigh_difference(ctx: PairContext) -> Polynomial:
@@ -93,10 +108,7 @@ def central_term(ctx: PairContext, g: str) -> Polynomial:
                    - M_g^ef M_ef^g - M_efg M^efg
     """
     m, e, f = ctx.matroid, ctx.e, ctx.f
-    if g in (e, f):
-        raise ValueError("g must differ from the pair elements")
-    if g not in m.elements:
-        raise ValueError(f"element {g!r} not in ground set")
+    ctx.check_third(g)
     return (
         minor_polynomial(m, (e,), (f, g)) * minor_polynomial(m, (f, g), (e,))
         + minor_polynomial(m, (f,), (e, g)) * minor_polynomial(m, (e, g), (f,))
@@ -153,10 +165,7 @@ def lemma31_injection(ctx: PairContext, g: str) -> list[InjectionRecord]:
     recording a bad pair.
     """
     m, e, f = ctx.matroid, ctx.e, ctx.f
-    if g in (e, f) or g not in m.elements:
-        raise ValueError("g must be a ground-set element distinct from the pair")
-    if m.is_independent((e, f, g)):
-        raise ValueError("precondition: {e,f,g} must be dependent")
+    ctx.check_third(g, dependent=True)
 
     bases = m.bases
     domain1 = sorted(
@@ -199,11 +208,7 @@ def theta_dominance_check(ctx: PairContext, g: str) -> bool:
     Guaranteed whenever {e,f,g} is dependent (that is the content of the
     injection); this is the test harness for that claim.
     """
-    m, e, f = ctx.matroid, ctx.e, ctx.f
-    if g in (e, f) or g not in m.elements:
-        raise ValueError("g must be a ground-set element distinct from the pair")
-    if m.is_independent((e, f, g)):
-        raise ValueError("precondition: {e,f,g} must be dependent")
+    ctx.check_third(g, dependent=True)
     return dominates(central_term(ctx, g), Polynomial.zero())
 
 
@@ -304,10 +309,7 @@ def negative_correlation_sample(
     else:
         pairs = [tuple(p) for p in pairs]
         for e, f in pairs:
-            if e == f:
-                raise ValueError("pair elements must be distinct")
-            if e not in m.elements or f not in m.elements:
-                raise ValueError(f"pair ({e!r}, {f!r}) not in ground set")
+            PairContext(m, e, f)
     if not pairs:
         return SampleResult((), samples, 0, (), 0)
     rng = random.Random(seed)

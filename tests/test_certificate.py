@@ -14,7 +14,7 @@ from rayleigh_kit.certificate import (
     lemma33_reduce,
     table_coefficients,
 )
-from rayleigh_kit.matroid import Matroid, with_parallel_copy
+from rayleigh_kit.matroid import Geometry, Matroid, from_geometry, with_parallel_copy
 from rayleigh_kit.poly import Polynomial, dominates, parse_polynomial
 from rayleigh_kit.rayleigh import PairContext, draw_dyadic_point, rayleigh_difference
 
@@ -119,6 +119,14 @@ def test_lemma33_reduce_long_line():
     assert len(red.chain) == 2
     assert set(red.chain) == {"5", "6"}
     assert red.matroid.closure(("3", "4")) == frozenset({"3", "4"})
+    # a five-point line {a,b,c,d,e} with the ground set out of sorted order:
+    # the chain follows the ground set, not the labels
+    m = from_geometry(Geometry.build(["c", "a", "x", "e", "b", "d"],
+                                     [["a", "b", "c", "d", "e"]]))
+    red = lemma33_reduce(m, "a", "b")
+    assert red.chain == ("c", "e", "d")
+    assert red.matroid.elements == ("a", "x", "b")
+    assert red.matroid.closure(("a", "b")) == frozenset({"a", "b"})
 
 
 def test_lemma33_reduce_flags_dependent_pair():

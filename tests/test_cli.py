@@ -17,6 +17,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_exit(capsys, *argv):
+    """Like run, but argparse rejections (SystemExit) become exit codes."""
+    try:
+        return run(capsys, *argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
 def test_delta_single_pair_golden(capsys):
     code, out, _ = run(capsys, "delta", "K4", "1", "2")
     assert code == 0
@@ -199,3 +208,59 @@ def test_out_dir_receives_report_copy(capsys, tmp_path):
     copy = (tmp_path / "verify.json").read_text()
     assert copy == out
     assert json.loads(copy)["all_verified"] is True
+
+
+@pytest.mark.parametrize("content", [
+    None,  # the path is a directory
+    "[" * 200000 + "]" * 200000,
+    '{"elements": ["1", "2"], "rank": 1, "bases": [[["x"]]]}',
+    '{"elements": [["1"], "2"], "rank": 1, "bases": [["2"]]}',
+    '{"elements": ["1", "2", "3"], "lines": [[["1"], "2", "3"]]}',
+], ids=["directory", "deep-nesting", "list-basis-entry", "list-element-id",
+        "list-line-entry"])
+def test_hostile_input_exits_two(capsys, tmp_path, content):
+    path = tmp_path / "input.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    code, out, err = run_exit(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "K4", "--samples", "0"),
+    ("sample", "K4", "--samples", "-3"),
+    ("verify", "U_4_5", "--pairs", "1,2", "--samples", "0"),
+])
+def test_samples_below_one_exit_two(capsys, argv):
+    code, out, err = run_exit(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "usage:" in err and "--samples" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("delta", "K4", "--seed", "3"),
+    ("tables", "--samples", "5"),
+    ("enumerate", "5", "--seed", "1", "--out", "D"),
+    ("certificate", "K4", "--all-pairs"),
+])
+def test_options_that_did_nothing_are_gone(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_exit(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+    assert not (tmp_path / "D").exists()
+
+
+def test_verify_keeps_seed_and_samples(capsys):
+    # `sample` keeps them too: see test_sample_text_deterministic
+    code, out, _ = run(capsys, "verify", "U_4_5", "--seed", "1", "--samples", "40",
+                       "--pairs", "1,2")
+    assert code == 0
+    assert out == ("pair {1,2}: unverified (rank > 3): "
+                   "no negative point found in 40 samples\n")

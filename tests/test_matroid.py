@@ -186,6 +186,46 @@ def test_json_rejects_empty_bases_with_positive_rank():
         matroid_from_json_dict({"elements": ["1"], "rank": 1, "bases": []})
 
 
+_JSON_KEYS = ["elements", "rank", "bases", "lines", "x"]
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4)
+    | st.sampled_from(["1", "2", "3", "4", "", "a b"]),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(_JSON_KEYS), inner, max_size=4),
+    max_leaves=20,
+)
+# Matroid-shaped objects whose ids may be nested lists or integers.
+_ids = st.recursive(
+    st.sampled_from(["1", "2", "3", "4"]) | st.integers(0, 3),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=4,
+)
+_matroid_like = st.fixed_dictionaries(
+    {"elements": st.lists(_ids, max_size=4), "rank": st.integers(0, 3),
+     "bases": st.lists(st.lists(_ids, max_size=3), max_size=4)}
+) | st.fixed_dictionaries(
+    {"elements": st.lists(_ids, max_size=4),
+     "lines": st.lists(st.lists(_ids, max_size=4), max_size=3)}
+)
+
+
+@given(_json_values | _matroid_like)
+@settings(max_examples=300, deadline=None)
+def test_loads_matroid_returns_a_matroid_or_raises_value_error(value):
+    # Hostile input ends in a Matroid or a ValueError, never anything else
+    # (a list used as an element id once escaped as TypeError).
+    try:
+        m = loads_matroid(json.dumps(value))
+    except ValueError:
+        return
+    assert isinstance(m, Matroid)
+
+
+def test_loads_matroid_rejects_deep_nesting():
+    with pytest.raises(ValueError, match="invalid JSON"):
+        loads_matroid("[" * 200000 + "]" * 200000)
+
+
 def test_is_isomorphic_basic():
     m1 = k4()
     # relabel by reversing element names
