@@ -45,16 +45,23 @@ from .poly import (
     GGHH,
     GGHI,
     GHIJ,
+    PACKED_BITS,
     MonomialShape,
     Polynomial,
-    classify_shape,
+    add_products,
+    add_square,
     dominates,
     format_polynomial,
+    from_packed,
+    is_packed_shape,
+    pack_mask,
+    packed_variables,
 )
 from .rayleigh import (
     PairContext,
+    basis_split,
     closed_pair_filter,
-    minor_polynomial,
+    delta_terms,
     rayleigh_difference,
 )
 
@@ -89,65 +96,110 @@ def _require_rank3(m: Matroid) -> None:
                          if m.rank > 3 else "Ansatz requires a rank-3 matroid")
 
 
+class _Square(NamedTuple):
+    """One square of the Ansatz, on ground-set positions.
+
+    `l_ae`, `l_af` and `u` are L(a,e), L(a,f) and U(a) as bitmasks, and
+    `root` is y_a*B(a) - C(a)*D(a) as packed terms (see `poly.pack_mask`).
+    """
+
+    a: int
+    l_ae: int
+    l_af: int
+    u: int
+    root: dict[int, int]
+
+
+def _square(m: Matroid, e: int, f: int, a: int) -> _Square:
+    """The square for the element at position a, with e, f positions too."""
+    ae, af = 1 << a | 1 << e, 1 << a | 1 << f
+    cl_ae, cl_af = m.closure_mask(ae), m.closure_mask(af)
+    l_ae, l_af = cl_ae & ~ae, cl_af & ~af
+    u = ((1 << m.n) - 1) & ~(cl_ae | cl_af)
+    y_a = pack_mask(1 << a)
+    root = {y_a + y: 1 for y in packed_variables(u)}
+    add_products(root, packed_variables(l_ae), packed_variables(l_af), -1)
+    return _Square(a, l_ae, l_af, u, root)
+
+
+def _squares(m: Matroid, e: str, f: str) -> list[_Square]:
+    """The squares for every a outside {e,f}, in ground-set order."""
+    ie, jf = m.elements.index(e), m.elements.index(f)
+    return [_square(m, ie, jf, a) for a in range(m.n) if a not in (ie, jf)]
+
+
+def _four_p_terms(squares: list[_Square]) -> dict[int, int]:
+    """4P, the plain sum of the squares, as packed terms."""
+    four_p: dict[int, int] = {}
+    for square in squares:
+        add_square(four_p, square.root)
+    return four_p
+
+
 def ansatz_parts(m: Matroid, e: str, f: str, a: str) -> AnsatzParts:
     """Compute L(a,e), L(a,f), U(a) and the polynomials B, C, D, T for one a."""
     _require_rank3(m)
     PairContext(m, e, f).check_third(a)
-    cl_ae = m.closure((a, e))
-    cl_af = m.closure((a, f))
-    l_ae = cl_ae - {a, e}
-    l_af = cl_af - {a, f}
-    u_a = frozenset(m.elements) - (cl_ae | cl_af)
-    b_a = Polynomial.sum_of_variables(u_a)
-    c_a = Polynomial.sum_of_variables(l_ae)
-    d_a = Polynomial.sum_of_variables(l_af)
-    root = Polynomial.variable(a) * b_a - c_a * d_a
-    return AnsatzParts(a, l_ae, l_af, u_a, b_a, c_a, d_a, root * root)
-
-
-def _all_parts(m: Matroid, e: str, f: str) -> list[AnsatzParts]:
-    return [ansatz_parts(m, e, f, a) for a in m.elements if a not in (e, f)]
-
-
-def _sum_of_squares(parts_list: list[AnsatzParts]) -> Polynomial:
-    """4P: the plain sum of the square terms T_a."""
-    return sum((parts.T_a for parts in parts_list), Polynomial.zero())
+    index = m.elements.index
+    square = _square(m, index(e), index(f), index(a))
+    l_ae, l_af, u_a = (m._unmask(mask) for mask in square[1:4])
+    return AnsatzParts(
+        a, l_ae, l_af, u_a,
+        Polynomial.sum_of_variables(u_a),
+        Polynomial.sum_of_variables(l_ae),
+        Polynomial.sum_of_variables(l_af),
+        from_packed(add_square({}, square.root), m.elements),
+    )
 
 
 def ansatz_polynomial(m: Matroid, e: str, f: str) -> Polynomial:
     """P = 1/4 * sum of T_a over all a outside {e,f}; a sum of squares."""
-    return _sum_of_squares(_all_parts(m, e, f)) * Fraction(1, 4)
+    _require_rank3(m)
+    PairContext(m, e, f)
+    return from_packed(_four_p_terms(_squares(m, e, f)), m.elements) * Fraction(1, 4)
+
+
+def _gap(delta: dict[int, int], four_p: dict[int, int]) -> dict[int, int]:
+    """4*Delta - 4P as packed terms: Delta >> P iff none is negative."""
+    gap = {key: 4 * coeff for key, coeff in delta.items()}
+    for key, coeff in four_p.items():
+        gap[key] = gap.get(key, 0) - coeff
+    return gap
 
 
 def _check_closed_pair_structure(
-    m: Matroid, e: str, f: str, delta: Polynomial, four_p: Polynomial,
-    parts_list: list[AnsatzParts],
+    m: Matroid, e: str, f: str, delta: dict[int, int], four_p: dict[int, int],
+    squares: list[_Square],
 ) -> None:
     """Structural facts that hold when m is simple and {e,f} is closed.
 
-    Every monomial of Delta and of 4P is degree-4 in variables outside
-    {e,f} with exponents <= 2, and each square's index sets partition
-    cleanly.  Violations indicate a bug, hence RuntimeError.
+    Every monomial of Delta and of 4P (packed terms) is degree-4 in
+    variables outside {e,f} with exponents <= 2, and each square's index
+    sets partition cleanly.  Violations indicate a bug, hence RuntimeError.
     """
-    for label, poly in (("delta", delta), ("ansatz", four_p)):
-        for mono, _ in poly.terms():
-            if classify_shape(mono) is None:
+    ie, jf = m.elements.index(e), m.elements.index(f)
+    pair = pack_mask(1 << ie | 1 << jf) * ((1 << PACKED_BITS) - 1)  # e and f fields
+    for label, terms in (("delta", delta), ("ansatz", four_p)):
+        for key, coeff in terms.items():
+            if not coeff:
+                continue
+            if not is_packed_shape(key):
+                mono = next(from_packed({key: 1}, m.elements).terms())[0]
                 raise RuntimeError(
                     f"internal invariant violated: {label} monomial {mono} "
                     "is not of shape y_g^2y_h^2, y_g^2y_hy_i or y_gy_hy_iy_j"
                 )
-            if any(var in (e, f) for var, _ in mono):
+            if key & pair:
                 raise RuntimeError(
                     f"internal invariant violated: {label} mentions e or f"
                 )
-    for parts in parts_list:
-        groups = (parts.L_ae, parts.L_af, parts.U_a)
-        banned = {parts.a, e, f}
-        for grp in groups:
-            if grp & banned:
-                raise RuntimeError(
-                    "internal invariant violated: index sets must exclude a, e, f"
-                )
+    for square in squares:
+        groups = (square.l_ae, square.l_af, square.u)
+        banned = 1 << square.a | 1 << ie | 1 << jf
+        if any(grp & banned for grp in groups):
+            raise RuntimeError(
+                "internal invariant violated: index sets must exclude a, e, f"
+            )
         for g1, g2 in itertools.combinations(groups, 2):
             if g1 & g2:
                 raise RuntimeError(
@@ -247,6 +299,13 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
     the reduced matroid and check Delta_reduced >> P.  The coefficient
     comparison is done on 4*Delta vs 4*P so that it runs in integers.
 
+    Delta and 4P are built as packed terms: a monomial is one int with a
+    4-bit exponent per ground-set position (`poly.pack_mask`), so a product
+    of monomials is an integer addition.  Delta multiplies two bases
+    (exponents <= 2) and 4P squares roots with exponents <= 2, so no
+    exponent exceeds 4 and a 4-bit field is enough.  The packed terms become
+    `Polynomial`s, variables in label order, only for the report.
+
     Inputs must be loopless; rank > 3 is rejected (non-Rayleigh matroids
     exist there, and the Ansatz is not defined).
     """
@@ -277,15 +336,19 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
             delta_original=delta_orig,
             unreduced_dominance=None,
         )
-    parts_list = _all_parts(reduced, e, f)
-    four_p = _sum_of_squares(parts_list)
-    p_poly = four_p * Fraction(1, 4)
-    delta_red = rayleigh_difference(PairContext(reduced, e, f))
-    verdict = dominates(delta_red * 4, four_p)
+    squares = _squares(reduced, e, f)
+    four_p_terms = _four_p_terms(squares)
+    p_poly = from_packed(four_p_terms, reduced.elements) * Fraction(1, 4)
+    # The report's Delta comes from `rayleigh_difference` below; this packed
+    # copy feeds the integer checks.
+    red_terms = delta_terms(reduced, e, f)
+    gap = _gap(red_terms, four_p_terms)
+    verdict = all(coeff >= 0 for coeff in gap.values())
     if reduced.is_simple():
-        _check_closed_pair_structure(reduced, e, f, delta_red, four_p, parts_list)
+        _check_closed_pair_structure(reduced, e, f, red_terms, four_p_terms, squares)
     if chain:
-        unreduced = dominates(delta_orig * 4, ansatz_polynomial(m, e, f) * 4)
+        unreduced_gap = _gap(delta_terms(m, e, f), _four_p_terms(_squares(m, e, f)))
+        unreduced = all(coeff >= 0 for coeff in unreduced_gap.values())
     else:
         unreduced = verdict
     return CertificateReport(
@@ -294,11 +357,16 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
         reduced_pair_closed=True,
         reduction_chain=chain,
         P=p_poly,
-        delta=delta_red,
-        residual=delta_red - p_poly,
+        delta=rayleigh_difference(PairContext(reduced, e, f)),
+        residual=from_packed(
+            {key: coeff >> 2 if coeff & 3 == 0 else Fraction(coeff, 4)
+             for key, coeff in gap.items()},
+            reduced.elements,
+        ),
         verdict=verdict,
         square_terms=tuple(
-            (parts.a, parts.square_root_term()) for parts in parts_list
+            (reduced.elements[square.a], from_packed(square.root, reduced.elements))
+            for square in squares
         ),
         delta_original=delta_orig,
         unreduced_dominance=unreduced,
@@ -419,13 +487,12 @@ def _pinned_key(m: Matroid, e: str, f: str, g: Optional[str]) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _pair_polys(
-    m: Matroid, e: str, f: str
-) -> tuple[Polynomial, Polynomial, Polynomial, Polynomial]:
-    """(M_e^f * M_f^e, M_{ef} * M^{ef}, their difference, the Ansatz P)."""
-    positive = minor_polynomial(m, (e,), (f,)) * minor_polynomial(m, (f,), (e,))
-    negative = minor_polynomial(m, (e, f), ()) * minor_polynomial(m, (), (e, f))
-    return positive, negative, positive - negative, ansatz_polynomial(m, e, f)
+def _pair_polys(m: Matroid, e: str, f: str) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """(M_e^f * M_f^e, M_{ef} * M^{ef}, the Ansatz P), from one basis split."""
+    only_e, only_f, both, neither = basis_split(m, e, f)
+    positive = from_packed(add_products({}, only_e, only_f), m.elements)
+    negative = from_packed(add_products({}, both, neither), m.elements)
+    return positive, negative, ansatz_polynomial(m, e, f)
 
 
 def _closed_pairs(m: Matroid) -> list[tuple[str, str]]:
@@ -490,7 +557,7 @@ def table_coefficients(shape_family: str) -> TableReport:
             support = tuple(others)
         shape = MonomialShape(row.family, support)
         mono = shape.monomial()
-        positive, negative, _, p_poly = _pair_polys(inst, e, f)
+        positive, negative, p_poly = _pair_polys(inst, e, f)
         cpos = positive.term_map().get(mono, 0)
         cneg = negative.term_map().get(mono, 0)
         pval = Fraction(p_poly.term_map().get(mono, 0))
@@ -520,7 +587,7 @@ def table_coefficients(shape_family: str) -> TableReport:
     for mname, m in _scan_matroids():
         for e, f in _closed_pairs(m):
             others = [x for x in m.elements if x not in (e, f)]
-            positive, negative, _, p_poly = _pair_polys(m, e, f)
+            positive, negative, p_poly = _pair_polys(m, e, f)
             pos_map = positive.term_map()
             neg_map = negative.term_map()
             p_map = p_poly.term_map()

@@ -49,7 +49,7 @@ def _check_element_id(el) -> str:
 class Matroid:
     """A matroid given by ground set, rank, and basis family."""
 
-    __slots__ = ("elements", "rank", "_masks", "_index", "_bases_cache")
+    __slots__ = ("elements", "rank", "_masks", "_index", "_bases_cache", "_flats")
 
     def __init__(self, elements: Iterable[str], rank: int, basis_masks: Iterable[int]):
         elements = tuple(_check_element_id(e) for e in elements)
@@ -72,6 +72,7 @@ class Matroid:
         object.__setattr__(self, "_masks", masks)
         object.__setattr__(self, "_index", {e: i for i, e in enumerate(elements)})
         object.__setattr__(self, "_bases_cache", None)
+        object.__setattr__(self, "_flats", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Matroid is immutable")
@@ -168,14 +169,26 @@ class Matroid:
         return max((mask & b).bit_count() for b in self._masks)
 
     def closure(self, subset: Iterable[str]) -> frozenset[str]:
-        mask = self._mask(subset)
-        r = self._rank_of_mask(mask)
-        out = mask
-        for i in range(len(self.elements)):
-            bit = 1 << i
-            if not mask & bit and self._rank_of_mask(mask | bit) == r:
-                out |= bit
-        return self._unmask(out)
+        return self._unmask(self.closure_mask(self._mask(subset)))
+
+    def closure_mask(self, mask: int) -> int:
+        """Closure of a bitmask over the element positions, memoised per matroid.
+
+        With r = rank(X), an element x outside X lies outside cl(X) exactly
+        when some basis B meets X in r elements and contains x (extend a
+        maximal independent subset of X + x to a basis).  So cl(X) is
+        everything not in B - X for such a B: one pass over the bases.
+        """
+        flat = self._flats.get(mask)
+        if flat is None:
+            r = self._rank_of_mask(mask)
+            spanned = 0
+            for b in self._masks:
+                if (b & mask).bit_count() == r:
+                    spanned |= b
+            flat = ((1 << len(self.elements)) - 1) & ~(spanned & ~mask)
+            self._flats[mask] = flat
+        return flat
 
     def is_dependent(self, subset: Iterable[str]) -> bool:
         mask = self._mask(subset)
@@ -260,29 +273,44 @@ class Matroid:
 
     # -- simplification ----------------------------------------------------
 
+    def _shares(self) -> list[int]:
+        """shares[i]: the elements lying in some basis together with element i."""
+        shares = [0] * len(self.elements)
+        for b in self._masks:
+            rest = b
+            while rest:
+                low = rest & -rest
+                shares[low.bit_length() - 1] |= b
+                rest ^= low
+        return shares
+
     def parallel_classes(self) -> list[tuple[str, ...]]:
         """Parallel classes of the non-loop elements, each sorted, in order
-        of their smallest member."""
-        loops = set(self.loops())
+        of their smallest member.
+
+        A loop shares a basis with nothing, and two non-loops are parallel
+        exactly when no basis contains both.
+        """
+        shares = self._shares()
+        n = len(shares)
         classes: list[tuple[str, ...]] = []
-        assigned: set[str] = set()
-        for x in self.elements:
-            if x in loops or x in assigned:
+        assigned = 0
+        for i in range(n):
+            if not shares[i] or assigned >> i & 1:
                 continue
-            members = [x]
-            for y in self.elements:
-                if y == x or y in loops or y in assigned:
-                    continue
-                if self.rank_of((x, y)) == 1:
-                    members.append(y)
-            assigned.update(members)
-            classes.append(tuple(sorted(members)))
+            members = [i] + [
+                j for j in range(i + 1, n) if shares[j] and not shares[i] >> j & 1
+            ]
+            for j in members:
+                assigned |= 1 << j
+            classes.append(tuple(sorted(self.elements[j] for j in members)))
         return sorted(classes, key=lambda c: c[0])
 
     def is_simple(self) -> bool:
-        return not self.loops() and all(
-            len(c) == 1 for c in self.parallel_classes()
-        )
+        """No loops and no parallel pairs: every element shares a basis with
+        every element."""
+        full = (1 << len(self.elements)) - 1
+        return all(s == full for s in self._shares())
 
     def simplify(self) -> "SimplifyResult":
         """Delete loops, keep one representative per parallel class.
@@ -622,8 +650,8 @@ def matroid_from_json_dict(data: Mapping) -> Matroid:
         bases = data["bases"]
         if not isinstance(bases, list) or not all(_is_string_list(b) for b in bases):
             raise ValueError("'bases' must be a list of lists of strings")
-        if not bases and rank > 0:
-            raise ValueError("empty basis family with positive rank")
+        if not bases:
+            raise ValueError("empty basis family (rank 0 has the one basis [])")
         m = Matroid.from_bases(elements, bases, rank=rank)
         problems = m.validate()
         if problems:

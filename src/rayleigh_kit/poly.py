@@ -67,6 +67,13 @@ class Polynomial:
                     clean[mono] = c
         object.__setattr__(self, "_terms", clean)
 
+    @classmethod
+    def _from_clean(cls, terms: dict[Monomial, Coeff]) -> "Polynomial":
+        """Wrap terms that are already normalised: no zero, no integral Fraction."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "_terms", terms)
+        return poly
+
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
@@ -261,6 +268,101 @@ def _term_sort_key(mono: Monomial):
     # lexicographically largest exponent pattern.  Variables compare by
     # label; an absent variable is a zero exponent.
     return (-mono_degree(mono), tuple((var, -exp) for var, exp in mono))
+
+
+# ---------------------------------------------------------------------------
+# Packed monomials.
+#
+# The certificate's hot loops write a monomial over a matroid's ground set as
+# one int holding a 4-bit exponent per ground-set position: position i sits at
+# bits 4i..4i+3.  Multiplying two monomials is then adding two ints.  Those
+# loops only form products of two bases (exponents <= 2) and squares of
+# quadratics with exponents <= 2 (exponents <= 4), so a field never carries
+# into the next one.  `Polynomial` stays the type everywhere else.
+
+PACKED_BITS = 4
+
+# _SPREAD[byte]: the byte's eight bits moved to the low bits of eight fields.
+_SPREAD = tuple(
+    sum((byte >> i & 1) << (PACKED_BITS * i) for i in range(8)) for byte in range(256)
+)
+
+
+def pack_mask(mask: int) -> int:
+    """The packed monomial prod_{i in mask} y_i of a ground-set bitmask."""
+    if mask < 256:
+        return _SPREAD[mask]
+    out = shift = 0
+    while mask:
+        out |= _SPREAD[mask & 255] << shift
+        mask >>= 8
+        shift += 8 * PACKED_BITS
+    return out
+
+
+# The lowest bit of every field, for all 64 ground-set positions.
+_FIELD_LOW_BITS = sum(1 << PACKED_BITS * i for i in range(64))
+
+
+def is_packed_shape(key: int) -> bool:
+    """True iff a packed monomial has degree 4 and no exponent above 2, the
+    shapes `classify_shape` accepts."""
+    ones = _FIELD_LOW_BITS
+    # An exponent is at most 2 when bits 2 and 3 of its field are clear and
+    # bits 0 and 1 are not both set; the degree then counts bit 1 twice.
+    if key & ones * 12 or key & key >> 1 & ones:
+        return False
+    return (key & ones).bit_count() + 2 * (key & ones << 1).bit_count() == 4
+
+
+def packed_variables(mask: int) -> list[int]:
+    """The packed monomials y_i for i in a ground-set bitmask, in position order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(1 << PACKED_BITS * (low.bit_length() - 1))
+        mask ^= low
+    return out
+
+
+def add_products(
+    acc: dict[int, int], xs: Iterable[int], ys: Iterable[int], sign: int = 1
+) -> dict[int, int]:
+    """acc += sign * (sum of xs) * (sum of ys), all packed monomials; returns acc."""
+    ys = list(ys)
+    get = acc.get
+    for x in xs:
+        for y in ys:
+            key = x + y
+            acc[key] = get(key, 0) + sign
+    return acc
+
+
+def add_square(acc: dict[int, int], terms: Mapping[int, int]) -> dict[int, int]:
+    """acc += (sum of the packed terms)^2; returns acc."""
+    items = list(terms.items())
+    for i, (k1, c1) in enumerate(items):
+        acc[2 * k1] = acc.get(2 * k1, 0) + c1 * c1
+        for k2, c2 in items[i + 1 :]:
+            acc[k1 + k2] = acc.get(k1 + k2, 0) + 2 * c1 * c2
+    return acc
+
+
+def from_packed(terms: Mapping[int, Coeff], labels: Iterable[str]) -> Polynomial:
+    """The Polynomial of packed terms whose position i is the variable labels[i].
+
+    Variables are listed by label, which need not be ground-set order
+    (in ``U_3_10`` the label "10" sorts before "2").  Coefficients must be
+    ints or Fractions that are not integral; zero terms are dropped.
+    """
+    order = sorted((label, PACKED_BITS * i) for i, label in enumerate(labels))
+    field = (1 << PACKED_BITS) - 1
+    clean: dict[Monomial, Coeff] = {}
+    for key, coeff in terms.items():
+        if coeff:
+            mono = [(label, x) for label, shift in order if (x := key >> shift & field)]
+            clean[tuple(mono)] = coeff
+    return Polynomial._from_clean(clean)
 
 
 # ---------------------------------------------------------------------------

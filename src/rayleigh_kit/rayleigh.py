@@ -24,13 +24,15 @@ from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .matroid import Matroid
-from .poly import Coeff, Polynomial, dominates
+from .poly import Coeff, Polynomial, add_products, dominates, from_packed, pack_mask
 
 __all__ = [
     "PairContext",
     "InjectionRecord",
     "generating_polynomial",
     "minor_polynomial",
+    "basis_split",
+    "delta_terms",
     "rayleigh_difference",
     "central_term",
     "decomposition_check",
@@ -94,11 +96,38 @@ class PairContext:
             raise ValueError("precondition: {e,f,g} must be dependent")
 
 
+def basis_split(m: Matroid, e: str, f: str) -> tuple[list[int], ...]:
+    """The bases of m less {e,f}, packed, by how they meet {e,f}.
+
+    Returns (only e, only f, both, neither): the packed terms of M_e^f,
+    M_f^e, M_ef and M^ef.  A dependent {e,f} lies in no basis, so `both` is
+    then empty, as M_ef is (contracting a dependent set leaves no basis).
+    """
+    ebit, fbit = 1 << m.elements.index(e), 1 << m.elements.index(f)
+    pair = ebit | fbit
+    groups: dict[int, list[int]] = {ebit: [], fbit: [], pair: [], 0: []}
+    for b in m.basis_masks:
+        groups[b & pair].append(pack_mask(b & ~pair))
+    return groups[ebit], groups[fbit], groups[pair], groups[0]
+
+
+def delta_terms(m: Matroid, e: str, f: str) -> dict[int, int]:
+    """Delta M{e,f} as packed terms (see `poly.pack_mask`); some may be 0."""
+    only_e, only_f, both, neither = basis_split(m, e, f)
+    return add_products(add_products({}, only_e, only_f), both, neither, -1)
+
+
 def rayleigh_difference(ctx: PairContext) -> Polynomial:
-    m, e, f = ctx.matroid, ctx.e, ctx.f
-    return minor_polynomial(m, (e,), (f,)) * minor_polynomial(m, (f,), (e,)) - (
-        minor_polynomial(m, (e, f), ()) * minor_polynomial(m, (), (e, f))
-    )
+    """Delta M{e,f} = M_e^f * M_f^e - M_ef * M^ef.
+
+    Computed straight from the bases (`delta_terms`): each product of two
+    packed bases is one integer addition.  Packed monomials hold a 4-bit
+    exponent per ground-set position, and no exponent in the certificate's
+    loops exceeds 4 (here they stay <= 2), so 4 bits are enough.  The result
+    becomes a `Polynomial` once, with its variables in label order.
+    """
+    m = ctx.matroid
+    return from_packed(delta_terms(m, ctx.e, ctx.f), m.elements)
 
 
 def central_term(ctx: PairContext, g: str) -> Polynomial:

@@ -8,6 +8,8 @@ import pytest
 
 from rayleigh_kit.catalog import enumerate_simple_rank3, named, uniform
 from rayleigh_kit.certificate import (
+    _check_closed_pair_structure,
+    _squares,
     ansatz_parts,
     ansatz_polynomial,
     certify,
@@ -15,8 +17,77 @@ from rayleigh_kit.certificate import (
     table_coefficients,
 )
 from rayleigh_kit.matroid import Geometry, Matroid, from_geometry, with_parallel_copy
-from rayleigh_kit.poly import Polynomial, dominates, parse_polynomial
-from rayleigh_kit.rayleigh import PairContext, draw_dyadic_point, rayleigh_difference
+from rayleigh_kit.poly import Polynomial, dominates, pack_mask, parse_polynomial
+from rayleigh_kit.rayleigh import (
+    PairContext,
+    draw_dyadic_point,
+    minor_polynomial,
+    rayleigh_difference,
+)
+
+
+def _reference_delta(m, e, f):
+    """Delta from four minors and plain Polynomial products."""
+    return (minor_polynomial(m, (e,), (f,)) * minor_polynomial(m, (f,), (e,))
+            - minor_polynomial(m, (e, f), ()) * minor_polynomial(m, (), (e, f)))
+
+
+def _reference_ansatz(m, e, f):
+    """P = 1/4 sum (y_a*B_a - C_a*D_a)^2, flats from the rank function."""
+    def flat(*subset):
+        r = m.rank_of(subset)
+        return {x for x in m.elements if m.rank_of(subset + (x,)) == r}
+
+    total = Polynomial.zero()
+    for a in m.elements:
+        if a in (e, f):
+            continue
+        cl_ae, cl_af = flat(a, e), flat(a, f)
+        b_a = Polynomial.sum_of_variables(set(m.elements) - cl_ae - cl_af)
+        c_a = Polynomial.sum_of_variables(cl_ae - {a, e})
+        d_a = Polynomial.sum_of_variables(cl_af - {a, f})
+        root = Polynomial.variable(a) * b_a - c_a * d_a
+        total = total + root * root
+    return total * Fraction(1, 4)
+
+
+def test_packed_kernel_matches_the_polynomial_reference():
+    census = [m for n in range(3, 8) for m in enumerate_simple_rank3(n).classes]
+    copies = [with_parallel_copy(m, x, "p")
+              for m in census if m.n <= 6 for x in m.elements]
+    k4 = named("K4")  # ids 1..6 become 9..4: reverse lexical order
+    k4_reversed = Matroid([str(10 - int(x)) for x in k4.elements], 3, k4.basis_masks)
+    rank3 = census + copies + [named("U_3_10"), k4_reversed]
+    low_rank = [uniform(r, n) for r in (1, 2) for n in range(r, 7)] + [named("U_2_11")]
+    for m in rank3 + low_rank:
+        for e, f in combinations(m.elements, 2):
+            assert rayleigh_difference(PairContext(m, e, f)) == _reference_delta(m, e, f)
+            if m.rank == 3:
+                assert ansatz_polynomial(m, e, f) == _reference_ansatz(m, e, f)
+
+
+def test_closed_pair_structure_check_on_packed_terms():
+    m, e, f = named("K4"), "1", "2"  # elements 1..6 sit at positions 0..5
+    y = [pack_mask(1 << i) for i in range(6)]
+    good = {2 * y[2] + 2 * y[3]: 1, y[2] + y[3] + y[4] + y[5]: -2}
+    squares = _squares(m, e, f)
+    _check_closed_pair_structure(m, e, f, good, good, squares)
+    _check_closed_pair_structure(m, e, f, {3 * y[2]: 0}, good, squares)  # zero term
+    bad_terms = [
+        ({3 * y[2] + y[3]: 1}, good, r"delta monomial \(\('3', 3\), \('4', 1\)\) is not"),
+        ({4 * y[2]: 1}, good, r"delta monomial \(\('3', 4\),\) is not"),
+        (good, {y[2] + y[3] + y[4]: 1}, "ansatz monomial .* is not of shape"),
+        (good, {y[0] + y[2] + y[3] + y[4]: 1}, "ansatz mentions e or f"),
+    ]
+    for delta, four_p, message in bad_terms:
+        with pytest.raises(RuntimeError, match=message):
+            _check_closed_pair_structure(m, e, f, delta, four_p, squares)
+    for square, message in [
+        (squares[0]._replace(u=squares[0].u | 1), "must exclude a, e, f"),
+        (squares[0]._replace(l_af=squares[0].u), "overlap"),
+    ]:
+        with pytest.raises(RuntimeError, match=message):
+            _check_closed_pair_structure(m, e, f, good, good, [square])
 
 
 def test_ansatz_parts_general_position():

@@ -216,8 +216,9 @@ def test_out_dir_receives_report_copy(capsys, tmp_path):
     '{"elements": ["1", "2"], "rank": 1, "bases": [[["x"]]]}',
     '{"elements": [["1"], "2"], "rank": 1, "bases": [["2"]]}',
     '{"elements": ["1", "2", "3"], "lines": [[["1"], "2", "3"]]}',
+    '{"elements": ["1"], "rank": 0, "bases": []}',
 ], ids=["directory", "deep-nesting", "list-basis-entry", "list-element-id",
-        "list-line-entry"])
+        "list-line-entry", "empty-bases-rank-0"])
 def test_hostile_input_exits_two(capsys, tmp_path, content):
     path = tmp_path / "input.json"
     if content is None:

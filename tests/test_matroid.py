@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rayleigh_kit.catalog import enumerate_simple_rank3
 from rayleigh_kit.matroid import (
     Geometry,
     Matroid,
@@ -85,6 +86,32 @@ def test_loops_and_parallel():
     assert sim.loops == ("3",)
     assert sim.matroid.elements == ("1",)
     assert sim.substitution == {"1": ("1", "2")}
+
+
+def test_closure_and_parallel_classes_match_rank_definition():
+    # references straight from the rank function: x is in cl(X) iff
+    # rank(X + x) = rank(X); x, y non-loops are parallel iff rank {x,y} = 1
+    small = [m for n in range(3, 7) for m in enumerate_simple_rank3(n).classes]
+    cases = small + [with_parallel_copy(m, m.elements[-1], "p") for m in small]
+    cases += [k4(), u24(), with_parallel_copy(u24(), "1", "1p"),
+              Matroid.from_bases(["1", "2", "3"], [("1",), ("2",)]),
+              Matroid(["1", "2"], 0, [0]), Matroid(["a", "b"], 1, ())]
+    for m in cases:
+        for size in range(len(m.elements) + 1):
+            for subset in itertools.combinations(m.elements, size):
+                r = m.rank_of(subset)
+                expected = {x for x in m.elements if m.rank_of(subset + (x,)) == r}
+                assert m.closure(subset) == expected
+                assert m.closure(subset) == expected  # again, from the memo
+        loops = {x for x in m.elements if m.rank_of((x,)) == 0}
+        classes = set()
+        for x in m.elements:
+            if x not in loops:
+                classes.add(tuple(sorted(
+                    y for y in m.elements
+                    if y not in loops and (y == x or m.rank_of((x, y)) == 1))))
+        assert m.parallel_classes() == sorted(classes)
+        assert m.is_simple() == (not loops and all(len(c) == 1 for c in classes))
 
 
 def test_with_parallel_copy():
@@ -182,8 +209,12 @@ def test_json_rejects_non_matroid():
 
 
 def test_json_rejects_empty_bases_with_positive_rank():
-    with pytest.raises(ValueError):
-        matroid_from_json_dict({"elements": ["1"], "rank": 1, "bases": []})
+    for rank in (1, 0):
+        with pytest.raises(ValueError, match="empty basis family"):
+            matroid_from_json_dict({"elements": ["1"], "rank": rank, "bases": []})
+    # the rank-0 family with the one empty basis is a matroid
+    m = matroid_from_json_dict({"elements": ["1"], "rank": 0, "bases": [[]]})
+    assert m.basis_masks == (0,) and m.loops() == ("1",)
 
 
 _JSON_KEYS = ["elements", "rank", "bases", "lines", "x"]

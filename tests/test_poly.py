@@ -1,5 +1,6 @@
 """Exact sparse polynomial arithmetic, formatting and shape classification."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,16 @@ from rayleigh_kit.poly import (
     GHIJ,
     MonomialShape,
     Polynomial,
+    add_products,
+    add_square,
     classify_shape,
     coefficient_of_shape,
     dominates,
     format_polynomial,
+    from_packed,
+    is_packed_shape,
+    pack_mask,
+    packed_variables,
     parse_polynomial,
     reciprocal_transform,
 )
@@ -159,6 +166,26 @@ def test_reciprocal_transform_errors():
         reciprocal_transform(y("z"), scope=("a",), cap=2)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, (1 << 20) - 1), min_size=1, max_size=4,
+                unique=True),
+       st.permutations([f"v{i}" for i in range(20)]))
+def test_packed_monomials_match_polynomial_products(masks, labels):
+    # position i of a packed monomial is the variable labels[i]; labels are
+    # shuffled, so "v10" and "v2" sit in either order
+    def poly(mask):
+        return Polynomial.monomial({labels[i]: 1 for i in range(20) if mask >> i & 1})
+
+    assert pack_mask(masks[0]) == sum(1 << 4 * i for i in range(20) if masks[0] >> i & 1)
+    assert sum(packed_variables(masks[0])) == pack_mask(masks[0])
+    product = add_products({}, [pack_mask(masks[0])], [pack_mask(m) for m in masks], -2)
+    expected = sum((poly(masks[0]) * poly(m) * -2 for m in masks), Polynomial.zero())
+    assert from_packed(product, labels) == expected
+    root = {pack_mask(m): i + 1 for i, m in enumerate(masks)}
+    linear = sum((poly(m) * (i + 1) for i, m in enumerate(masks)), Polynomial.zero())
+    assert from_packed(add_square({}, root), labels) == linear * linear
+
+
 def test_classify_shape():
     m22 = Polynomial.monomial({"g": 2, "h": 2})
     m211 = Polynomial.monomial({"g": 2, "h": 1, "i": 1})
@@ -173,6 +200,14 @@ def test_classify_shape():
     assert classify_shape(cube) is None
     (deg3,) = [m for m, _ in (y("g") * y("h") * y("i")).terms()]
     assert classify_shape(deg3) is None
+    # the packed test agrees with it on every exponent vector up to 15,
+    # with the fields spread over positions 0, 1, 9 and 63
+    positions = (0, 1, 9, 63)
+    for exps in itertools.product(range(16), repeat=4):
+        key = sum(x << 4 * p for x, p in zip(exps, positions))
+        (mono, _), = Polynomial.monomial(
+            {f"v{p}": x for x, p in zip(exps, positions)}).terms()
+        assert is_packed_shape(key) == (classify_shape(mono) is not None), exps
 
 
 def test_coefficient_of_shape():
