@@ -25,7 +25,6 @@ from .matroid import (
     Matroid,
     canonical_form,
     from_geometry,
-    lines_of,
     matroid_from_json_dict,
 )
 
@@ -135,18 +134,6 @@ def _space_matroid(masks: tuple[int, ...], n: int) -> Matroid:
         [points[i] for i in range(n) if mask >> i & 1] for mask in masks
     ]
     return from_geometry(Geometry.build(points, lines))
-
-
-def _line_masks(m: Matroid) -> tuple[int, ...]:
-    """Line bitmasks of a simple rank-3 matroid in its own element order."""
-    index = {el: i for i, el in enumerate(m.elements)}
-    out = []
-    for line in lines_of(m):
-        mask = 0
-        for p in line:
-            mask |= 1 << index[p]
-        out.append(mask)
-    return tuple(sorted(out))
 
 
 @lru_cache(maxsize=None)

@@ -36,11 +36,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
-from .catalog import _line_masks, enumerate_simple_rank3, named
-from .matroid import Matroid, canonical_form
+from .catalog import enumerate_simple_rank3, named
+from .matroid import Matroid, canonical_form, line_masks
 from .poly import (
     GGHH,
     GGHI,
@@ -55,6 +54,7 @@ from .poly import (
     from_packed,
     is_packed_shape,
     pack_mask,
+    pack_shape,
     packed_variables,
 )
 from .rayleigh import (
@@ -473,50 +473,52 @@ class TableReport(NamedTuple):
     all_match: bool
 
 
-def _pinned_key(m: Matroid, e: str, f: str, g: Optional[str]) -> tuple:
-    """Canonical form of (m, {e,f} setwise, optionally g pointwise).
+def _pinned_key(
+    lines: tuple[int, ...], n: int, e: int, f: int, support: tuple[int, ...],
+    family: str,
+) -> tuple[int, ...]:
+    """Canonical form of the restriction of a simple rank-3 matroid on n
+    points with these line masks to {e,f} plus a monomial's support, with
+    {e,f} pinned setwise and, for the GGHI shape, g = support[0] pointwise.
+    All of them are positions.
 
     Minimal sorted line-mask tuple over all relabelings sending {e,f} to
-    positions {0,1} and g (when given) to position 2.
+    positions {0,1} and g to position 2.  The restriction's lines are the
+    lines that keep at least 3 of their points, cut down to the kept set;
+    the other positions lie on none of them and take the last cell, so the
+    form is the one the restriction itself would give.
     """
-    index = {el: i for i, el in enumerate(m.elements)}
-    pinned = [[index[e], index[f]]] + ([[index[g]]] if g is not None else [])
-    rest = [i for x, i in index.items() if x not in (e, f, g)]
-    form, _ = canonical_form(_line_masks(m), m.n, pinned + [rest])
-    return (m.n, g is not None, form)
+    if family == GGHI:
+        cells = [[e, f], [support[0]], list(support[1:])]
+    else:
+        cells = [[e, f], list(support)]
+    keep = sum(1 << i for i in support) | 1 << e | 1 << f
+    cells.append([i for i in range(n) if not keep >> i & 1])
+    masks = [line & keep for line in lines if (line & keep).bit_count() >= 3]
+    return canonical_form(masks, n, cells)[0]
 
 
-@lru_cache(maxsize=None)
-def _pair_polys(m: Matroid, e: str, f: str) -> tuple[Polynomial, Polynomial, Polynomial]:
-    """(M_e^f * M_f^e, M_{ef} * M^{ef}, the Ansatz P), from one basis split."""
+def _pair_terms(m: Matroid, e: str, f: str) -> tuple[dict[int, int], ...]:
+    """(M_e^f * M_f^e, M_{ef} * M^{ef}, 4P) as packed terms."""
     only_e, only_f, both, neither = basis_split(m, e, f)
-    positive = from_packed(add_products({}, only_e, only_f), m.elements)
-    negative = from_packed(add_products({}, both, neither), m.elements)
-    return positive, negative, ansatz_polynomial(m, e, f)
+    return (
+        add_products({}, only_e, only_f),
+        add_products({}, both, neither),
+        _four_p_terms(_squares(m, e, f)),
+    )
 
 
-def _closed_pairs(m: Matroid) -> list[tuple[str, str]]:
-    return [
-        (e, f)
-        for e, f in itertools.combinations(m.elements, 2)
-        if m.is_independent((e, f)) and closed_pair_filter(m, e, f)
-    ]
-
-
-def _shape_monomials(others: list[str], family: str):
-    """All shapes of the family over the given variables, in a fixed order."""
+def _shape_supports(others: list[int], family: str):
+    """All supports of the family's shape over these positions, in a fixed
+    order, each listed as in `MonomialShape.support`."""
     if family == GGHH:
-        for g, h in itertools.combinations(others, 2):
-            yield MonomialShape(GGHH, (g, h))
+        yield from itertools.combinations(others, 2)
     elif family == GGHI:
         for g in others:
             for h, i in itertools.combinations([x for x in others if x != g], 2):
-                yield MonomialShape(GGHI, (g, h, i))
-    elif family == GHIJ:
-        for quad in itertools.combinations(others, 4):
-            yield MonomialShape(GHIJ, quad)
+                yield (g, h, i)
     else:
-        raise ValueError(f"unknown shape family {family!r}")
+        yield from itertools.combinations(others, 4)
 
 
 def _scan_matroids() -> list[tuple[str, Matroid]]:
@@ -547,20 +549,20 @@ def table_coefficients(shape_family: str) -> TableReport:
     rows = _TABLE_ROWS[shape_family]
 
     checks = []
+    rows_by_key: dict[tuple, TableRow] = {}
     for row in rows:
         inst = named(row.instance)
-        e, f = row.pair
+        index = inst.elements.index
         others = [x for x in inst.elements if x not in row.pair]
         if row.g is not None:
             support = (row.g,) + tuple(x for x in others if x != row.g)
         else:
             support = tuple(others)
-        shape = MonomialShape(row.family, support)
-        mono = shape.monomial()
-        positive, negative, p_poly = _pair_polys(inst, e, f)
-        cpos = positive.term_map().get(mono, 0)
-        cneg = negative.term_map().get(mono, 0)
-        pval = Fraction(p_poly.term_map().get(mono, 0))
+        positions = tuple(map(index, support))
+        positive, negative, four_p = _pair_terms(inst, *row.pair)
+        mono = pack_shape(row.family, positions)
+        cpos, cneg = positive.get(mono, 0), negative.get(mono, 0)
+        pval = Fraction(four_p.get(mono, 0), 4)
         ok = (
             cpos == row.positive
             and cneg == row.negative
@@ -570,10 +572,8 @@ def table_coefficients(shape_family: str) -> TableReport:
         checks.append(
             RowCheck(row, support, cpos, cneg, cpos - cneg, pval, ok)
         )
-
-    rows_by_key: dict[tuple, TableRow] = {}
-    for row in rows:
-        key = _pinned_key(named(row.instance), row.pair[0], row.pair[1], row.g)
+        e, f = map(index, row.pair)
+        key = _pinned_key(line_masks(inst), inst.n, e, f, positions, row.family)
         if key in rows_by_key:
             raise RuntimeError(f"ambiguous table rows: {rows_by_key[key].label} "
                                f"and {row.label} share a canonical form")
@@ -585,26 +585,28 @@ def table_coefficients(shape_family: str) -> TableReport:
     mismatches: list[str] = []
     occurrences = 0
     for mname, m in _scan_matroids():
-        for e, f in _closed_pairs(m):
-            others = [x for x in m.elements if x not in (e, f)]
-            positive, negative, p_poly = _pair_polys(m, e, f)
-            pos_map = positive.term_map()
-            neg_map = negative.term_map()
-            p_map = p_poly.term_map()
-            for shape in _shape_monomials(others, shape_family):
+        lines = line_masks(m)
+        for ie, jf in itertools.combinations(range(m.n), 2):
+            if any(line >> ie & line >> jf & 1 for line in lines):
+                continue  # {e,f} is not closed: it spans a line
+            e, f = m.elements[ie], m.elements[jf]
+            positive, negative, four_p = _pair_terms(m, e, f)
+            others = [i for i in range(m.n) if i not in (ie, jf)]
+            for support in _shape_supports(others, shape_family):
                 occurrences += 1
-                mono = shape.monomial()
+                labels = tuple(m.elements[i] for i in support)
+                mono = MonomialShape(shape_family, labels).monomial()
                 where = f"{mname} pair {{{e},{f}}} monomial {dict(mono)}"
-                restriction = m.restriction(set(shape.support) | {e, f})
-                g = shape.support[0] if shape_family == GGHI else None
-                row = rows_by_key.get(_pinned_key(restriction, e, f, g))
+                row = rows_by_key.get(
+                    _pinned_key(lines, m.n, ie, jf, support, shape_family)
+                )
                 if row is None:
                     unmatched.append(where)
                     continue
                 usage[row.label] += 1
-                cpos = pos_map.get(mono, 0)
-                cneg = neg_map.get(mono, 0)
-                pval = Fraction(p_map.get(mono, 0))
+                key = pack_shape(shape_family, support)
+                cpos, cneg = positive.get(key, 0), negative.get(key, 0)
+                pval = Fraction(four_p.get(key, 0), 4)
                 observed[row.label].add(pval)
                 if (cpos, cneg) != (row.positive, row.negative):
                     mismatches.append(

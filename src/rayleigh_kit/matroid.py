@@ -29,6 +29,7 @@ __all__ = [
     "canonical_form",
     "from_geometry",
     "is_isomorphic",
+    "line_masks",
     "lines_of",
     "with_parallel_copy",
     "matroid_from_json_dict",
@@ -462,17 +463,23 @@ def from_geometry(g: Geometry) -> Matroid:
     return Matroid(g.points, 3, masks)
 
 
-def lines_of(m: Matroid) -> list[tuple[str, ...]]:
-    """Rank-2 flats with at least 3 elements, for a simple rank-3 matroid."""
+def line_masks(m: Matroid) -> tuple[int, ...]:
+    """Rank-2 flats with at least 3 elements, for a simple rank-3 matroid, as
+    ascending bitmasks over the element positions."""
     if m.rank != 3 or not m.is_simple():
         raise ValueError("lines are only extracted from simple rank-3 matroids")
     seen = set()
-    for i, x in enumerate(m.elements):
-        for y in m.elements[i + 1 :]:
-            flat = m.closure((x, y))
-            if len(flat) >= 3:
-                seen.add(tuple(sorted(flat)))
-    return sorted(seen)
+    for i in range(m.n):
+        for j in range(i + 1, m.n):
+            flat = m.closure_mask(1 << i | 1 << j)
+            if flat.bit_count() >= 3:
+                seen.add(flat)
+    return tuple(sorted(seen))
+
+
+def lines_of(m: Matroid) -> list[tuple[str, ...]]:
+    """The lines of `line_masks`, each as its sorted labels, in sorted order."""
+    return sorted(tuple(sorted(m._unmask(mask))) for mask in line_masks(m))
 
 
 # ---------------------------------------------------------------------------

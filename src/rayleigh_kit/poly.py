@@ -461,6 +461,13 @@ def classify_shape(mono: Monomial) -> MonomialShape | None:
     return MonomialShape(GHIJ, linear)
 
 
+def pack_shape(kind: str, positions: Iterable[int]) -> int:
+    """The packed monomial (see `pack_mask`) of a shape whose support sits at
+    these ground-set positions, listed as in `MonomialShape.support`."""
+    pairs = zip(_SHAPE_EXPONENTS[kind], positions, strict=True)
+    return sum(exp << PACKED_BITS * pos for exp, pos in pairs)
+
+
 def coefficient_of_shape(p: Polynomial, shape: MonomialShape) -> Coeff:
     return p.term_map().get(shape.monomial(), 0)
 

@@ -251,11 +251,11 @@ def negative_correlation_check(
 ) -> bool:
     """Exact pointwise check of M_ef * M <= M_f * M_e at positive weights.
 
-    Cross-multiplied so no division happens.  Raises on nonpositive
-    weights and on degenerate pairs (M_e or M vanishing at the point).
+    Cross-multiplied so no division happens.  Raises on a pair that
+    `PairContext` rejects, on nonpositive weights and on degenerate pairs
+    (M_e or M vanishing at the point).
     """
-    if e == f:
-        raise ValueError("pair elements must be distinct")
+    PairContext(m, e, f)
     for el in m.elements:
         w = point.get(el)
         if w is None:
@@ -282,6 +282,7 @@ def negative_correlation_check(
 _MANTISSA_BITS = 19
 _EXP_LOW, _EXP_HIGH = -9, 9  # exponent k drawn from [_EXP_LOW, _EXP_HIGH)
 _SCALE_SHIFT = _MANTISSA_BITS - _EXP_LOW  # weight * 2^_SCALE_SHIFT is integral
+_CROSS_CHECK_EVERY = 100  # samples between two exact re-checks of one pair
 
 
 def _draw_scaled_weight(rng: random.Random) -> int:
@@ -317,7 +318,6 @@ def negative_correlation_sample(
     pairs: Optional[Sequence[tuple[str, str]]] = None,
     samples: int = 1000,
     seed: int = 0,
-    cross_check_every: int = 100,
 ) -> SampleResult:
     """Check negative correlation at `samples` seeded random weight vectors.
 
@@ -329,7 +329,7 @@ def negative_correlation_sample(
         M_e M_f - M_ef M  =  T_e T_f - T_ef T_0   (at the point),
 
     which is also the value of Delta M{e,f} there.  Every
-    `cross_check_every`-th sample one pair is re-verified through the
+    `_CROSS_CHECK_EVERY`-th sample one pair is re-verified through the
     polynomial-evaluation path as an independent guard.
     """
     if pairs is None:
@@ -378,23 +378,18 @@ def negative_correlation_sample(
                     t_none += w
             ok = t_e * t_f >= t_both * t_none
             checks += 1
+            cross_check = (
+                s % _CROSS_CHECK_EVERY == 0
+                and p_idx == (s // _CROSS_CHECK_EVERY) % len(pairs)
+            )
+            if point is None and (cross_check or not ok):
+                point = {
+                    el: Fraction(scaled[i], 1 << _SCALE_SHIFT)
+                    for el, i in index.items()
+                }
             if not ok:
-                if point is None:
-                    point = {
-                        el: Fraction(scaled[i], 1 << _SCALE_SHIFT)
-                        for el, i in index.items()
-                    }
                 violations.append(Violation((e, f), s, dict(point)))
-            if (
-                cross_check_every
-                and s % cross_check_every == 0
-                and p_idx == (s // cross_check_every) % len(pairs)
-            ):
-                if point is None:
-                    point = {
-                        el: Fraction(scaled[i], 1 << _SCALE_SHIFT)
-                        for el, i in index.items()
-                    }
+            if cross_check:
                 try:
                     exact = negative_correlation_check(m, e, f, point)
                 except ValueError:

@@ -6,9 +6,13 @@ from itertools import combinations
 
 import pytest
 
+from rayleigh_kit import certificate
 from rayleigh_kit.catalog import enumerate_simple_rank3, named, uniform
 from rayleigh_kit.certificate import (
     _check_closed_pair_structure,
+    _pinned_key,
+    _scan_matroids,
+    _shape_supports,
     _squares,
     ansatz_parts,
     ansatz_polynomial,
@@ -16,10 +20,20 @@ from rayleigh_kit.certificate import (
     lemma33_reduce,
     table_coefficients,
 )
-from rayleigh_kit.matroid import Geometry, Matroid, from_geometry, with_parallel_copy
+from rayleigh_kit.cli import main
+from rayleigh_kit.matroid import (
+    Geometry,
+    Matroid,
+    canonical_form,
+    from_geometry,
+    line_masks,
+    lines_of,
+    with_parallel_copy,
+)
 from rayleigh_kit.poly import Polynomial, dominates, pack_mask, parse_polynomial
 from rayleigh_kit.rayleigh import (
     PairContext,
+    closed_pair_filter,
     draw_dyadic_point,
     minor_polynomial,
     rayleigh_difference,
@@ -372,6 +386,52 @@ def test_table_scan_coverage():
     assert all(u.occurrences > 0 for u in usage.values())
     note_a = usage["II{1,2}"]
     assert set(note_a.p_observed) == {Fraction(1, 2), Fraction(3, 4), Fraction(1)}
+
+
+def _reference_pinned_key(m, e, f, support, family):
+    """The scan's key the slow way: the lines of the restriction Matroid."""
+    labels = [m.elements[i] for i in (e, f, *support)]
+    sub = m.restriction(labels)
+    index = {el: i for i, el in enumerate(sub.elements)}
+    masks = [sum(1 << index[el] for el in line) for line in lines_of(sub)]
+    e_, f_, *rest = (index[el] for el in labels)
+    cells = [[e_, f_], [rest[0]], rest[1:]] if family == "GGHI" else [[e_, f_], rest]
+    return canonical_form(masks, sub.n, cells)[0]
+
+
+def test_table_scan_keys_match_the_restriction_reference():
+    visited = 0
+    for family in ("GGHH", "GGHI", "GHIJ"):
+        for _, m in _scan_matroids():
+            lines = line_masks(m)
+            for e, f in combinations(range(m.n), 2):
+                if not closed_pair_filter(m, m.elements[e], m.elements[f]):
+                    continue
+                others = [i for i in range(m.n) if i not in (e, f)]
+                for support in _shape_supports(others, family):
+                    visited += 1
+                    assert _pinned_key(lines, m.n, e, f, support, family) == (
+                        _reference_pinned_key(m, e, f, support, family)
+                    ), (family, m, e, f, support)
+    scanned = sum(table_coefficients(fam).scan_occurrences
+                  for fam in ("GGHH", "GGHI", "GHIJ"))
+    assert visited == scanned == 1970
+
+
+def test_table_mismatch_fails_the_tables_command(monkeypatch, capsys):
+    first, second = certificate._TABLE_ROWS["GGHH"]
+    wrong = second._replace(positive=2, delta=2)
+    monkeypatch.setitem(certificate._TABLE_ROWS, "GGHH", (first, wrong))
+    report = table_coefficients("GGHH")
+    assert not report.all_match
+    assert [c.ok for c in report.checks] == [True, False]
+    assert report.mismatches
+    assert all(line.endswith("expected II{1,2} 2-0, got 1-0")
+               for line in report.mismatches)
+    assert main(["tables", "--family", "GGHH"]) == 1
+    out = capsys.readouterr().out
+    assert "classification INCOMPLETE" in out
+    assert out.rstrip("\n").rsplit("\n", 1)[-1] == "tables: MISMATCHES FOUND"
 
 
 def test_table_rejects_unknown_family():

@@ -1,11 +1,16 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import json
+from fractions import Fraction
+from functools import reduce
+from itertools import combinations
+from operator import xor
 
 import pytest
 
 from rayleigh_kit.cli import main
-from rayleigh_kit.matroid import loads_matroid
+from rayleigh_kit.matroid import Matroid, dumps_matroid, loads_matroid
+from rayleigh_kit.rayleigh import PairContext, rayleigh_difference
 
 
 K4_DELTA = "+1 * y_3^2 y_4^2 -2 * y_3 y_4 y_5 y_6 +1 * y_5^2 y_6^2"
@@ -100,6 +105,50 @@ def test_verify_rank4_samples_without_violation(capsys):
     assert code == 0
     assert "unverified (rank > 4)" not in out
     assert "unverified (rank > 3): no negative point found in 25 samples" in out
+
+
+def s8() -> Matroid:
+    """S8, the binary matroid of [I4 | D] over GF(2): rank 4, not Rayleigh.
+
+    D has rows 0111, 1011, 1101, 1111; a column is a 4-bit vector, and four
+    columns form a basis when no nonempty subset of them sums to zero.
+    """
+    d_rows = ("0111", "1011", "1101", "1111")
+    columns = [1 << 3 - i for i in range(4)] + [
+        int("".join(row[c] for row in d_rows), 2) for c in range(4)
+    ]
+    elements = [str(i) for i in range(1, 9)]
+    bases = [
+        [elements[i] for i in quad]
+        for quad in combinations(range(8), 4)
+        if all(reduce(xor, (columns[i] for i in subset))
+               for r in range(1, 5) for subset in combinations(quad, r))
+    ]
+    return Matroid.from_bases(elements, bases, rank=4)
+
+
+def test_s8_violation_is_real(capsys, tmp_path):
+    m = s8()
+    assert len(m.basis_masks) == 48
+    delta = rayleigh_difference(PairContext(m, "4", "8"))
+    assert delta.evaluate({el: 1 for el in m.elements}) == -16
+    path = tmp_path / "s8.json"
+    path.write_text(dumps_matroid(m))
+
+    code, out, _ = run(capsys, "verify", str(path), "--pairs", "4,8")
+    assert code == 1
+    prefix = "pair {4,8}: VIOLATION at y = "
+    assert out.startswith(prefix)
+    items = out.strip()[len(prefix):].split(", ")
+    point = {el: Fraction(weight) for el, weight in (i.split("=") for i in items)}
+    assert sorted(point) == sorted(m.elements)
+    assert delta.evaluate(point) < 0
+
+    code, out, _ = run(capsys, "sample", str(path), "--samples", "100", "--format", "json")
+    assert code == 1
+    violations = json.loads(out)["violations"]
+    assert violations
+    assert all(v["pair"] == ["4", "8"] for v in violations)
 
 
 def test_unknown_catalog_name_exits_two(capsys):

@@ -16,6 +16,7 @@ from rayleigh_kit.matroid import (
     dumps_matroid,
     from_geometry,
     is_isomorphic,
+    line_masks,
     lines_of,
     loads_matroid,
     matroid_from_json_dict,
@@ -163,14 +164,22 @@ def test_restriction_reranks():
 
 
 def test_lines_of():
-    assert lines_of(k4()) == [
+    expected = [
         ("1", "3", "6"),
         ("1", "4", "5"),
         ("2", "3", "5"),
         ("2", "4", "6"),
     ]
+    assert lines_of(k4()) == expected
+    # Ascending masks over positions; labels sort whatever the element order.
+    assert line_masks(k4()) == (0b010110, 0b011001, 0b100101, 0b101010)
+    backwards = Matroid.from_bases(k4().elements[::-1], k4().bases)
+    assert line_masks(backwards) == (0b010101, 0b011010, 0b100110, 0b101001)
+    assert lines_of(backwards) == expected
     with pytest.raises(ValueError):
         lines_of(u24())
+    with pytest.raises(ValueError):
+        line_masks(u24())
 
 
 def test_geometry_validation():

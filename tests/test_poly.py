@@ -22,6 +22,7 @@ from rayleigh_kit.poly import (
     from_packed,
     is_packed_shape,
     pack_mask,
+    pack_shape,
     packed_variables,
     parse_polynomial,
     reciprocal_transform,
@@ -208,6 +209,16 @@ def test_classify_shape():
         (mono, _), = Polynomial.monomial(
             {f"v{p}": x for x, p in zip(exps, positions)}).terms()
         assert is_packed_shape(key) == (classify_shape(mono) is not None), exps
+
+
+def test_pack_shape_matches_monomial_shape():
+    labels = [f"v{i}" for i in range(12)]
+    for kind, positions in ((GGHH, (11, 2)), (GGHI, (3, 0, 10)), (GHIJ, (9, 1, 4, 7))):
+        shape = MonomialShape(kind, tuple(labels[p] for p in positions))
+        expected = Polynomial({shape.monomial(): 1})
+        assert from_packed({pack_shape(kind, positions): 1}, labels) == expected
+    with pytest.raises(ValueError):
+        pack_shape(GGHI, (0, 1))
 
 
 def test_coefficient_of_shape():

@@ -154,6 +154,11 @@ def test_negative_correlation_check_errors():
     loopy = Matroid.from_bases(["1", "2", "3"], [("1",), ("2",)])
     with pytest.raises(ValueError, match="degenerate"):
         negative_correlation_check(loopy, "3", "1", {"1": 1, "2": 1, "3": 1})
+    ones = {el: 1 for el in m.elements}
+    with pytest.raises(ValueError, match="distinct"):
+        negative_correlation_check(m, "1", "1", ones)
+    with pytest.raises(ValueError, match="not in the ground set"):
+        negative_correlation_check(m, "1", "9", ones)
 
 
 def test_dyadic_points_stay_in_range():
