@@ -18,7 +18,7 @@ import json
 import re
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .matroid import (
     Geometry,
@@ -116,11 +116,6 @@ def _is_canonical(masks: tuple[int, ...], n: int) -> bool:
     return canonical_form(masks, n, beat=masks) is None
 
 
-def canonical_line_key(masks: Iterable[int], n: int) -> tuple[int, ...]:
-    """Lex-minimal ascending mask tuple over all point relabelings."""
-    return canonical_form(masks, n)[0]
-
-
 def _candidate_lines(n: int) -> list[int]:
     """Bitmasks usable as lines: 3 <= size <= n-1 (a full line would mean rank 2)."""
     return [
@@ -163,26 +158,3 @@ def enumerate_simple_rank3(n: int) -> EnumerationResult:
     classes = tuple(_space_matroid(masks, n) for masks in found)
     return EnumerationResult(n, classes, len(classes))
 
-
-def naive_enumerate_simple_rank3(n: int) -> EnumerationResult:
-    """Slow cross-check: generate every labeled line set, dedupe by canonical key.
-
-    Intended for n <= 6 (the labeled count grows rapidly).
-    """
-    if not 3 <= n <= 7:
-        raise ValueError(f"n must be between 3 and 7, got {n}")
-    candidates = _candidate_lines(n)
-    seen: set[tuple[int, ...]] = set()
-
-    def extend(current: tuple[int, ...], start: int) -> None:
-        seen.add(canonical_line_key(current, n))
-        for idx in range(start, len(candidates)):
-            line = candidates[idx]
-            if any(bin(line & prev).count("1") > 1 for prev in current):
-                continue
-            extend(current + (line,), idx + 1)
-
-    extend((), 0)
-    ordered = sorted(seen, key=lambda masks: (len(masks), masks))
-    classes = tuple(_space_matroid(masks, n) for masks in ordered)
-    return EnumerationResult(n, classes, len(classes))

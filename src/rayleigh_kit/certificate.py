@@ -34,9 +34,10 @@ of expected values per type.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 from .catalog import enumerate_simple_rank3, named
 from .matroid import Matroid, canonical_form, line_masks
@@ -49,7 +50,6 @@ from .poly import (
     Polynomial,
     add_products,
     add_square,
-    dominates,
     format_polynomial,
     from_packed,
     is_packed_shape,
@@ -110,22 +110,32 @@ class _Square(NamedTuple):
     root: dict[int, int]
 
 
-def _square(m: Matroid, e: int, f: int, a: int) -> _Square:
-    """The square for the element at position a, with e, f positions too."""
+def _square(m: Matroid, e: int, f: int, a: int, deleted: int = 0) -> _Square:
+    """The square for the element at position a, with e, f positions too.
+
+    With `deleted`, a bitmask of positions outside {a,e,f}, the square of
+    m with those positions deleted, on m's own positions: deletion
+    restricts the rank function, so cl_{M\\X}(A) = cl_M(A) - X.
+    """
     ae, af = 1 << a | 1 << e, 1 << a | 1 << f
-    cl_ae, cl_af = m.closure_mask(ae), m.closure_mask(af)
+    keep = ((1 << m.n) - 1) & ~deleted
+    cl_ae, cl_af = m.closure_mask(ae) & keep, m.closure_mask(af) & keep
     l_ae, l_af = cl_ae & ~ae, cl_af & ~af
-    u = ((1 << m.n) - 1) & ~(cl_ae | cl_af)
+    u = keep & ~(cl_ae | cl_af)
     y_a = pack_mask(1 << a)
     root = {y_a + y: 1 for y in packed_variables(u)}
     add_products(root, packed_variables(l_ae), packed_variables(l_af), -1)
     return _Square(a, l_ae, l_af, u, root)
 
 
-def _squares(m: Matroid, e: str, f: str) -> list[_Square]:
-    """The squares for every a outside {e,f}, in ground-set order."""
+def _squares(m: Matroid, e: str, f: str, deleted: int = 0) -> list[_Square]:
+    """The squares for every a outside {e,f} and `deleted`, in ground-set order."""
     ie, jf = m.elements.index(e), m.elements.index(f)
-    return [_square(m, ie, jf, a) for a in range(m.n) if a not in (ie, jf)]
+    return [
+        _square(m, ie, jf, a, deleted)
+        for a in range(m.n)
+        if a not in (ie, jf) and not deleted >> a & 1
+    ]
 
 
 def _four_p_terms(squares: list[_Square]) -> dict[int, int]:
@@ -165,6 +175,32 @@ def _gap(delta: dict[int, int], four_p: dict[int, int]) -> dict[int, int]:
     for key, coeff in four_p.items():
         gap[key] = gap.get(key, 0) - coeff
     return gap
+
+
+def _check_identity(
+    delta: dict[int, int], four_p: dict[int, int], gap: dict[int, int]
+) -> None:
+    """4*Delta == 4P + gap in integers, that is Delta == P + residual.
+
+    `delta` must be computed afresh, not be the dict `gap` was cut from, so
+    that the identity does not hold by construction.  It then catches a
+    corrupted Delta dict or gap term.  It cannot catch a wrong `four_p` (the
+    gap is cut from it) or a wrong chain mask (both Delta dicts use it);
+    only the tests that compare reports with the minor-based Delta do.
+    """
+    total = dict(four_p)
+    for key, coeff in gap.items():
+        total[key] = total.get(key, 0) + coeff
+    for key, coeff in delta.items():
+        total[key] = total.get(key, 0) - 4 * coeff
+    if any(total.values()):
+        raise RuntimeError("internal invariant violated: delta != P + residual")
+
+
+def _unreduced_dominance(m: Matroid, e: str, f: str) -> bool:
+    """Delta >> P on m itself, before any reduction: the full second ansatz."""
+    gap = _gap(delta_terms(m, e, f), _four_p_terms(_squares(m, e, f)))
+    return all(coeff >= 0 for coeff in gap.values())
 
 
 def _check_closed_pair_structure(
@@ -217,23 +253,54 @@ class ReductionResult(NamedTuple):
     pair_dependent: bool
 
 
+def _closure_chain(m: Matroid, e: str, f: str) -> Optional[int]:
+    """The third elements in the closure of {e,f}, as a bitmask over m's
+    positions; None when {e,f} is dependent.
+
+    Deletion restricts the rank function, so cl_{M\\X}({e,f}) =
+    cl_M({e,f}) - X: deleting the whole chain at once closes the pair.
+    """
+    pair = m._mask((e, f))
+    if m._rank_of_mask(pair) < 2:
+        return None
+    return m.closure_mask(pair) & ~pair
+
+
+def _labels(m: Matroid, mask: int) -> tuple[str, ...]:
+    """The elements of a bitmask, in ground-set order."""
+    return tuple(el for i, el in enumerate(m.elements) if mask >> i & 1)
+
+
+def _simple_after_deleting(m: Matroid, deleted: int) -> bool:
+    """Whether the loopless m with the `deleted` positions deleted is simple.
+
+    Deletion restricts the rank function, so the parallel pairs left are
+    m's parallel pairs outside `deleted`.
+    """
+    full = (1 << m.n) - 1
+    return all(
+        shares | deleted == full
+        for i, shares in enumerate(m._shares())
+        if not deleted >> i & 1
+    )
+
+
 def lemma33_reduce(m: Matroid, e: str, f: str) -> ReductionResult:
     """Delete third elements from the closure of {e,f} until the pair is closed.
 
     Each deleted g satisfies rank({e,f,g}) = 2, and the deletion can only
     shrink the Rayleigh difference coefficientwise, so certifying the reduced
-    matroid certifies the original.  Deletion restricts the rank function, so
-    cl_{M\\X}({e,f}) = cl_M({e,f}) - X: the whole chain is read off one
-    closure and deleted at once, in ground-set order.  A dependent (parallel)
-    pair is returned unchanged with `pair_dependent` set; the caller should
-    use the product form of the difference instead.
+    matroid certifies the original.  The whole chain is read off one
+    (memoised) closure and deleted at once, in ground-set order.  A dependent
+    (parallel) pair is returned unchanged with `pair_dependent` set; the
+    caller should use the product form of the difference instead.
     """
     _require_rank3(m)
     PairContext(m, e, f)
-    if m.is_dependent((e, f)):
+    chain_mask = _closure_chain(m, e, f)
+    if chain_mask is None:
         return ReductionResult(m, (), True)
-    extra = m.closure((e, f)) - {e, f}
-    chain = tuple(el for el in m.elements if el in extra)
+    chain = _labels(m, chain_mask)
     return ReductionResult(m.delete(chain) if chain else m, chain, False)
 
 
@@ -250,23 +317,54 @@ class CertificateReport:
     coefficient is nonnegative.  `delta_original` is the difference on the
     input matroid before reduction, and `unreduced_dominance` reports whether
     the dominance already held there (None outside the reduced-ansatz mode).
+
+    The report keeps what `certify` decided on, as packed terms over the
+    positions of the input `matroid` (see `poly.pack_mask`): `four_p` is
+    4P, `gap` is 4*delta - 4P, and `roots` pairs the position of each
+    square's a with its root.  `P`, `residual`, `square_terms` and `delta`
+    are built from them as `Polynomial`s when first read, once each
+    (`delta` by `rayleigh_difference` on the reduced matroid, which is
+    built then).  `delta_original` and `unreduced_dominance` are computed by
+    `certify`.
     """
 
     pair: tuple[str, str]
     mode: str  # "rank-le-2" | "product" | "reduced-ansatz"
     reduced_pair_closed: bool
     reduction_chain: tuple[str, ...]
-    P: Polynomial
-    delta: Polynomial
-    residual: Polynomial
     verdict: bool
-    square_terms: tuple[tuple[str, Polynomial], ...]
     delta_original: Polynomial
     unreduced_dominance: Optional[bool]
+    matroid: Matroid = field(repr=False)
+    four_p: dict[int, int] = field(repr=False)
+    gap: dict[int, int] = field(repr=False)
+    roots: tuple[tuple[int, dict[int, int]], ...] = field(repr=False)
 
-    def __post_init__(self):
-        if self.delta != self.P + self.residual:
-            raise RuntimeError("internal invariant violated: delta != P + residual")
+    @cached_property
+    def P(self) -> Polynomial:
+        return from_packed(self.four_p, self.matroid.elements) * Fraction(1, 4)
+
+    @cached_property
+    def residual(self) -> Polynomial:
+        quarter = {
+            key: coeff >> 2 if coeff & 3 == 0 else Fraction(coeff, 4)
+            for key, coeff in self.gap.items()
+        }
+        return from_packed(quarter, self.matroid.elements)
+
+    @cached_property
+    def square_terms(self) -> tuple[tuple[str, Polynomial], ...]:
+        labels = self.matroid.elements
+        return tuple((labels[a], from_packed(root, labels)) for a, root in self.roots)
+
+    @cached_property
+    def delta(self) -> Polynomial:
+        if self.mode != "reduced-ansatz":
+            return self.delta_original
+        m = self.matroid
+        if self.reduction_chain:
+            m = m.delete(self.reduction_chain)
+        return rayleigh_difference(PairContext(m, *self.pair))
 
     def to_json_dict(self) -> dict:
         return {
@@ -299,12 +397,18 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
     the reduced matroid and check Delta_reduced >> P.  The coefficient
     comparison is done on 4*Delta vs 4*P so that it runs in integers.
 
-    Delta and 4P are built as packed terms: a monomial is one int with a
-    4-bit exponent per ground-set position (`poly.pack_mask`), so a product
-    of monomials is an integer addition.  Delta multiplies two bases
-    (exponents <= 2) and 4P squares roots with exponents <= 2, so no
-    exponent exceeds 4 and a 4-bit field is enough.  The packed terms become
-    `Polynomial`s, variables in label order, only for the report.
+    Everything is decided and checked on packed terms: a monomial is one int
+    with a 4-bit exponent per ground-set position of m (`poly.pack_mask`),
+    so a product of monomials is an integer addition.  Delta multiplies two
+    bases (exponents <= 2) and 4P squares roots with exponents <= 2, so no
+    exponent exceeds 4 and a 4-bit field is enough.  No reduced `Matroid` is
+    built: the chain is read off m's memoised closure of {e,f}, the reduced
+    squares come from m's flats less the chain, and the reduced Delta from
+    the bases of m that avoid it.  On every call the identity
+    4*Delta = 4P + (4*Delta - 4P) is checked in integers against a Delta
+    computed afresh.  Only `delta_original` is a `Polynomial` on return;
+    the report builds its other fields when they are read.  With a chain,
+    `unreduced_dominance` runs the full second ansatz on m itself.
 
     Inputs must be loopless; rank > 3 is rejected (non-Rayleigh matroids
     exist there, and the Ansatz is not defined).
@@ -317,59 +421,38 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
             f"certify requires a loopless matroid (loops: {sorted(m.loops())})"
         )
     delta_orig = rayleigh_difference(ctx)
-    pair_dependent = False
-    if m.rank == 3:
-        reduced, chain, pair_dependent = lemma33_reduce(m, e, f)
-    if m.rank <= 2 or pair_dependent:
+    chain = _closure_chain(m, e, f) if m.rank == 3 else None
+    if chain is None:
         # Rank <= 2: Delta itself is >> 0.  Dependent pair: no basis contains
         # both e and f, so Delta = M_e^f * M_f^e >> 0.  Either way P = 0.
-        return CertificateReport(
-            pair=(e, f),
-            mode="product" if pair_dependent else "rank-le-2",
-            reduced_pair_closed=not pair_dependent and closed_pair_filter(m, e, f),
-            reduction_chain=(),
-            P=Polynomial.zero(),
-            delta=delta_orig,
-            residual=delta_orig,
-            verdict=dominates(delta_orig, Polynomial.zero()),
-            square_terms=(),
-            delta_original=delta_orig,
-            unreduced_dominance=None,
-        )
-    squares = _squares(reduced, e, f)
-    four_p_terms = _four_p_terms(squares)
-    p_poly = from_packed(four_p_terms, reduced.elements) * Fraction(1, 4)
-    # The report's Delta comes from `rayleigh_difference` below; this packed
-    # copy feeds the integer checks.
-    red_terms = delta_terms(reduced, e, f)
-    gap = _gap(red_terms, four_p_terms)
-    verdict = all(coeff >= 0 for coeff in gap.values())
-    if reduced.is_simple():
-        _check_closed_pair_structure(reduced, e, f, red_terms, four_p_terms, squares)
-    if chain:
-        unreduced_gap = _gap(delta_terms(m, e, f), _four_p_terms(_squares(m, e, f)))
-        unreduced = all(coeff >= 0 for coeff in unreduced_gap.values())
+        mode = "product" if m.rank == 3 else "rank-le-2"
+        closed = m.rank < 3 and closed_pair_filter(m, e, f)
+        chain, squares = 0, []
     else:
-        unreduced = verdict
+        mode, closed = "reduced-ansatz", True
+        squares = _squares(m, e, f, chain)
+    four_p = _four_p_terms(squares)
+    red_terms = delta_terms(m, e, f, chain)
+    gap = _gap(red_terms, four_p)
+    _check_identity(delta_terms(m, e, f, chain), four_p, gap)
+    verdict = all(coeff >= 0 for coeff in gap.values())
+    unreduced = None
+    if mode == "reduced-ansatz":
+        if _simple_after_deleting(m, chain):
+            _check_closed_pair_structure(m, e, f, red_terms, four_p, squares)
+        unreduced = _unreduced_dominance(m, e, f) if chain else verdict
     return CertificateReport(
         pair=(e, f),
-        mode="reduced-ansatz",
-        reduced_pair_closed=True,
-        reduction_chain=chain,
-        P=p_poly,
-        delta=rayleigh_difference(PairContext(reduced, e, f)),
-        residual=from_packed(
-            {key: coeff >> 2 if coeff & 3 == 0 else Fraction(coeff, 4)
-             for key, coeff in gap.items()},
-            reduced.elements,
-        ),
+        mode=mode,
+        reduced_pair_closed=closed,
+        reduction_chain=_labels(m, chain),
         verdict=verdict,
-        square_terms=tuple(
-            (reduced.elements[square.a], from_packed(square.root, reduced.elements))
-            for square in squares
-        ),
         delta_original=delta_orig,
         unreduced_dominance=unreduced,
+        matroid=m,
+        four_p=four_p,
+        gap=gap,
+        roots=tuple((square.a, square.root) for square in squares),
     )
 
 

@@ -96,24 +96,34 @@ class PairContext:
             raise ValueError("precondition: {e,f,g} must be dependent")
 
 
-def basis_split(m: Matroid, e: str, f: str) -> tuple[list[int], ...]:
+def basis_split(
+    m: Matroid, e: str, f: str, deleted: int = 0
+) -> tuple[list[int], ...]:
     """The bases of m less {e,f}, packed, by how they meet {e,f}.
 
     Returns (only e, only f, both, neither): the packed terms of M_e^f,
     M_f^e, M_ef and M^ef.  A dependent {e,f} lies in no basis, so `both` is
     then empty, as M_ef is (contracting a dependent set leaves no basis).
+    With `deleted`, a bitmask of positions outside {e,f}, only the bases
+    that miss it count: those are the bases of ``m.delete`` of that set, kept
+    on m's own positions.
     """
     ebit, fbit = 1 << m.elements.index(e), 1 << m.elements.index(f)
     pair = ebit | fbit
     groups: dict[int, list[int]] = {ebit: [], fbit: [], pair: [], 0: []}
     for b in m.basis_masks:
-        groups[b & pair].append(pack_mask(b & ~pair))
+        if not b & deleted:
+            groups[b & pair].append(pack_mask(b & ~pair))
     return groups[ebit], groups[fbit], groups[pair], groups[0]
 
 
-def delta_terms(m: Matroid, e: str, f: str) -> dict[int, int]:
-    """Delta M{e,f} as packed terms (see `poly.pack_mask`); some may be 0."""
-    only_e, only_f, both, neither = basis_split(m, e, f)
+def delta_terms(m: Matroid, e: str, f: str, deleted: int = 0) -> dict[int, int]:
+    """Delta M{e,f} as packed terms (see `poly.pack_mask`); some may be 0.
+
+    With `deleted` (see `basis_split`), the Delta of m with those positions
+    deleted, on m's own positions.
+    """
+    only_e, only_f, both, neither = basis_split(m, e, f, deleted)
     return add_products(add_products({}, only_e, only_f), both, neither, -1)
 
 

@@ -5,15 +5,43 @@ import random
 import pytest
 
 from rayleigh_kit.catalog import (
-    canonical_line_key,
+    EnumerationResult,
+    _candidate_lines,
+    _space_matroid,
     catalog_names,
     enumerate_simple_rank3,
     instance,
     named,
-    naive_enumerate_simple_rank3,
     uniform,
 )
-from rayleigh_kit.matroid import Matroid, is_isomorphic, lines_of
+from rayleigh_kit.matroid import Matroid, canonical_form, is_isomorphic, lines_of
+
+
+def canonical_line_key(masks, n):
+    """Lex-minimal ascending mask tuple over all point relabelings."""
+    return canonical_form(masks, n)[0]
+
+
+def naive_enumerate_simple_rank3(n):
+    """Slow cross-check: generate every labeled line set, dedupe by canonical key.
+
+    Intended for n <= 6 (the labeled count grows rapidly).
+    """
+    candidates = _candidate_lines(n)
+    seen = set()
+
+    def extend(current, start):
+        seen.add(canonical_line_key(current, n))
+        for idx in range(start, len(candidates)):
+            line = candidates[idx]
+            if any(bin(line & prev).count("1") > 1 for prev in current):
+                continue
+            extend(current + (line,), idx + 1)
+
+    extend((), 0)
+    ordered = sorted(seen, key=lambda masks: (len(masks), masks))
+    classes = tuple(_space_matroid(masks, n) for masks in ordered)
+    return EnumerationResult(n, classes, len(classes))
 
 
 def test_catalog_names_listing():

@@ -1,5 +1,7 @@
 """The sum-of-squares certificate: Ansatz, reduction, certification, tables."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -336,6 +338,92 @@ def test_ansatz_dominance_needs_simplicity():
     p4 = rep.P.coefficient({"p": 4})
     assert p4 > 0
     assert rep.delta.coefficient({"p": 4}) == 0
+
+
+# Every report of these inputs, rendered with `to_json_dict`, hashes to
+# _REPORT_DIGEST; the digest was taken while the report still built every
+# field eagerly on a per-pair reduced Matroid.
+_REPORT_DIGEST = "5bcbcf5ceb526acc74713b5207df387d8b22636b2f45be6313e458dd9f2d1fa8"
+
+
+@pytest.fixture(scope="module")
+def pinned_reports():
+    """Reports for every pair of the n = 3..7 census, and of every n = 4..6
+    class with one element doubled, in a fixed order."""
+    inputs = [m for n in range(3, 8) for m in enumerate_simple_rank3(n).classes]
+    for n in (4, 5, 6):
+        for cls in enumerate_simple_rank3(n).classes:
+            for pos in range(n):
+                inputs.append(with_parallel_copy(cls, cls.elements[pos], str(n + 1)))
+    return [certify(m, e, f) for m in inputs for e, f in combinations(m.elements, 2)]
+
+
+def test_rendered_reports_match_the_pinned_digest(pinned_reports):
+    digest = hashlib.sha256()
+    for rep in pinned_reports:
+        text = json.dumps(rep.to_json_dict(), sort_keys=True) + "\n"
+        digest.update(text.encode())
+    assert len(pinned_reports) == 2187
+    assert digest.hexdigest() == _REPORT_DIGEST
+
+
+def test_report_fields_satisfy_the_read_time_identities(pinned_reports):
+    for rep in pinned_reports:
+        assert rep.delta == rep.P + rep.residual, rep.pair
+        four_p = Polynomial.zero()
+        for _, root in rep.square_terms:
+            four_p = four_p + root * root
+        assert rep.P * 4 == four_p, rep.pair
+        if not rep.reduction_chain:
+            assert rep.delta_original == rep.delta, rep.pair
+
+
+@pytest.mark.parametrize("corrupt", ["delta", "gap"])
+def test_identity_check_fires_inside_certify(monkeypatch, corrupt):
+    real_gap = certificate._gap
+
+    def corrupted_gap(delta, four_p):
+        # Packed key 0 is the constant monomial; the dicts may be empty.
+        if corrupt == "delta":  # the Delta the gap is cut from
+            delta[0] = delta.get(0, 0) + 1
+            return real_gap(delta, four_p)
+        gap = real_gap(delta, four_p)
+        gap[0] = gap.get(0, 0) - 1
+        return gap
+
+    monkeypatch.setattr(certificate, "_gap", corrupted_gap)
+    cases = [
+        (named("K4"), "1", "2"),  # reduced-ansatz, closed pair
+        (named("fig1.I"), "2", "3"),  # reduced-ansatz with a chain
+        (with_parallel_copy(uniform(3, 4), "1", "p"), "1", "p"),  # product
+        (uniform(2, 4), "1", "2"),  # rank-le-2
+    ]
+    for m, e, f in cases:
+        with pytest.raises(RuntimeError, match=r"delta != P \+ residual"):
+            certify(m, e, f)
+
+
+def test_certify_builds_no_minor_until_delta_is_read(monkeypatch):
+    minors = []
+    real_minor = Matroid.minor
+
+    def counted_minor(self, *args, **kwargs):
+        minors.append(args)
+        return real_minor(self, *args, **kwargs)
+
+    monkeypatch.setattr(Matroid, "minor", counted_minor)
+    reports = [certify(m, e, f)
+               for m in enumerate_simple_rank3(7).classes
+               for e, f in combinations(m.elements, 2)]
+    assert minors == []
+    chained = next(rep for rep in reports if rep.reduction_chain)
+    closed = next(rep for rep in reports if not rep.reduction_chain)
+    for rep in (chained, closed):
+        rep.P, rep.residual, rep.square_terms, rep.delta_original
+    closed.delta
+    assert minors == []
+    assert chained.delta is chained.delta
+    assert len(minors) == 1
 
 
 def test_report_serialization():
