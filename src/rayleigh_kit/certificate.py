@@ -197,12 +197,6 @@ def _check_identity(
         raise RuntimeError("internal invariant violated: delta != P + residual")
 
 
-def _unreduced_dominance(m: Matroid, e: str, f: str) -> bool:
-    """Delta >> P on m itself, before any reduction: the full second ansatz."""
-    gap = _gap(delta_terms(m, e, f), _four_p_terms(_squares(m, e, f)))
-    return all(coeff >= 0 for coeff in gap.values())
-
-
 def _check_closed_pair_structure(
     m: Matroid, e: str, f: str, delta: dict[int, int], four_p: dict[int, int],
     squares: list[_Square],
@@ -260,9 +254,10 @@ def _closure_chain(m: Matroid, e: str, f: str) -> Optional[int]:
     Deletion restricts the rank function, so cl_{M\\X}({e,f}) =
     cl_M({e,f}) - X: deleting the whole chain at once closes the pair.
     """
-    pair = m._mask((e, f))
-    if m._rank_of_mask(pair) < 2:
+    ie, jf = m.elements.index(e), m.elements.index(f)
+    if not m._shares()[ie] >> jf & 1:  # no basis holds both e and f
         return None
+    pair = 1 << ie | 1 << jf
     return m.closure_mask(pair) & ~pair
 
 
@@ -317,6 +312,15 @@ class CertificateReport:
     coefficient is nonnegative.  `delta_original` is the difference on the
     input matroid before reduction, and `unreduced_dominance` reports whether
     the dominance already held there (None outside the reduced-ansatz mode).
+    It is decided by a lemma, not by a second ansatz: with a non-empty
+    chain it is False, and without one the input is the reduced matroid, so
+    it is `verdict`.  Proof of the first case: take a in the chain.  If a is
+    parallel to neither e nor f, its root holds -y_e*y_f and no root holds
+    y_e^2 or y_f^2, so 4P has y_e^2*y_f^2, which Delta (free of y_e and
+    y_f) lacks.  If a is parallel to e (or f), a point u off the line of
+    {e,f} gives a's root the term y_a*y_u with coefficient 1 and no root
+    holds y_a^2 and y_u^2 together, so 4P has y_a^2*y_u^2, while no basis
+    holds a with e, so y_a^2 is in no term of Delta.  See `certify`.
 
     The report keeps what `certify` decided on, as packed terms over the
     positions of the input `matroid` (see `poly.pack_mask`): `four_p` is
@@ -407,8 +411,29 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
     the bases of m that avoid it.  On every call the identity
     4*Delta = 4P + (4*Delta - 4P) is checked in integers against a Delta
     computed afresh.  Only `delta_original` is a `Polynomial` on return;
-    the report builds its other fields when they are read.  With a chain,
-    `unreduced_dominance` runs the full second ansatz on m itself.
+    the report builds its other fields when they are read.  Each pair
+    computes Delta three times: `delta_original`, the Delta the gap is cut
+    from, and the fresh one of the identity check.
+
+    `unreduced_dominance` (Delta >> P on m itself, before the reduction) is
+    `not chain and verdict`, by this lemma: if m is loopless of rank 3,
+    {e,f} is independent and its chain X = cl{e,f} - {e,f} is non-empty,
+    then Delta >> P fails on m.  Proof: take a in X, and read the ansatz of
+    m itself.
+    - a parallel to neither e nor f: then cl{a,e} = cl{a,f} = cl{e,f}, so
+      f is in L(a,e) and e in L(a,f), and a's root holds -y_e*y_f with
+      coefficient exactly -1.  No root holds y_e^2 or y_f^2 (e is in no
+      L(.,e) and f in no L(.,f)), so 4P has a coefficient >= 1 on
+      y_e^2*y_f^2.  Delta has no y_e or y_f at all.
+    - a parallel to e (f is symmetric): rank 3 gives some u outside
+      cl{e,f}.  Then cl{a,e} is e's parallel class and cl{a,f} = cl{e,f},
+      so U(a) = E - cl{e,f} holds u, while C(a)*D(a) only multiplies points
+      of cl{e,f}: a's root has coefficient exactly 1 on y_a*y_u.  A root
+      holds y_a^2 only if its own a' lies in cl{e,f}, and y_u^2 only if a'
+      does not, so no root has both, and 4P has a coefficient >= 1 on
+      y_a^2*y_u^2.  No basis holds both a and e, so M_e^f and M_ef have no
+      y_a, and y_a has exponent <= 1 in both products of Delta.
+    Without a chain m is its own reduced matroid, and the value is `verdict`.
 
     Inputs must be loopless; rank > 3 is rejected (non-Rayleigh matroids
     exist there, and the Ansatz is not defined).
@@ -440,7 +465,7 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
     if mode == "reduced-ansatz":
         if _simple_after_deleting(m, chain):
             _check_closed_pair_structure(m, e, f, red_terms, four_p, squares)
-        unreduced = _unreduced_dominance(m, e, f) if chain else verdict
+        unreduced = not chain and verdict  # the lemma in the docstring
     return CertificateReport(
         pair=(e, f),
         mode=mode,

@@ -79,6 +79,22 @@ def _parse_pairs(m: Matroid, args: argparse.Namespace) -> list[tuple[str, str]]:
     return list(itertools.combinations(m.elements, 2))
 
 
+def _write_files(directory: str, files: list[tuple[str, str]]) -> None:
+    """Create `directory` if needed and write each (name, text) into it.
+
+    A path that cannot be a directory (an existing file, or a path below
+    one) is an input error, exit 2; callers write here before they print,
+    so nothing reaches stdout then.
+    """
+    try:
+        os.makedirs(directory, exist_ok=True)
+        for name, text in files:
+            with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write to --out {directory!r}: {exc}") from exc
+
+
 def _emit_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
@@ -368,16 +384,16 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         result = enumerate_simple_rank3(args.n)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    os.makedirs(args.out, exist_ok=True)
-    filenames = []
-    for idx, m in enumerate(result.classes):
-        fname = f"simple_rank3_n{result.n}_class{idx:03d}.json"
-        path = os.path.join(args.out, fname)
-        doc = matroid_to_json_dict(m, form="geometry")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        filenames.append(fname)
+    files = [
+        (
+            f"simple_rank3_n{result.n}_class{idx:03d}.json",
+            json.dumps(matroid_to_json_dict(m, form="geometry"), indent=2,
+                       sort_keys=True) + "\n",
+        )
+        for idx, m in enumerate(result.classes)
+    ]
+    _write_files(args.out, files)
+    filenames = [fname for fname, _ in files]
     if args.format == "json":
         _emit_json(
             {
@@ -540,12 +556,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             with contextlib.redirect_stdout(buffer):
                 code = args.func(args)
             text = buffer.getvalue()
-            sys.stdout.write(text)
-            os.makedirs(args.out, exist_ok=True)
             ext = "json" if args.format == "json" else "txt"
-            path = os.path.join(args.out, f"{args.command}.{ext}")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            _write_files(args.out, [(f"{args.command}.{ext}", text)])
+            sys.stdout.write(text)
             return code
         return args.func(args)
     except CliError as exc:

@@ -50,7 +50,9 @@ def _check_element_id(el) -> str:
 class Matroid:
     """A matroid given by ground set, rank, and basis family."""
 
-    __slots__ = ("elements", "rank", "_masks", "_index", "_bases_cache", "_flats")
+    __slots__ = (
+        "elements", "rank", "_masks", "_index", "_bases_cache", "_flats", "_share_masks",
+    )
 
     def __init__(self, elements: Iterable[str], rank: int, basis_masks: Iterable[int]):
         elements = tuple(_check_element_id(e) for e in elements)
@@ -74,6 +76,7 @@ class Matroid:
         object.__setattr__(self, "_index", {e: i for i, e in enumerate(elements)})
         object.__setattr__(self, "_bases_cache", None)
         object.__setattr__(self, "_flats", {})
+        object.__setattr__(self, "_share_masks", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matroid is immutable")
@@ -199,11 +202,9 @@ class Matroid:
         return not self.is_dependent(subset)
 
     def loops(self) -> tuple[str, ...]:
-        """Elements contained in no basis, in ground-set order."""
-        union = 0
-        for b in self._masks:
-            union |= b
-        return tuple(e for i, e in enumerate(self.elements) if not union >> i & 1)
+        """Elements contained in no basis, in ground-set order: a loop shares
+        a basis with nothing."""
+        return tuple(e for e, s in zip(self.elements, self._shares()) if not s)
 
     # -- minors ---------------------------------------------------------------
 
@@ -274,16 +275,21 @@ class Matroid:
 
     # -- simplification ----------------------------------------------------
 
-    def _shares(self) -> list[int]:
-        """shares[i]: the elements lying in some basis together with element i."""
-        shares = [0] * len(self.elements)
-        for b in self._masks:
-            rest = b
-            while rest:
-                low = rest & -rest
-                shares[low.bit_length() - 1] |= b
-                rest ^= low
-        return shares
+    def _shares(self) -> tuple[int, ...]:
+        """shares[i]: the elements lying in some basis together with element i
+        (i itself included unless it is a loop), memoised per matroid."""
+        cached = self._share_masks
+        if cached is None:
+            shares = [0] * len(self.elements)
+            for b in self._masks:
+                rest = b
+                while rest:
+                    low = rest & -rest
+                    shares[low.bit_length() - 1] |= b
+                    rest ^= low
+            cached = tuple(shares)
+            object.__setattr__(self, "_share_masks", cached)
+        return cached
 
     def parallel_classes(self) -> list[tuple[str, ...]]:
         """Parallel classes of the non-loop elements, each sorted, in order

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from rayleigh_kit import certificate
+from rayleigh_kit import certificate, rayleigh
 from rayleigh_kit.catalog import enumerate_simple_rank3, named, uniform
 from rayleigh_kit.certificate import (
     _check_closed_pair_structure,
@@ -36,6 +36,7 @@ from rayleigh_kit.poly import Polynomial, dominates, pack_mask, parse_polynomial
 from rayleigh_kit.rayleigh import (
     PairContext,
     closed_pair_filter,
+    delta_terms,
     draw_dyadic_point,
     minor_polynomial,
     rayleigh_difference,
@@ -305,22 +306,63 @@ def test_certify_every_pair_up_to_six_points():
                 assert certify(m, e, f).verdict, (n, e, f)
 
 
+def _one_doubled(n):
+    """Every n-point census class with one element doubled, in a fixed order."""
+    return [with_parallel_copy(cls, x, str(n + 1))
+            for cls in enumerate_simple_rank3(n).classes for x in cls.elements]
+
+
+def _two_copies(n):
+    """Every n-point census class with two copies of one element, then with
+    two distinct elements doubled."""
+    out = []
+    for cls in enumerate_simple_rank3(n).classes:
+        for x in cls.elements:
+            out.append(with_parallel_copy(
+                with_parallel_copy(cls, x, str(n + 1)), x, str(n + 2)))
+        for x, y in combinations(cls.elements, 2):
+            out.append(with_parallel_copy(
+                with_parallel_copy(cls, x, str(n + 1)), y, str(n + 2)))
+    return out
+
+
+def _unreduced_dominance_reference(m, e, f):
+    """Delta >> P on m itself, before any reduction: the full second ansatz."""
+    four_p = certificate._four_p_terms(_squares(m, e, f))
+    gap = certificate._gap(delta_terms(m, e, f), four_p)
+    return all(coeff >= 0 for coeff in gap.values())
+
+
 def test_unreduced_dominance_fails_on_every_open_pair():
-    # frozen observation: before reduction the dominance Delta >> P fails
-    # for every pair that is not already closed (all 79 of them on <= 6
-    # points).  The deleted third points feed squares like y_e^2 y_f^2 into
-    # P that Delta, which never mentions y_e or y_f, cannot contain.
-    open_pairs = 0
-    for n in (4, 5, 6):
-        for m in enumerate_simple_rank3(n).classes:
-            for e, f in combinations(m.elements, 2):
-                rep = certify(m, e, f)
-                if rep.reduction_chain:
-                    open_pairs += 1
-                    assert rep.unreduced_dominance is False, (n, e, f)
-                else:
-                    assert rep.unreduced_dominance is rep.verdict
-    assert open_pairs == 79
+    # `certify` decides the field by a lemma (see its docstring): before
+    # reduction the dominance Delta >> P fails for every pair that is not
+    # already closed.  The full second ansatz is the oracle, on simple
+    # inputs and on inputs with parallel copies; the doubled pairs reach
+    # chains whose every member is parallel to e or f (the lemma's second
+    # case, broken by y_a^2 y_u^2 rather than y_e^2 y_f^2).
+    census = [m for n in range(3, 8) for m in enumerate_simple_rank3(n).classes]
+    nonsimple = [m for n in (4, 5, 6) for m in _one_doubled(n) + _two_copies(n)]
+    open_small = chained = parallel_only = 0
+    for m in census + nonsimple:
+        for e, f in combinations(m.elements, 2):
+            rep = certify(m, e, f)
+            if rep.mode != "reduced-ansatz":
+                assert rep.unreduced_dominance is None
+                continue
+            expected = _unreduced_dominance_reference(m, e, f)
+            assert rep.unreduced_dominance is expected, (m, e, f)
+            if rep.reduction_chain:
+                assert expected is False
+                chained += 1
+                open_small += m.n <= 6 and m.is_simple()
+                parallel_only += all(
+                    m.is_dependent((a, e)) or m.is_dependent((a, f))
+                    for a in rep.reduction_chain
+                )
+            else:
+                assert expected is rep.verdict
+    assert open_small == 79
+    assert (chained, parallel_only) == (6685, 3068)
 
 
 def test_ansatz_dominance_needs_simplicity():
@@ -351,10 +393,7 @@ def pinned_reports():
     """Reports for every pair of the n = 3..7 census, and of every n = 4..6
     class with one element doubled, in a fixed order."""
     inputs = [m for n in range(3, 8) for m in enumerate_simple_rank3(n).classes]
-    for n in (4, 5, 6):
-        for cls in enumerate_simple_rank3(n).classes:
-            for pos in range(n):
-                inputs.append(with_parallel_copy(cls, cls.elements[pos], str(n + 1)))
+    inputs += [m for n in (4, 5, 6) for m in _one_doubled(n)]
     return [certify(m, e, f) for m in inputs for e, f in combinations(m.elements, 2)]
 
 
@@ -424,6 +463,35 @@ def test_certify_builds_no_minor_until_delta_is_read(monkeypatch):
     assert minors == []
     assert chained.delta is chained.delta
     assert len(minors) == 1
+
+
+def test_certify_work_per_pair(monkeypatch):
+    # Delta three times per pair (delta_original, the gap's, the identity
+    # check's), each one basis split; the parallel structure once per matroid.
+    splits = []
+    shares = {}
+    real_split, real_shares = rayleigh.basis_split, Matroid._shares
+
+    def counted_split(*args, **kwargs):
+        splits.append(args[1:3])
+        return real_split(*args, **kwargs)
+
+    def recorded_shares(self):
+        result = real_shares(self)
+        shares.setdefault(id(self), []).append(result)  # kept alive: ids stay apart
+        return result
+
+    monkeypatch.setattr(rayleigh, "basis_split", counted_split)
+    monkeypatch.setattr(Matroid, "_shares", recorded_shares)
+    inputs = list(enumerate_simple_rank3(7).classes) + _one_doubled(5)
+    for m in inputs:
+        for e, f in combinations(m.elements, 2):
+            splits.clear()
+            certify(m, e, f)
+            assert splits == [(e, f)] * 3, (m, e, f)
+    assert len(shares) == len(inputs)
+    for built in shares.values():
+        assert len(built) > 1 and all(s is built[0] for s in built)
 
 
 def test_report_serialization():

@@ -259,22 +259,31 @@ def test_out_dir_receives_report_copy(capsys, tmp_path):
     assert json.loads(copy)["all_verified"] is True
 
 
-@pytest.mark.parametrize("content", [
-    None,  # the path is a directory
-    "[" * 200000 + "]" * 200000,
-    '{"elements": ["1", "2"], "rank": 1, "bases": [[["x"]]]}',
-    '{"elements": [["1"], "2"], "rank": 1, "bases": [["2"]]}',
-    '{"elements": ["1", "2", "3"], "lines": [[["1"], "2", "3"]]}',
-    '{"elements": ["1"], "rank": 0, "bases": []}',
+_LOAD = ("verify", "{path}")
+
+
+@pytest.mark.parametrize("content, argv", [
+    (None, _LOAD),  # the path is a directory
+    ("[" * 200000 + "]" * 200000, _LOAD),
+    ('{"elements": ["1", "2"], "rank": 1, "bases": [[["x"]]]}', _LOAD),
+    ('{"elements": [["1"], "2"], "rank": 1, "bases": [["2"]]}', _LOAD),
+    ('{"elements": ["1", "2", "3"], "lines": [[["1"], "2", "3"]]}', _LOAD),
+    ('{"elements": ["1"], "rank": 0, "bases": []}', _LOAD),
+    # --out names an existing file, or a path below one
+    ("", ("verify", "K4", "--out", "{path}")),
+    ("", ("verify", "K4", "--out", "{path}/sub")),
+    ("", ("enumerate", "4", "--out", "{path}")),
 ], ids=["directory", "deep-nesting", "list-basis-entry", "list-element-id",
-        "list-line-entry", "empty-bases-rank-0"])
-def test_hostile_input_exits_two(capsys, tmp_path, content):
+        "list-line-entry", "empty-bases-rank-0", "out-is-a-file",
+        "out-below-a-file", "enumerate-out-is-a-file"])
+def test_hostile_input_exits_two(capsys, tmp_path, content, argv):
     path = tmp_path / "input.json"
     if content is None:
         path.mkdir()
     else:
         path.write_text(content)
-    code, out, err = run_exit(capsys, "verify", str(path))
+    argv = [arg.format(path=path) for arg in argv]
+    code, out, err = run_exit(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "error:" in err
