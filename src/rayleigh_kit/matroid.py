@@ -42,7 +42,7 @@ __all__ = [
 def _check_element_id(el) -> str:
     if not isinstance(el, str) or not el:
         raise ValueError(f"element id must be a nonempty string, got {el!r}")
-    if any(ch.isspace() for ch in el) or "*" in el or "^" in el:
+    if any(ch.isspace() or ch in "*^," for ch in el):
         raise ValueError(f"element id {el!r} contains a reserved character")
     return el
 
@@ -338,14 +338,12 @@ class Matroid:
     # -- axioms --------------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Check the basis axioms; violations come back as messages."""
+        """Check the exchange axiom; violations come back as messages.
+
+        Basis sizes need no check here: the constructor rejects a basis
+        whose size differs from the rank.
+        """
         problems = []
-        for b in self._masks:
-            if b.bit_count() != self.rank:
-                problems.append(
-                    f"basis {sorted(self._unmask(b))} has size "
-                    f"{b.bit_count()}, expected rank {self.rank}"
-                )
         basis_set = set(self._masks)
         for b1 in self._masks:
             for b2 in self._masks:

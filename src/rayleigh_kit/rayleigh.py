@@ -21,6 +21,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
+from math import prod
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .matroid import Matroid
@@ -96,6 +98,29 @@ class PairContext:
             raise ValueError("precondition: {e,f,g} must be dependent")
 
 
+def _split(m: Matroid, members: Sequence[str], deleted: int = 0) -> list[list[int]]:
+    """The bases of m that miss `deleted`, packed less `members`, by how they
+    meet `members`.
+
+    Entry s holds the bases that contain exactly the members whose bit is set
+    in s (bit i for members[i]); contracting those members and deleting the
+    others leaves exactly these bases, so entry s is that minor's packed
+    generating polynomial.  A dependent subset lies in no basis, so its entry
+    is empty, as the minor is.
+    """
+    groups: dict[int, list[int]] = {0: []}
+    whole = 0
+    for x in members:  # pre-key every subset, in the order of s
+        bit = 1 << m.elements.index(x)
+        whole |= bit
+        for key in list(groups):
+            groups[key | bit] = []
+    for b in m.basis_masks:
+        if not b & deleted:
+            groups[b & whole].append(pack_mask(b & ~whole))
+    return list(groups.values())
+
+
 def basis_split(
     m: Matroid, e: str, f: str, deleted: int = 0
 ) -> tuple[list[int], ...]:
@@ -108,13 +133,8 @@ def basis_split(
     that miss it count: those are the bases of ``m.delete`` of that set, kept
     on m's own positions.
     """
-    ebit, fbit = 1 << m.elements.index(e), 1 << m.elements.index(f)
-    pair = ebit | fbit
-    groups: dict[int, list[int]] = {ebit: [], fbit: [], pair: [], 0: []}
-    for b in m.basis_masks:
-        if not b & deleted:
-            groups[b & pair].append(pack_mask(b & ~pair))
-    return groups[ebit], groups[fbit], groups[pair], groups[0]
+    neither, only_e, only_f, both = _split(m, (e, f), deleted)
+    return only_e, only_f, both, neither
 
 
 def delta_terms(m: Matroid, e: str, f: str, deleted: int = 0) -> dict[int, int]:
@@ -145,15 +165,20 @@ def central_term(ctx: PairContext, g: str) -> Polynomial:
 
     Theta M{e,f|g} = M_e^fg M_fg^e + M_f^eg M_eg^f
                    - M_g^ef M_ef^g - M_efg M^efg
+
+    Read off the same packed basis split as Delta (`_split` on {e,f,g}): each
+    minor is the group of bases meeting {e,f,g} in its contracted set, and
+    each product pairs a group with its complement.
     """
-    m, e, f = ctx.matroid, ctx.e, ctx.f
+    m = ctx.matroid
     ctx.check_third(g)
-    return (
-        minor_polynomial(m, (e,), (f, g)) * minor_polynomial(m, (f, g), (e,))
-        + minor_polynomial(m, (f,), (e, g)) * minor_polynomial(m, (e, g), (f,))
-        - minor_polynomial(m, (g,), (e, f)) * minor_polynomial(m, (e, f), (g,))
-        - minor_polynomial(m, (e, f, g), ()) * minor_polynomial(m, (), (e, f, g))
-    )
+    # Entry s of the split: bit 1 is e, bit 2 is f, bit 4 is g.
+    groups = _split(m, (ctx.e, ctx.f, g))
+    terms = add_products({}, groups[1], groups[6])
+    add_products(terms, groups[2], groups[5])
+    add_products(terms, groups[4], groups[3], -1)
+    add_products(terms, groups[7], groups[0], -1)
+    return from_packed(terms, m.elements)
 
 
 def decomposition_check(ctx: PairContext, g: str) -> bool:
@@ -338,13 +363,14 @@ def negative_correlation_sample(
 
         M_e M_f - M_ef M  =  T_e T_f - T_ef T_0   (at the point),
 
-    which is also the value of Delta M{e,f} there.  Every
-    `_CROSS_CHECK_EVERY`-th sample one pair is re-verified through the
+    which is also the value of Delta M{e,f} there.  Each pair's bases are
+    split once, before sampling, into the index groups behind T_e, T_f,
+    T_ef and T_0; a sample then weighs each basis once and sums the groups.
+    Every `_CROSS_CHECK_EVERY`-th sample one pair is re-verified through the
     polynomial-evaluation path as an independent guard.
     """
     if pairs is None:
-        els = m.elements
-        pairs = [(els[i], els[j]) for i in range(len(els)) for j in range(i + 1, len(els))]
+        pairs = list(combinations(m.elements, 2))
     else:
         pairs = [tuple(p) for p in pairs]
         for e, f in pairs:
@@ -353,40 +379,30 @@ def negative_correlation_sample(
         return SampleResult((), samples, 0, (), 0)
     rng = random.Random(seed)
     index = {el: i for i, el in enumerate(m.elements)}
-    pair_bits = [(1 << index[e], 1 << index[f]) for e, f in pairs]
     masks = m.basis_masks
     nelems = len(m.elements)
+    supports = [[i for i in range(nelems) if b >> i & 1] for b in masks]
+    splits = []  # per pair: indices of bases with only e, only f, both, neither
+    for e, f in pairs:
+        ebit, fbit = 1 << index[e], 1 << index[f]
+        groups: dict[int, list[int]] = {ebit: [], fbit: [], ebit | fbit: [], 0: []}
+        for i, b in enumerate(masks):
+            groups[b & (ebit | fbit)].append(i)
+        splits.append(tuple(groups.values()))
 
     violations = []
     cross_checks = 0
     checks = 0
     for s in range(samples):
         scaled = [_draw_scaled_weight(rng) for _ in range(nelems)]
-        basis_weights = []
-        for b in masks:
-            w = 1
-            mask = b
-            while mask:
-                low = mask & -mask
-                w *= scaled[low.bit_length() - 1]
-                mask ^= low
-            basis_weights.append(w)
+        weights = [prod([scaled[i] for i in support]) for support in supports]
+        weight = weights.__getitem__
 
         point = None
-        for p_idx, ((e, f), (ebit, fbit)) in enumerate(zip(pairs, pair_bits)):
-            t_both = t_e = t_f = t_none = 0
-            for b, w in zip(masks, basis_weights):
-                has_e = b & ebit
-                has_f = b & fbit
-                if has_e and has_f:
-                    t_both += w
-                elif has_e:
-                    t_e += w
-                elif has_f:
-                    t_f += w
-                else:
-                    t_none += w
-            ok = t_e * t_f >= t_both * t_none
+        for p_idx, ((e, f), split) in enumerate(zip(pairs, splits)):
+            only_e, only_f, both, neither = split
+            ok = (sum(map(weight, only_e)) * sum(map(weight, only_f))
+                  >= sum(map(weight, both)) * sum(map(weight, neither)))
             checks += 1
             cross_check = (
                 s % _CROSS_CHECK_EVERY == 0

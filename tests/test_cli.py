@@ -269,12 +269,14 @@ _LOAD = ("verify", "{path}")
     ('{"elements": [["1"], "2"], "rank": 1, "bases": [["2"]]}', _LOAD),
     ('{"elements": ["1", "2", "3"], "lines": [[["1"], "2", "3"]]}', _LOAD),
     ('{"elements": ["1"], "rank": 0, "bases": []}', _LOAD),
+    # `--pairs e,f` could not name an element id that holds a comma
+    ('{"elements": ["a,b", "c", "d"], "lines": []}', _LOAD),
     # --out names an existing file, or a path below one
     ("", ("verify", "K4", "--out", "{path}")),
     ("", ("verify", "K4", "--out", "{path}/sub")),
     ("", ("enumerate", "4", "--out", "{path}")),
 ], ids=["directory", "deep-nesting", "list-basis-entry", "list-element-id",
-        "list-line-entry", "empty-bases-rank-0", "out-is-a-file",
+        "list-line-entry", "empty-bases-rank-0", "comma-in-element-id", "out-is-a-file",
         "out-below-a-file", "enumerate-out-is-a-file"])
 def test_hostile_input_exits_two(capsys, tmp_path, content, argv):
     path = tmp_path / "input.json"

@@ -47,13 +47,17 @@ def test_from_bases_infers_rank():
 
 
 def test_rejects_mixed_basis_sizes():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="basis size differs from rank"):
         Matroid.from_bases(["1", "2", "3"], [("1",), ("1", "2")])
+    # a basis shorter than the given rank
+    with pytest.raises(ValueError, match="basis size differs from rank"):
+        Matroid.from_bases(["1", "2", "3"], [("1", "2"), ("3",)], rank=2)
 
 
 def test_rejects_bad_element_ids():
-    with pytest.raises(ValueError):
-        Matroid.from_bases(["a b"], [("a b",)])
+    for el in ("a b", "a*b", "a^2", "a,b"):
+        with pytest.raises(ValueError, match="reserved character"):
+            Matroid.from_bases([el], [(el,)])
 
 
 def test_validate_accepts_uniform():

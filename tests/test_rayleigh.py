@@ -1,13 +1,15 @@
 """Rayleigh differences, the three-term decomposition, and sampling."""
 
+import hashlib
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rayleigh_kit.catalog import named, uniform
+from rayleigh_kit.catalog import enumerate_simple_rank3, named, uniform
 from rayleigh_kit.matroid import Matroid, with_parallel_copy
 from rayleigh_kit.poly import Polynomial, dominates, parse_polynomial
 from rayleigh_kit.rayleigh import (
@@ -25,6 +27,8 @@ from rayleigh_kit.rayleigh import (
     theta_dominance_check,
 )
 import random
+
+from test_cli import s8
 
 
 def test_generating_polynomial_u24():
@@ -77,6 +81,54 @@ def test_central_term_validates_g():
         central_term(ctx, "1")
     with pytest.raises(ValueError, match="ground set"):
         central_term(ctx, "9")
+
+
+def _central_term_reference(ctx, g):
+    """Theta by the paper's formula: eight minors, four Polynomial products."""
+    m, e, f = ctx.matroid, ctx.e, ctx.f
+    return (
+        minor_polynomial(m, (e,), (f, g)) * minor_polynomial(m, (f, g), (e,))
+        + minor_polynomial(m, (f,), (e, g)) * minor_polynomial(m, (e, g), (f,))
+        - minor_polynomial(m, (g,), (e, f)) * minor_polynomial(m, (e, f), (g,))
+        - minor_polynomial(m, (e, f, g), ()) * minor_polynomial(m, (), (e, f, g))
+    )
+
+
+def _triples(m):
+    for e, f in combinations(m.elements, 2):
+        for g in m.elements:
+            if g not in (e, f):
+                yield PairContext(m, e, f), g
+
+
+def test_central_term_matches_the_minor_formula():
+    inputs = [m for n in range(3, 7) for m in enumerate_simple_rank3(n).classes]
+    inputs += [with_parallel_copy(cls, x, str(n + 1))
+               for n in (4, 5) for cls in enumerate_simple_rank3(n).classes
+               for x in cls.elements]
+    inputs += [uniform(1, 4), uniform(2, 5), uniform(4, 7), named("K4")]
+    triples = [t for m in inputs for t in _triples(m)]
+    assert len(triples) == 2334
+    for ctx, g in triples:
+        assert central_term(ctx, g) == _central_term_reference(ctx, g), (ctx, g)
+
+
+def test_central_term_builds_no_minor(monkeypatch):
+    minors = []
+    real_minor = Matroid.minor
+
+    def counted_minor(self, *args, **kwargs):
+        minors.append(args)
+        return real_minor(self, *args, **kwargs)
+
+    monkeypatch.setattr(Matroid, "minor", counted_minor)
+    doubled = with_parallel_copy(named("fig3.V"), "1", "7")
+    for m in (named("K4"), doubled):
+        for ctx, g in _triples(m):
+            central_term(ctx, g)
+    assert minors == []
+    _central_term_reference(PairContext(doubled, "1", "7"), "2")
+    assert len(minors) == 8  # the counter sees the reference's minors
 
 
 def test_decomposition_examples():
@@ -194,6 +246,30 @@ def test_sampler_pair_selection():
         negative_correlation_sample(m, pairs=[("1", "9")])
     empty = negative_correlation_sample(m, pairs=[], samples=5)
     assert empty.checks == 0 and empty.violations == ()
+
+
+# SHA-256 over the repr of these SampleResults, taken while the sampler still
+# tested every basis against e and f at every sample.  S8 has violations, so
+# their points are pinned too.
+_SAMPLE_DIGEST = "c931da8fcdcc1b5b493c447a6f26feaf5d1a67b5494da1219bc59f08d121fc7e"
+
+
+def test_sampler_results_match_the_pinned_digest():
+    cases = [
+        (named("K4"), 1000, 1),
+        (uniform(4, 7), 1000, 2),
+        (uniform(5, 8), 400, 3),
+        (s8(), 300, 4),
+        (with_parallel_copy(named("fig3.V"), "1", "7"), 300, 5),
+    ]
+    digest = hashlib.sha256()
+    violations = []
+    for m, samples, seed in cases:
+        result = negative_correlation_sample(m, samples=samples, seed=seed)
+        violations.append(len(result.violations))
+        digest.update(repr(result).encode())
+    assert violations == [0, 0, 0, 39, 0]
+    assert digest.hexdigest() == _SAMPLE_DIGEST
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
