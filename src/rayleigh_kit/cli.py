@@ -62,10 +62,10 @@ def _load_matroid(token: str) -> tuple[Matroid, list[str]]:
     return m, notes
 
 
-def _parse_pairs(m: Matroid, args: argparse.Namespace) -> list[tuple[str, str]]:
-    if getattr(args, "pairs", None):
+def _parse_pairs(m: Matroid, tokens: Optional[list[str]]) -> list[tuple[str, str]]:
+    if tokens:
         out = []
-        for token in args.pairs:
+        for token in tokens:
             pieces = [p.strip() for p in token.split(",")]
             if len(pieces) != 2:
                 raise CliError(f"--pairs expects 'e,f', got {token!r}")
@@ -127,7 +127,7 @@ def _certify_all(
 
 def cmd_verify(args: argparse.Namespace) -> int:
     m, notes = _load_matroid(args.matroid)
-    pairs = _parse_pairs(m, args)
+    pairs = _parse_pairs(m, args.pairs)
     if m.rank > 3:
         return _verify_sampled(args, m, notes, pairs)
     reports = _certify_all(m, pairs)
@@ -216,9 +216,9 @@ def cmd_delta(args: argparse.Namespace) -> int:
             raise CliError("give both elements: delta MATROID E F")
         if args.pairs:
             raise CliError("use either positional E F or --pairs, not both")
-        pairs = _parse_pairs(m, argparse.Namespace(pairs=[f"{args.e},{args.f}"]))
+        pairs = _parse_pairs(m, [f"{args.e},{args.f}"])
     else:
-        pairs = _parse_pairs(m, args)
+        pairs = _parse_pairs(m, args.pairs)
     deltas = [
         (pair, rayleigh_difference(PairContext(m, pair[0], pair[1])))
         for pair in pairs
@@ -249,7 +249,7 @@ def cmd_delta(args: argparse.Namespace) -> int:
 
 def cmd_certificate(args: argparse.Namespace) -> int:
     m, notes = _load_matroid(args.matroid)
-    pairs = _parse_pairs(m, args)
+    pairs = _parse_pairs(m, args.pairs)
     reports = _certify_all(m, pairs)
     if args.format == "text":
         _print_notes(notes)
@@ -279,14 +279,8 @@ def cmd_certificate(args: argparse.Namespace) -> int:
 # tables
 
 
-def _family_choices(value: str) -> list[str]:
-    if value == "all":
-        return [GGHH, GGHI, GHIJ]
-    return [value]
-
-
 def cmd_tables(args: argparse.Namespace) -> int:
-    families = _family_choices(args.family)
+    families = [GGHH, GGHI, GHIJ] if args.family == "all" else [args.family]
     reports = [table_coefficients(fam) for fam in families]
     if args.format == "json":
         _emit_json(
@@ -417,7 +411,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     m, notes = _load_matroid(args.matroid)
-    pairs = _parse_pairs(m, args)
+    pairs = _parse_pairs(m, args.pairs)
     result = negative_correlation_sample(
         m, pairs=pairs, samples=args.samples, seed=args.seed
     )

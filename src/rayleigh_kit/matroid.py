@@ -340,37 +340,33 @@ class Matroid:
     def validate(self) -> list[str]:
         """Check the exchange axiom; violations come back as messages.
 
+        For each basis B1 and each x in B1, the fundamental cocircuit of x is
+        the cut {x} ∪ {y ∉ B1 : B1 − x + y is a basis}.  Every basis B2 must
+        meet it: B2 ∌ x forces B2 ≠ B1, and then B2 ∩ cut holds exactly the
+        y ∈ B2 − B1 that the exchange axiom asks for.  So B2 missing the cut
+        is the failure reported for (B1, B2, x), in the same order.
+
         Basis sizes need no check here: the constructor rejects a basis
         whose size differs from the rank.
         """
         problems = []
-        basis_set = set(self._masks)
+        bases = set(self._masks)
+        bits = [1 << i for i in range(self.n)]
         for b1 in self._masks:
-            for b2 in self._masks:
-                if b1 == b2:
-                    continue
-                only1 = b1 & ~b2
-                m = only1
-                while m:
-                    x = m & -m
-                    m ^= x
-                    # need some y in b2 \ b1 with b1 - x + y a basis
-                    candidates = b2 & ~b1
-                    ok = False
-                    c = candidates
-                    while c:
-                        y = c & -c
-                        c ^= y
-                        if (b1 ^ x) | y in basis_set:
-                            ok = True
-                            break
-                    if not ok:
-                        (removed,) = self._unmask(x)
-                        problems.append(
-                            "exchange fails for bases "
-                            f"{sorted(self._unmask(b1))} / {sorted(self._unmask(b2))}"
-                            f" removing {removed!r}"
-                        )
+            outside = [y for y in bits if not b1 & y]
+            cuts = [
+                (self.elements[i], x | sum(y for y in outside if b1 ^ x | y in bases))
+                for i, x in enumerate(bits)
+                if b1 & x
+            ]
+            problems += [
+                "exchange fails for bases "
+                f"{sorted(self._unmask(b1))} / {sorted(self._unmask(b2))}"
+                f" removing {removed!r}"
+                for b2 in self._masks
+                for removed, cut in cuts
+                if not b2 & cut
+            ]
         return problems
 
 
@@ -433,9 +429,6 @@ class Geometry:
                         f"lines {sorted(l1)} and {sorted(l2)} share two points"
                     )
         return problems
-
-    def to_matroid(self) -> Matroid:
-        return from_geometry(self)
 
 
 def from_geometry(g: Geometry) -> Matroid:
@@ -656,7 +649,7 @@ def matroid_from_json_dict(data: Mapping) -> Matroid:
         raise ValueError("'elements' must be a list of strings")
     if keys == {"elements", "rank", "bases"}:
         rank = data["rank"]
-        if not isinstance(rank, int) or rank < 0:
+        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
             raise ValueError("'rank' must be a nonnegative integer")
         bases = data["bases"]
         if not isinstance(bases, list) or not all(_is_string_list(b) for b in bases):

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import hashlib
 import json
 from fractions import Fraction
 from functools import reduce
@@ -260,25 +261,40 @@ def test_out_dir_receives_report_copy(capsys, tmp_path):
 
 
 _LOAD = ("verify", "{path}")
+_TOO_MANY = json.dumps(
+    {"elements": [f"e{i}" for i in range(65)], "rank": 1, "bases": [["e0"]]}
+)
 
 
-@pytest.mark.parametrize("content, argv", [
-    (None, _LOAD),  # the path is a directory
-    ("[" * 200000 + "]" * 200000, _LOAD),
-    ('{"elements": ["1", "2"], "rank": 1, "bases": [[["x"]]]}', _LOAD),
-    ('{"elements": [["1"], "2"], "rank": 1, "bases": [["2"]]}', _LOAD),
-    ('{"elements": ["1", "2", "3"], "lines": [[["1"], "2", "3"]]}', _LOAD),
-    ('{"elements": ["1"], "rank": 0, "bases": []}', _LOAD),
+@pytest.mark.parametrize("content, argv, reason", [
+    (None, _LOAD, "Is a directory"),  # the path is a directory
+    ("[" * 200000 + "]" * 200000, _LOAD, "maximum recursion depth"),
+    ('{"elements": ["1", "2"], "rank": 1, "bases": [[["x"]]]}', _LOAD,
+     "'bases' must be a list of lists of strings"),
+    ('{"elements": [["1"], "2"], "rank": 1, "bases": [["2"]]}', _LOAD,
+     "'elements' must be a list of strings"),
+    ('{"elements": ["1", "2", "3"], "lines": [[["1"], "2", "3"]]}', _LOAD,
+     "'lines' must be a list of lists of strings"),
+    ('{"elements": ["1"], "rank": 0, "bases": []}', _LOAD, "empty basis family"),
     # `--pairs e,f` could not name an element id that holds a comma
-    ('{"elements": ["a,b", "c", "d"], "lines": []}', _LOAD),
+    ('{"elements": ["a,b", "c", "d"], "lines": []}', _LOAD, "reserved character"),
+    # JSON true and false are Python ints, but not ranks
+    ('{"elements": ["a", "b"], "rank": true, "bases": [["a"], ["b"]]}', _LOAD,
+     "'rank' must be a nonnegative integer"),
+    ('{"elements": ["a", "b"], "rank": false, "bases": [[]]}', _LOAD,
+     "'rank' must be a nonnegative integer"),
+    ('{"elements": ["a", "a"], "rank": 1, "bases": [["a"]]}', _LOAD,
+     "duplicate element ids"),
+    (_TOO_MANY, _LOAD, "at most 64 elements supported"),
     # --out names an existing file, or a path below one
-    ("", ("verify", "K4", "--out", "{path}")),
-    ("", ("verify", "K4", "--out", "{path}/sub")),
-    ("", ("enumerate", "4", "--out", "{path}")),
+    ("", ("verify", "K4", "--out", "{path}"), "cannot write to --out"),
+    ("", ("verify", "K4", "--out", "{path}/sub"), "cannot write to --out"),
+    ("", ("enumerate", "4", "--out", "{path}"), "cannot write to --out"),
 ], ids=["directory", "deep-nesting", "list-basis-entry", "list-element-id",
-        "list-line-entry", "empty-bases-rank-0", "comma-in-element-id", "out-is-a-file",
+        "list-line-entry", "empty-bases-rank-0", "comma-in-element-id", "rank-true",
+        "rank-false", "duplicate-element-ids", "65-elements", "out-is-a-file",
         "out-below-a-file", "enumerate-out-is-a-file"])
-def test_hostile_input_exits_two(capsys, tmp_path, content, argv):
+def test_hostile_input_exits_two(capsys, tmp_path, content, argv, reason):
     path = tmp_path / "input.json"
     if content is None:
         path.mkdir()
@@ -288,7 +304,7 @@ def test_hostile_input_exits_two(capsys, tmp_path, content, argv):
     code, out, err = run_exit(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "error:" in err
+    assert err.startswith("error: ") and reason in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -325,3 +341,33 @@ def test_verify_keeps_seed_and_samples(capsys):
     assert code == 0
     assert out == ("pair {1,2}: unverified (rank > 3): "
                    "no negative point found in 40 samples\n")
+
+
+# Renderers that no other in-process test runs, pinned byte for byte. `{tmp}`
+# stands for a fresh directory; no output may contain it.
+_PINNED_CALLS = (
+    ("certificate", "fig2.III", "--format", "text"),
+    ("certificate", "K4", "--format", "text", "--pairs", "1,2"),
+    ("tables", "--format", "json"),
+    ("enumerate", "5", "--format", "json", "--out", "{tmp}/n5"),
+    ("verify", "U_4_6", "--format", "json", "--samples", "30", "--seed", "3"),
+    ("sample", "{tmp}/s8.json", "--samples", "100", "--seed", "4"),
+    ("delta", "K4", "1", "2", "--pairs", "1,3"),
+)
+_CLI_DIGEST = "f32aaa57137459958d4e0952ded61eba553a05ccfc340aebd08d608805d794bb"
+
+
+def test_cli_outputs_match_the_pinned_digest(capsys, tmp_path):
+    (tmp_path / "s8.json").write_text(dumps_matroid(s8()))
+    digest = hashlib.sha256()
+    for template in _PINNED_CALLS:
+        argv = [arg.format(tmp=tmp_path) for arg in template]
+        code, out, err = run(capsys, *argv)
+        assert str(tmp_path) not in out + err
+        files = []
+        if "--out" in argv:
+            out_dir = tmp_path / argv[argv.index("--out") + 1]
+            files = [[p.name, p.read_text()] for p in sorted(out_dir.iterdir())]
+        record = [list(template), code, out, err, files]
+        digest.update(json.dumps(record).encode() + b"\n")
+    assert digest.hexdigest() == _CLI_DIGEST

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rayleigh_kit.catalog import enumerate_simple_rank3
+from rayleigh_kit.catalog import catalog_names, enumerate_simple_rank3, named
 from rayleigh_kit.matroid import (
     Geometry,
     Matroid,
@@ -70,6 +70,76 @@ def test_validate_catches_exchange_failure():
     problems = m.validate()
     assert problems
     assert any("exchange" in p for p in problems)
+
+
+def _reference_validate(self: Matroid) -> list[str]:
+    """The exchange axiom searched over every ordered pair of bases: the
+    oracle of `Matroid.validate`, which must return the same list."""
+    problems = []
+    basis_set = set(self._masks)
+    for b1 in self._masks:
+        for b2 in self._masks:
+            if b1 == b2:
+                continue
+            only1 = b1 & ~b2
+            m = only1
+            while m:
+                x = m & -m
+                m ^= x
+                # need some y in b2 \ b1 with b1 - x + y a basis
+                candidates = b2 & ~b1
+                ok = False
+                c = candidates
+                while c:
+                    y = c & -c
+                    c ^= y
+                    if (b1 ^ x) | y in basis_set:
+                        ok = True
+                        break
+                if not ok:
+                    (removed,) = self._unmask(x)
+                    problems.append(
+                        "exchange fails for bases "
+                        f"{sorted(self._unmask(b1))} / {sorted(self._unmask(b2))}"
+                        f" removing {removed!r}"
+                    )
+    return problems
+
+
+def _random_families(seed, count):
+    """Seeded random subfamilies of the r-subsets of n <= 7 elements.
+
+    A quarter take any rank 0..n; the rest take 2 <= r <= n - 2, the only
+    ranks at which a family of r-subsets can fail the exchange axiom.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        if rng.random() < 0.25:
+            n = rng.randint(0, 7)
+            rank = rng.randint(0, n)
+        else:
+            n = rng.randint(4, 7)
+            rank = rng.randint(2, n - 2)
+        keep = rng.uniform(0.2, 1)
+        masks = [
+            sum(1 << i for i in subset)
+            for subset in itertools.combinations(range(n), rank)
+            if rng.random() < keep
+        ]
+        yield Matroid([f"e{i}" for i in range(n)], rank, masks)
+
+
+def test_validate_matches_the_pairwise_search():
+    families = list(_random_families(1975, 4000))
+    families += [named(name) for name in catalog_names()]
+    families += [m for n in range(3, 8) for m in enumerate_simple_rank3(n).classes]
+    families.append(named("U_4_10"))
+    rejected = 0
+    for m in families:
+        expected = _reference_validate(m)
+        assert m.validate() == expected, m
+        rejected += bool(expected)
+    assert 2000 < rejected < 3000
 
 
 def test_rank_and_closure():
