@@ -206,12 +206,14 @@ def _check_closed_pair_structure(
     Every monomial of Delta and of 4P (packed terms) is degree-4 in
     variables outside {e,f} with exponents <= 2, and each square's index
     sets partition cleanly.  Violations indicate a bug, hence RuntimeError.
+    Each distinct monomial is checked once: Delta's first, then the 4P
+    monomials that are not already nonzero in Delta.
     """
     ie, jf = m.elements.index(e), m.elements.index(f)
     pair = pack_mask(1 << ie | 1 << jf) * ((1 << PACKED_BITS) - 1)  # e and f fields
-    for label, terms in (("delta", delta), ("ansatz", four_p)):
+    for label, terms, checked in (("delta", delta, {}), ("ansatz", four_p, delta)):
         for key, coeff in terms.items():
-            if not coeff:
+            if not coeff or checked.get(key):
                 continue
             if not is_packed_shape(key):
                 mono = next(from_packed({key: 1}, m.elements).terms())[0]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Union
 
 Coeff = Union[int, Fraction]
@@ -300,8 +301,10 @@ def pack_mask(mask: int) -> int:
     return out
 
 
-# The lowest bit of every field, for all 64 ground-set positions.
+# Bit 0, bit 1 and bits 2-3 of every field, for all 64 ground-set positions.
 _FIELD_LOW_BITS = sum(1 << PACKED_BITS * i for i in range(64))
+_FIELD_BIT1 = _FIELD_LOW_BITS << 1
+_FIELD_HIGH_BITS = _FIELD_LOW_BITS * 12
 
 
 def is_packed_shape(key: int) -> bool:
@@ -310,9 +313,9 @@ def is_packed_shape(key: int) -> bool:
     ones = _FIELD_LOW_BITS
     # An exponent is at most 2 when bits 2 and 3 of its field are clear and
     # bits 0 and 1 are not both set; the degree then counts bit 1 twice.
-    if key & ones * 12 or key & key >> 1 & ones:
+    if key & _FIELD_HIGH_BITS or key & key >> 1 & ones:
         return False
-    return (key & ones).bit_count() + 2 * (key & ones << 1).bit_count() == 4
+    return (key & ones).bit_count() + 2 * (key & _FIELD_BIT1).bit_count() == 4
 
 
 def packed_variables(mask: int) -> list[int]:
@@ -348,21 +351,41 @@ def add_square(acc: dict[int, int], terms: Mapping[int, int]) -> dict[int, int]:
     return acc
 
 
+class _MonomialTable(dict):
+    """Packed key -> Monomial over one label tuple, decoded on first lookup."""
+
+    __slots__ = ("_order",)
+
+    def __init__(self, labels: tuple[str, ...]):
+        super().__init__()
+        self._order = sorted((label, PACKED_BITS * i) for i, label in enumerate(labels))
+
+    def __missing__(self, key: int) -> Monomial:
+        field = (1 << PACKED_BITS) - 1
+        mono = self[key] = tuple(
+            (label, x) for label, shift in self._order if (x := key >> shift & field)
+        )
+        return mono
+
+
+@lru_cache(maxsize=32)
+def _monomial_table(labels: tuple[str, ...]) -> _MonomialTable:
+    """The decode table of one label tuple, shared by every `from_packed` call."""
+    return _MonomialTable(labels)
+
+
 def from_packed(terms: Mapping[int, Coeff], labels: Iterable[str]) -> Polynomial:
     """The Polynomial of packed terms whose position i is the variable labels[i].
 
     Variables are listed by label, which need not be ground-set order
     (in ``U_3_10`` the label "10" sorts before "2").  Coefficients must be
-    ints or Fractions that are not integral; zero terms are dropped.
+    ints or Fractions that are not integral; zero terms are dropped.  Each
+    key is decoded once per label tuple, through a bounded table.
     """
-    order = sorted((label, PACKED_BITS * i) for i, label in enumerate(labels))
-    field = (1 << PACKED_BITS) - 1
-    clean: dict[Monomial, Coeff] = {}
-    for key, coeff in terms.items():
-        if coeff:
-            mono = [(label, x) for label, shift in order if (x := key >> shift & field)]
-            clean[tuple(mono)] = coeff
-    return Polynomial._from_clean(clean)
+    table = _monomial_table(tuple(labels))
+    return Polynomial._from_clean(
+        {table[key]: coeff for key, coeff in terms.items() if coeff}
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,12 @@ def test_closed_pair_structure_check_on_packed_terms():
         ({4 * y[2]: 1}, good, r"delta monomial \(\('3', 4\),\) is not"),
         (good, {y[2] + y[3] + y[4]: 1}, "ansatz monomial .* is not of shape"),
         (good, {y[0] + y[2] + y[3] + y[4]: 1}, "ansatz mentions e or f"),
+        # a monomial checked once is still reported under the right label:
+        # as delta's when nonzero in both, as the ansatz's when delta's is 0
+        ({**good, 3 * y[2] + y[3]: 1}, {**good, 3 * y[2] + y[3]: 4},
+         r"delta monomial \(\('3', 3\), \('4', 1\)\) is not"),
+        ({**good, 3 * y[2] + y[3]: 0}, {**good, 3 * y[2] + y[3]: 4},
+         r"ansatz monomial \(\('3', 3\), \('4', 1\)\) is not"),
     ]
     for delta, four_p, message in bad_terms:
         with pytest.raises(RuntimeError, match=message):

@@ -1,6 +1,7 @@
 """Exact sparse polynomial arithmetic, formatting and shape classification."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from rayleigh_kit.poly import (
     GGHH,
     GGHI,
     GHIJ,
+    PACKED_BITS,
     MonomialShape,
     Polynomial,
     add_products,
@@ -27,6 +29,7 @@ from rayleigh_kit.poly import (
     parse_polynomial,
     reciprocal_transform,
 )
+from rayleigh_kit.poly import _monomial_table
 
 
 def y(name):
@@ -185,6 +188,54 @@ def test_packed_monomials_match_polynomial_products(masks, labels):
     root = {pack_mask(m): i + 1 for i, m in enumerate(masks)}
     linear = sum((poly(m) * (i + 1) for i, m in enumerate(masks)), Polynomial.zero())
     assert from_packed(add_square({}, root), labels) == linear * linear
+
+
+def _reference_from_packed(terms, labels):
+    """The decoder `from_packed` used before its decode table: every key's
+    fields are read afresh, in label order."""
+    order = sorted((label, PACKED_BITS * i) for i, label in enumerate(labels))
+    field = (1 << PACKED_BITS) - 1
+    clean = {}
+    for key, coeff in terms.items():
+        if coeff:
+            mono = [(label, x) for label, shift in order if (x := key >> shift & field)]
+            clean[tuple(mono)] = coeff
+    return Polynomial(clean)
+
+
+def test_from_packed_decode_table_matches_the_reference_decoder():
+    rng = random.Random(20)
+    ten = [str(i) for i in range(1, 11)]  # U_3_10 labels: "10" sorts before "2"
+    label_tuples = [
+        tuple("abcdefgh"),  # label order is position order
+        tuple(ten),
+        tuple(reversed(ten)),  # reversed ids
+    ]
+
+    def random_terms(n):
+        keys = {
+            sum(rng.randrange(5) << PACKED_BITS * i for i in range(n))
+            for _ in range(60)
+        }
+        return {key: rng.choice([-3, -1, 0, 1, 2, Fraction(1, 4)]) for key in keys}
+
+    def check(terms, labels):
+        got, want = from_packed(terms, labels), _reference_from_packed(terms, labels)
+        assert list(got.terms()) == list(want.terms())
+        assert list(got.term_map().items()) == list(want.term_map().items())
+
+    inputs = [(random_terms(len(labels)), labels) for labels in label_tuples]
+    # the same terms over the same label set in two orders, one after the
+    # other: a table shared between the orders would decode the second wrongly
+    shared = random_terms(5)
+    inputs += [(shared, ("3", "1", "2", "5", "4")), (shared, ("5", "4", "1", "3", "2"))]
+    for _ in range(2):  # the second round reads every key from a warm table
+        for terms, labels in inputs:
+            check(terms, labels)
+    assert _monomial_table.cache_info().maxsize is not None
+    _monomial_table.cache_clear()
+    for terms, labels in inputs:
+        check(terms, labels)
 
 
 def test_classify_shape():
