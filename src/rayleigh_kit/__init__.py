@@ -7,7 +7,6 @@ rank-3 matroids to confirm the statement exhaustively.
 """
 
 from .matroid import (
-    Geometry,
     Matroid,
     from_geometry,
     is_isomorphic,

@@ -1,7 +1,7 @@
 """Named small matroids and exhaustive enumeration of simple rank-3 matroids.
 
-The named instances are point-line geometries (linear spaces) shipped as JSON
-data files, plus uniform matroids built on demand from a ``U_r_m`` name.  The
+The named instances are point-line geometries (linear spaces) listed in a
+table below, plus uniform matroids built on demand from a ``U_r_m`` name.  The
 enumerator produces every isomorphism class of linear space on n <= 8 points
 (equivalently, every simple rank-3 matroid) by an orderly search: a line set is
 represented as the ascending tuple of its line bitmasks, and a set is kept only
@@ -14,19 +14,11 @@ and prune as soon as a prefix is non-canonical.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from functools import lru_cache
-from importlib import resources
 from typing import NamedTuple
 
-from .matroid import (
-    Geometry,
-    Matroid,
-    canonical_form,
-    from_geometry,
-    matroid_from_json_dict,
-)
+from .matroid import Matroid, canonical_form, from_geometry
 
 
 class NamedInstance(NamedTuple):
@@ -43,32 +35,42 @@ class EnumerationResult(NamedTuple):
 
 _UNIFORM_RE = re.compile(r"U_(\d+)_(\d+)")
 
-# Short geometric descriptions of the shipped instances.
-_NOTES = {
-    "fig1.I": "four points: one point off a three-point line",
-    "fig1.II": "four points in general position",
-    "fig2.I": "five points: one point off a four-point line",
-    "fig2.II": "five points: two three-point lines meeting in a point",
-    "fig2.III": "five points: a three-point line plus two free points",
-    "fig2.IV": "five points in general position",
-    "fig3.I": "six points: one point off a five-point line",
-    "fig3.II": "six points: a four-point line and a three-point line meeting in a point",
-    "fig3.III": "six points: a four-point line plus two free points",
-    "fig3.IV": "six points: four three-point lines meeting pairwise in distinct points",
-    "fig3.V": "six points: a triangle with one extra point on each side",
-    "fig3.VI": "six points: two three-point lines meeting in a point, plus a free point",
-    "fig3.VII": "six points: two disjoint three-point lines",
-    "fig3.VIII": "six points: a three-point line plus three free points",
-    "fig3.IX": "six points in general position",
-    "K4": "cycle matroid of the complete graph on four vertices; "
-    "elements 1..6 pair into the three perfect matchings {1,2}, {3,4}, {5,6}",
-    "bowtie7": "seven points: two four-point lines meeting in a point",
+# The shipped instances: name -> (n, lines, note) on the points "1".."n",
+# each line written as the string of its single-digit point labels.
+_CATALOG = {
+    "fig1.I": (4, ["234"], "four points: one point off a three-point line"),
+    "fig1.II": (4, [], "four points in general position"),
+    "fig2.I": (5, ["2345"], "five points: one point off a four-point line"),
+    "fig2.II": (5, ["245", "135"], "five points: two three-point lines meeting in a point"),
+    "fig2.III": (5, ["345"], "five points: a three-point line plus two free points"),
+    "fig2.IV": (5, [], "five points in general position"),
+    "fig3.I": (6, ["23456"], "six points: one point off a five-point line"),
+    "fig3.II": (6, ["2456", "136"], "six points: a four-point line and a three-point "
+                "line meeting in a point"),
+    "fig3.III": (6, ["3456"], "six points: a four-point line plus two free points"),
+    "fig3.IV": (6, ["235", "136", "246", "145"], "six points: four three-point lines "
+                "meeting pairwise in distinct points"),
+    "fig3.V": (6, ["234", "126", "135"], "six points: a triangle with one extra point "
+               "on each side"),
+    "fig3.VI": (6, ["256", "146"], "six points: two three-point lines meeting in a "
+                "point, plus a free point"),
+    "fig3.VII": (6, ["134", "256"], "six points: two disjoint three-point lines"),
+    "fig3.VIII": (6, ["456"], "six points: a three-point line plus three free points"),
+    "fig3.IX": (6, [], "six points in general position"),
+    "K4": (6, ["235", "136", "246", "145"], "cycle matroid of the complete graph on "
+           "four vertices; elements 1..6 pair into the three perfect matchings "
+           "{1,2}, {3,4}, {5,6}"),
+    "bowtie7": (7, ["1347", "2567"], "seven points: two four-point lines meeting in a point"),
 }
 
 
 def catalog_names() -> tuple[str, ...]:
     """Names of the shipped instances (uniform ``U_r_m`` names are implicit)."""
-    return tuple(sorted(_NOTES))
+    return tuple(sorted(_CATALOG))
+
+
+def _points(n: int) -> list[str]:
+    return [str(i) for i in range(1, n + 1)]
 
 
 def uniform(rank: int, size: int) -> Matroid:
@@ -77,7 +79,7 @@ def uniform(rank: int, size: int) -> Matroid:
         raise ValueError(f"no uniform matroid of rank {rank} on {size} elements")
     if size > 16:
         raise ValueError("uniform matroids are capped at 16 elements")
-    elements = [str(i) for i in range(1, size + 1)]
+    elements = _points(size)
     return Matroid.from_bases(
         elements, itertools.combinations(elements, rank), rank=rank
     )
@@ -92,12 +94,12 @@ def instance(name: str) -> NamedInstance:
         return NamedInstance(
             name, uniform(rank, size), f"uniform matroid of rank {rank} on {size} elements"
         )
-    if name not in _NOTES:
+    if name not in _CATALOG:
         raise KeyError(
             f"unknown instance {name!r}; available: {', '.join(catalog_names())} or U_r_m"
         )
-    text = resources.files("rayleigh_kit").joinpath("data", name + ".json").read_text()
-    return NamedInstance(name, matroid_from_json_dict(json.loads(text)), _NOTES[name])
+    n, lines, note = _CATALOG[name]
+    return NamedInstance(name, from_geometry(_points(n), lines), note)
 
 
 def named(name: str) -> Matroid:
@@ -124,11 +126,10 @@ def _candidate_lines(n: int) -> list[int]:
 
 
 def _space_matroid(masks: tuple[int, ...], n: int) -> Matroid:
-    points = [str(i) for i in range(1, n + 1)]
-    lines = [
-        [points[i] for i in range(n) if mask >> i & 1] for mask in masks
-    ]
-    return from_geometry(Geometry.build(points, lines))
+    points = _points(n)
+    return from_geometry(
+        points, ([points[i] for i in range(n) if mask >> i & 1] for mask in masks)
+    )
 
 
 @lru_cache(maxsize=None)

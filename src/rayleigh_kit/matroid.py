@@ -19,12 +19,11 @@ the second is what "the restriction to S" means everywhere else.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 __all__ = [
     "Matroid",
-    "Geometry",
     "SimplifyResult",
     "canonical_form",
     "from_geometry",
@@ -396,68 +395,55 @@ def with_parallel_copy(m: Matroid, x: str, new_id: str) -> Matroid:
 # Point-line geometries (simple rank-3 descriptions).
 
 
-@dataclass(frozen=True)
-class Geometry:
-    """A point set with lines: each line has >= 3 points and two distinct
-    points lie on at most one common line."""
+def from_geometry(points: Iterable[str], lines: Iterable[Iterable[str]]) -> Matroid:
+    """The rank-3 matroid on `points` whose bases are the non-collinear triples.
 
-    points: tuple[str, ...]
-    lines: tuple[frozenset[str], ...]
+    The lines must make a linear space: each has >= 3 known points, and two
+    distinct points lie on at most one common line.  Violations are reported
+    in a fixed order (duplicate points, then each line in sorted order, then
+    each pair of lines), at most three of them.
+    """
+    points = tuple(_check_element_id(p) for p in points)
+    if len(points) > 64:
+        raise ValueError("at most 64 elements supported")
+    lines = sorted((frozenset(line) for line in lines), key=sorted)
 
-    @classmethod
-    def build(cls, points: Iterable[str], lines: Iterable[Iterable[str]]) -> "Geometry":
-        pts = tuple(_check_element_id(p) for p in points)
-        lns = tuple(sorted((frozenset(l) for l in lines), key=sorted))
-        return cls(pts, lns)
-
-    def validate(self) -> list[str]:
-        problems = []
-        pts = set(self.points)
-        if len(pts) != len(self.points):
-            problems.append("duplicate points")
-        for line in self.lines:
+    def problems():
+        known = set(points)
+        if len(known) != len(points):
+            yield "duplicate points"
+        for line in lines:
             if len(line) < 3:
-                problems.append(f"line {sorted(line)} has fewer than 3 points")
-            if not line <= pts:
-                problems.append(f"line {sorted(line)} uses unknown points")
-        for i, l1 in enumerate(self.lines):
-            for l2 in self.lines[i + 1 :]:
+                yield f"line {sorted(line)} has fewer than 3 points"
+            if not line <= known:
+                yield f"line {sorted(line)} uses unknown points"
+        for i, l1 in enumerate(lines):
+            for l2 in lines[i + 1 :]:
                 if l1 == l2:
-                    problems.append(f"duplicate line {sorted(l1)}")
+                    yield f"duplicate line {sorted(l1)}"
                 elif len(l1 & l2) > 1:
-                    problems.append(
-                        f"lines {sorted(l1)} and {sorted(l2)} share two points"
-                    )
-        return problems
+                    yield f"lines {sorted(l1)} and {sorted(l2)} share two points"
 
-
-def from_geometry(g: Geometry) -> Matroid:
-    """The rank-3 matroid whose bases are the non-collinear point triples."""
-    problems = g.validate()
-    if problems:
-        raise ValueError("not a linear space: " + "; ".join(problems))
-    if len(g.points) < 3:
+    first = list(islice(problems(), 3))
+    if first:
+        raise ValueError("not a linear space: " + "; ".join(first))
+    if len(points) < 3:
         raise ValueError("rank < 3: fewer than three points")
-    if any(len(line) == len(g.points) for line in g.lines):
-        raise ValueError("rank < 3: all points collinear")
-    index = {p: i for i, p in enumerate(g.points)}
-    line_masks = []
-    for line in g.lines:
-        mask = 0
-        for p in line:
-            mask |= 1 << index[p]
-        line_masks.append(mask)
+    index = {p: i for i, p in enumerate(points)}
+    line_masks = [sum(1 << index[p] for p in line) for line in lines]
     masks = []
-    npts = len(g.points)
+    npts = len(points)
     for i in range(npts):
         for j in range(i + 1, npts):
             for k in range(j + 1, npts):
                 tri = 1 << i | 1 << j | 1 << k
                 if not any(tri & lm == tri for lm in line_masks):
                     masks.append(tri)
+    # With every pair of points on at most one line, all triples are
+    # collinear exactly when one line holds every point.
     if not masks:
         raise ValueError("rank < 3: all points collinear")
-    return Matroid(g.points, 3, masks)
+    return Matroid(points, 3, masks)
 
 
 def line_masks(m: Matroid) -> tuple[int, ...]:
@@ -665,7 +651,7 @@ def matroid_from_json_dict(data: Mapping) -> Matroid:
         lines = data["lines"]
         if not isinstance(lines, list) or not all(_is_string_list(l) for l in lines):
             raise ValueError("'lines' must be a list of lists of strings")
-        return from_geometry(Geometry.build(elements, lines))
+        return from_geometry(elements, lines)
     unknown = keys - {"elements", "rank", "bases", "lines"}
     if unknown:
         raise ValueError(f"unknown keys: {sorted(unknown)}")

@@ -24,7 +24,6 @@ from rayleigh_kit.certificate import (
 )
 from rayleigh_kit.cli import main
 from rayleigh_kit.matroid import (
-    Geometry,
     Matroid,
     canonical_form,
     from_geometry,
@@ -215,8 +214,7 @@ def test_lemma33_reduce_long_line():
     assert red.matroid.closure(("3", "4")) == frozenset({"3", "4"})
     # a five-point line {a,b,c,d,e} with the ground set out of sorted order:
     # the chain follows the ground set, not the labels
-    m = from_geometry(Geometry.build(["c", "a", "x", "e", "b", "d"],
-                                     [["a", "b", "c", "d", "e"]]))
+    m = from_geometry(["c", "a", "x", "e", "b", "d"], [["a", "b", "c", "d", "e"]])
     red = lemma33_reduce(m, "a", "b")
     assert red.chain == ("c", "e", "d")
     assert red.matroid.elements == ("a", "x", "b")

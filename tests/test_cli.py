@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -286,13 +287,31 @@ _TOO_MANY = json.dumps(
     ('{"elements": ["a", "a"], "rank": 1, "bases": [["a"]]}', _LOAD,
      "duplicate element ids"),
     (_TOO_MANY, _LOAD, "at most 64 elements supported"),
+    # geometry files with one problem each
+    ('{"elements": ["1", "2", "3", "4"], "lines": [["1", "2", "3"], ["1", "2", "4"]]}',
+     _LOAD, "': not a linear space: lines ['1', '2', '3'] and ['1', '2', '4'] "
+     "share two points\n"),
+    ('{"elements": ["1", "2", "3", "4"], "lines": [["1", "2"]]}', _LOAD,
+     "': not a linear space: line ['1', '2'] has fewer than 3 points\n"),
+    ('{"elements": ["1", "2", "3", "4"], "lines": [["1", "2", "9"]]}', _LOAD,
+     "': not a linear space: line ['1', '2', '9'] uses unknown points\n"),
+    ('{"elements": ["1", "2", "3", "1"], "lines": []}', _LOAD,
+     "': not a linear space: duplicate points\n"),
+    ('{"elements": ["1", "2", "3", "4"], "lines": [["1", "2", "3"], ["3", "2", "1"]]}',
+     _LOAD, "': not a linear space: duplicate line ['1', '2', '3']\n"),
+    ('{"elements": ["1", "2"], "lines": []}', _LOAD,
+     "': rank < 3: fewer than three points\n"),
+    ('{"elements": ["1", "2", "3", "4"], "lines": [["1", "2", "3", "4"]]}', _LOAD,
+     "': rank < 3: all points collinear\n"),
     # --out names an existing file, or a path below one
     ("", ("verify", "K4", "--out", "{path}"), "cannot write to --out"),
     ("", ("verify", "K4", "--out", "{path}/sub"), "cannot write to --out"),
     ("", ("enumerate", "4", "--out", "{path}"), "cannot write to --out"),
 ], ids=["directory", "deep-nesting", "list-basis-entry", "list-element-id",
         "list-line-entry", "empty-bases-rank-0", "comma-in-element-id", "rank-true",
-        "rank-false", "duplicate-element-ids", "65-elements", "out-is-a-file",
+        "rank-false", "duplicate-element-ids", "65-elements", "lines-share-two-points",
+        "two-point-line", "unknown-point", "duplicate-points", "duplicate-line",
+        "fewer-than-three-points", "all-points-collinear", "out-is-a-file",
         "out-below-a-file", "enumerate-out-is-a-file"])
 def test_hostile_input_exits_two(capsys, tmp_path, content, argv, reason):
     path = tmp_path / "input.json"
@@ -305,6 +324,25 @@ def test_hostile_input_exits_two(capsys, tmp_path, content, argv, reason):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and reason in err
+
+
+@pytest.mark.parametrize("doc, reason", [
+    ({"elements": [f"p{i}" for i in range(400)], "lines": []},
+     "at most 64 elements supported\n"),
+    ({"elements": ["1", "2", "3", "4"], "lines": [["1", "2", "3"]] * 2000},
+     "not a linear space: " + "; ".join(["duplicate line ['1', '2', '3']"] * 3) + "\n"),
+], ids=["400-points", "2000-copies-of-a-line"])
+def test_oversized_geometry_exits_two_quickly(capsys, tmp_path, doc, reason):
+    # the point cap comes before any line is compared, and at most three
+    # problems are collected
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith(reason)
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from rayleigh_kit.catalog import catalog_names, enumerate_simple_rank3, named
 from rayleigh_kit.matroid import (
-    Geometry,
     Matroid,
     canonical_form,
     dumps_matroid,
@@ -36,7 +35,7 @@ def k4():
     # cycle matroid of the complete graph on 4 vertices; elements pair into
     # perfect matchings {1,2}, {3,4}, {5,6}
     lines = [["2", "3", "5"], ["1", "3", "6"], ["2", "4", "6"], ["1", "4", "5"]]
-    return from_geometry(Geometry.build([str(i) for i in range(1, 7)], lines))
+    return from_geometry([str(i) for i in range(1, 7)], lines)
 
 
 def test_from_bases_infers_rank():
@@ -257,12 +256,85 @@ def test_lines_of():
 
 
 def test_geometry_validation():
-    g = Geometry.build(["1", "2", "3", "4"], [["1", "2", "3"], ["1", "2", "4"]])
-    assert any("share two points" in p for p in g.validate())
-    with pytest.raises(ValueError, match="not a linear space"):
-        from_geometry(g)
+    with pytest.raises(ValueError, match="not a linear space.*share two points"):
+        from_geometry(["1", "2", "3", "4"], [["1", "2", "3"], ["1", "2", "4"]])
     with pytest.raises(ValueError, match="rank < 3"):
-        from_geometry(Geometry.build(["1", "2", "3"], [["1", "2", "3"]]))
+        from_geometry(["1", "2", "3"], [["1", "2", "3"]])
+
+
+def _reference_problems(points, lines) -> list[str]:
+    """Every linear-space violation, in order: the body of the former
+    `Geometry.validate`, the oracle of `from_geometry`'s messages."""
+    points = tuple(points)
+    lines = tuple(sorted((frozenset(l) for l in lines), key=sorted))
+    problems = []
+    pts = set(points)
+    if len(pts) != len(points):
+        problems.append("duplicate points")
+    for line in lines:
+        if len(line) < 3:
+            problems.append(f"line {sorted(line)} has fewer than 3 points")
+        if not line <= pts:
+            problems.append(f"line {sorted(line)} uses unknown points")
+    for i, l1 in enumerate(lines):
+        for l2 in lines[i + 1 :]:
+            if l1 == l2:
+                problems.append(f"duplicate line {sorted(l1)}")
+            elif len(l1 & l2) > 1:
+                problems.append(
+                    f"lines {sorted(l1)} and {sorted(l2)} share two points"
+                )
+    return problems
+
+
+def _random_geometries(seed, count):
+    """Seeded random point lists (n <= 8, sometimes with a repeated point) and
+    line lists with duplicates, short lines, unknown and repeated points."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, 8)
+        points = [str(i) for i in range(1, n + 1)]
+        if points and rng.random() < 0.1:
+            points.append(rng.choice(points))
+        pool = points + ["9"] * (rng.random() < 0.2)
+        lines = []
+        for _ in range(rng.choice((0, 1, 1, 2, 2, 3, 5))):
+            if lines and rng.random() < 0.1:
+                lines.append(list(rng.choice(lines)))
+            elif pool:
+                line = rng.sample(pool, rng.randint(1, min(len(pool), 5)))
+                if rng.random() < 0.1:
+                    line.append(line[0])
+                lines.append(line)
+        yield points, lines
+
+
+def test_geometry_messages_match_the_reference():
+    # each geometry either fails with the reference's first three problems,
+    # or builds the matroid of non-collinear triples
+    outcomes = {"problems": 0, "rank < 3": 0, "built": 0}
+    for points, lines in _random_geometries(2004, 3000):
+        ref = _reference_problems(points, lines)
+        data = {"elements": points, "lines": lines}
+        if ref:
+            with pytest.raises(ValueError) as info:
+                matroid_from_json_dict(data)
+            assert str(info.value) == "not a linear space: " + "; ".join(ref[:3])
+            outcomes["problems"] += 1
+            continue
+        sets = [set(line) for line in lines]
+        bases = [
+            t for t in itertools.combinations(points, 3)
+            if not any(set(t) <= line for line in sets)
+        ]
+        if not bases:
+            with pytest.raises(ValueError, match="rank < 3"):
+                matroid_from_json_dict(data)
+            outcomes["rank < 3"] += 1
+            continue
+        assert matroid_from_json_dict(data) == Matroid.from_bases(points, bases, rank=3)
+        outcomes["built"] += 1
+    assert min(outcomes.values()) > 100, outcomes
 
 
 def test_json_bases_form_round_trip():
