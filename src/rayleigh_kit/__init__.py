@@ -19,10 +19,7 @@ from .poly import (
     GGHH,
     GGHI,
     GHIJ,
-    MonomialShape,
     Polynomial,
-    classify_shape,
-    coefficient_of_shape,
     dominates,
     format_polynomial,
     parse_polynomial,

@@ -46,8 +46,8 @@ from .poly import (
     GGHI,
     GHIJ,
     PACKED_BITS,
-    MonomialShape,
     Polynomial,
+    _SHAPE_EXPONENTS,
     add_products,
     add_square,
     format_polynomial,
@@ -558,7 +558,6 @@ _TABLE_ROWS = {
 
 class RowCheck(NamedTuple):
     row: TableRow
-    monomial_vars: tuple[str, ...]
     positive: int
     negative: int
     delta: int
@@ -620,7 +619,7 @@ def _pair_terms(m: Matroid, e: str, f: str) -> tuple[dict[int, int], ...]:
 
 def _shape_supports(others: list[int], family: str):
     """All supports of the family's shape over these positions, in a fixed
-    order, each listed as in `MonomialShape.support`."""
+    order, each listed as `pack_shape` takes it."""
     if family == GGHH:
         yield from itertools.combinations(others, 2)
     elif family == GGHI:
@@ -629,6 +628,12 @@ def _shape_supports(others: list[int], family: str):
                 yield (g, h, i)
     else:
         yield from itertools.combinations(others, 4)
+
+
+def _where(pair: str, m: Matroid, support: tuple[int, ...], family: str) -> str:
+    """How a problem line names a scanned monomial: built only for problems."""
+    labels = [m.elements[i] for i in support]
+    return f"{pair} monomial {dict(sorted(zip(labels, _SHAPE_EXPONENTS[family])))}"
 
 
 def _scan_matroids() -> list[tuple[str, Matroid]]:
@@ -680,7 +685,7 @@ def table_coefficients(shape_family: str) -> TableReport:
             and pval in row.p_allowed
         )
         checks.append(
-            RowCheck(row, support, cpos, cneg, cpos - cneg, pval, ok)
+            RowCheck(row, cpos, cneg, cpos - cneg, pval, ok)
         )
         e, f = map(index, row.pair)
         key = _pinned_key(line_masks(inst), inst.n, e, f, positions, row.family)
@@ -700,18 +705,16 @@ def table_coefficients(shape_family: str) -> TableReport:
             if any(line >> ie & line >> jf & 1 for line in lines):
                 continue  # {e,f} is not closed: it spans a line
             e, f = m.elements[ie], m.elements[jf]
+            pair = f"{mname} pair {{{e},{f}}}"
             positive, negative, four_p = _pair_terms(m, e, f)
             others = [i for i in range(m.n) if i not in (ie, jf)]
             for support in _shape_supports(others, shape_family):
                 occurrences += 1
-                labels = tuple(m.elements[i] for i in support)
-                mono = MonomialShape(shape_family, labels).monomial()
-                where = f"{mname} pair {{{e},{f}}} monomial {dict(mono)}"
                 row = rows_by_key.get(
                     _pinned_key(lines, m.n, ie, jf, support, shape_family)
                 )
                 if row is None:
-                    unmatched.append(where)
+                    unmatched.append(_where(pair, m, support, shape_family))
                     continue
                 usage[row.label] += 1
                 key = pack_shape(shape_family, support)
@@ -720,12 +723,13 @@ def table_coefficients(shape_family: str) -> TableReport:
                 observed[row.label].add(pval)
                 if (cpos, cneg) != (row.positive, row.negative):
                     mismatches.append(
-                        f"{where}: expected {row.label} "
-                        f"{row.positive}-{row.negative}, got {cpos}-{cneg}"
+                        f"{_where(pair, m, support, shape_family)}: expected "
+                        f"{row.label} {row.positive}-{row.negative}, got {cpos}-{cneg}"
                     )
                 if pval not in row.p_allowed:
                     mismatches.append(
-                        f"{where}: ansatz coefficient {pval} not in "
+                        f"{_where(pair, m, support, shape_family)}: ansatz "
+                        f"coefficient {pval} not in "
                         f"{[str(v) for v in row.p_allowed]} for {row.label}"
                     )
 

@@ -22,7 +22,7 @@ from .catalog import catalog_names, enumerate_simple_rank3, named
 from .certificate import (
     REPORT_SCHEMA, CertificateReport, certify, table_coefficients,
 )
-from .matroid import Matroid, loads_matroid, matroid_to_json_dict
+from .matroid import Matroid, dumps_matroid, loads_matroid
 from .poly import GGHH, GGHI, GHIJ, format_polynomial
 from .rayleigh import PairContext, negative_correlation_sample, rayleigh_difference
 
@@ -381,8 +381,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     files = [
         (
             f"simple_rank3_n{result.n}_class{idx:03d}.json",
-            json.dumps(matroid_to_json_dict(m, form="geometry"), indent=2,
-                       sort_keys=True) + "\n",
+            dumps_matroid(m) + "\n",
         )
         for idx, m in enumerate(result.classes)
     ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from itertools import islice
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 __all__ = [
     "Matroid",
@@ -348,25 +348,47 @@ class Matroid:
         Basis sizes need no check here: the constructor rejects a basis
         whose size differs from the rank.
         """
-        problems = []
-        bases = set(self._masks)
-        bits = [1 << i for i in range(self.n)]
-        for b1 in self._masks:
-            outside = [y for y in bits if not b1 & y]
-            cuts = [
-                (self.elements[i], x | sum(y for y in outside if b1 ^ x | y in bases))
-                for i, x in enumerate(bits)
-                if b1 & x
-            ]
-            problems += [
-                "exchange fails for bases "
-                f"{sorted(self._unmask(b1))} / {sorted(self._unmask(b2))}"
-                f" removing {removed!r}"
-                for b2 in self._masks
-                for removed, cut in cuts
-                if not b2 & cut
-            ]
-        return problems
+        return list(self._exchange_failures())
+
+    def _exchange_failures(self) -> Iterator[str]:
+        """The messages of `validate`, lazily, in the same order.
+
+        holders[i] is the set of basis indices whose basis contains element
+        i, so the bases meeting a cut are the OR of its elements' holders,
+        and the bases B2 failing for (B1, x) are the zero bits of that OR.
+        """
+        masks = self._masks
+        bases = set(masks)
+        everything = (1 << len(masks)) - 1
+        holders = [
+            sum(1 << k for k, b in enumerate(masks) if b >> i & 1) for i in range(self.n)
+        ]
+        for b1 in masks:
+            outside = [j for j in range(self.n) if not b1 >> j & 1]
+            misses = []  # (x's label, the bases missing x's cut)
+            for i, el in enumerate(self.elements):
+                if b1 >> i & 1:
+                    rest = b1 ^ 1 << i
+                    meet = holders[i]
+                    for j in outside:
+                        if rest | 1 << j in bases:
+                            meet |= holders[j]
+                    if meet != everything:
+                        misses.append((el, everything & ~meet))
+            failing = 0
+            for _, miss in misses:
+                failing |= miss
+            while failing:
+                low = failing & -failing
+                failing ^= low
+                b2 = masks[low.bit_length() - 1]
+                for removed, miss in misses:
+                    if miss & low:
+                        yield (
+                            "exchange fails for bases "
+                            f"{sorted(self._unmask(b1))} / {sorted(self._unmask(b2))}"
+                            f" removing {removed!r}"
+                        )
 
 
 class SimplifyResult(NamedTuple):
@@ -643,9 +665,9 @@ def matroid_from_json_dict(data: Mapping) -> Matroid:
         if not bases:
             raise ValueError("empty basis family (rank 0 has the one basis [])")
         m = Matroid.from_bases(elements, bases, rank=rank)
-        problems = m.validate()
-        if problems:
-            raise ValueError("not a matroid: " + "; ".join(problems[:3]))
+        first = list(islice(m._exchange_failures(), 3))
+        if first:
+            raise ValueError("not a matroid: " + "; ".join(first))
         return m
     if keys == {"elements", "lines"}:
         lines = data["lines"]
@@ -660,18 +682,13 @@ def matroid_from_json_dict(data: Mapping) -> Matroid:
     )
 
 
-def matroid_to_json_dict(m: Matroid, form: str = "auto") -> dict:
-    """Serialize; geometry form is preferred for simple rank-3 matroids."""
-    if form not in ("auto", "bases", "geometry"):
-        raise ValueError(f"unknown form {form!r}")
-    if form in ("auto", "geometry"):
-        if m.rank == 3 and m.is_simple():
-            return {
-                "elements": list(m.elements),
-                "lines": [list(line) for line in lines_of(m)],
-            }
-        if form == "geometry":
-            raise ValueError("geometry form requires a simple rank-3 matroid")
+def matroid_to_json_dict(m: Matroid) -> dict:
+    """Serialize: geometry form for simple rank-3 matroids, else bases form."""
+    if m.rank == 3 and m.is_simple():
+        return {
+            "elements": list(m.elements),
+            "lines": [list(line) for line in lines_of(m)],
+        }
     return {
         "elements": list(m.elements),
         "rank": m.rank,
@@ -687,5 +704,5 @@ def loads_matroid(text: str) -> Matroid:
     return matroid_from_json_dict(data)
 
 
-def dumps_matroid(m: Matroid, form: str = "auto") -> str:
-    return json.dumps(matroid_to_json_dict(m, form=form), indent=2, sort_keys=True)
+def dumps_matroid(m: Matroid) -> str:
+    return json.dumps(matroid_to_json_dict(m), indent=2, sort_keys=True)

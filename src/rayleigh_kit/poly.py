@@ -9,7 +9,6 @@ two equal polynomials always compare equal structurally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Union
@@ -308,8 +307,8 @@ _FIELD_HIGH_BITS = _FIELD_LOW_BITS * 12
 
 
 def is_packed_shape(key: int) -> bool:
-    """True iff a packed monomial has degree 4 and no exponent above 2, the
-    shapes `classify_shape` accepts."""
+    """True iff a packed monomial has degree 4 and no exponent above 2: one of
+    the shapes GGHH, GGHI and GHIJ."""
     ones = _FIELD_LOW_BITS
     # An exponent is at most 2 when bits 2 and 3 of its field are clear and
     # bits 0 and 1 are not both set; the degree then counts bit 1 twice.
@@ -434,7 +433,9 @@ def reciprocal_transform(p: Polynomial, scope: Iterable[str], cap: int) -> Polyn
 
 
 # ---------------------------------------------------------------------------
-# Degree-4 monomial shapes.
+# Degree-4 monomial shapes: GGHH is y_g^2 y_h^2, GGHI is y_g^2 y_h y_i and
+# GHIJ is y_g y_h y_i y_j.  A shape's support lists its distinct variables in
+# the order of its exponents, so for GGHI the squared one comes first.
 
 GGHH = "GGHH"
 GGHI = "GGHI"
@@ -443,56 +444,11 @@ GHIJ = "GHIJ"
 _SHAPE_EXPONENTS = {GGHH: (2, 2), GGHI: (2, 1, 1), GHIJ: (1, 1, 1, 1)}
 
 
-@dataclass(frozen=True)
-class MonomialShape:
-    """A degree-4 monomial classified by its exponent pattern.
-
-    kind GGHH is y_g^2 y_h^2, GGHI is y_g^2 y_h y_i, GHIJ is
-    y_g y_h y_i y_j; `support` lists the distinct variables positionally
-    (for GGHI the first entry is the squared one).
-    """
-
-    kind: str
-    support: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.kind not in _SHAPE_EXPONENTS:
-            raise ValueError(f"unknown shape kind {self.kind!r}")
-        pattern = _SHAPE_EXPONENTS[self.kind]
-        if len(self.support) != len(pattern):
-            raise ValueError(f"shape {self.kind} needs {len(pattern)} variables")
-        if len(set(self.support)) != len(self.support):
-            raise ValueError("shape support must be distinct variables")
-
-    def monomial(self) -> Monomial:
-        pattern = _SHAPE_EXPONENTS[self.kind]
-        return _mono_from_exponents(
-            {var: exp for var, exp in zip(self.support, pattern)}
-        )
-
-
-def classify_shape(mono: Monomial) -> MonomialShape | None:
-    """Classify a degree-4 monomial with exponents <= 2, else None."""
-    if mono_degree(mono) != 4 or any(exp > 2 for _, exp in mono):
-        return None
-    squared = tuple(sorted(var for var, exp in mono if exp == 2))
-    linear = tuple(sorted(var for var, exp in mono if exp == 1))
-    if len(squared) == 2:
-        return MonomialShape(GGHH, squared)
-    if len(squared) == 1:
-        return MonomialShape(GGHI, squared + linear)
-    return MonomialShape(GHIJ, linear)
-
-
 def pack_shape(kind: str, positions: Iterable[int]) -> int:
     """The packed monomial (see `pack_mask`) of a shape whose support sits at
-    these ground-set positions, listed as in `MonomialShape.support`."""
+    these ground-set positions, listed in the order of the shape's exponents."""
     pairs = zip(_SHAPE_EXPONENTS[kind], positions, strict=True)
     return sum(exp << PACKED_BITS * pos for exp, pos in pairs)
-
-
-def coefficient_of_shape(p: Polynomial, shape: MonomialShape) -> Coeff:
-    return p.term_map().get(shape.monomial(), 0)
 
 
 # ---------------------------------------------------------------------------

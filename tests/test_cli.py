@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import time
 from fractions import Fraction
 from functools import reduce
@@ -10,6 +11,7 @@ from operator import xor
 
 import pytest
 
+from rayleigh_kit.catalog import uniform
 from rayleigh_kit.cli import main
 from rayleigh_kit.matroid import Matroid, dumps_matroid, loads_matroid
 from rayleigh_kit.rayleigh import PairContext, rayleigh_difference
@@ -343,6 +345,28 @@ def test_oversized_geometry_exits_two_quickly(capsys, tmp_path, doc, reason):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.endswith(reason)
+
+
+def test_oversized_bases_exit_two_quickly(capsys, tmp_path):
+    # exchange failures are collected lazily, at most three of them
+    rng = random.Random(1200)
+    elements = [str(i) for i in range(14)]
+    bases = set()
+    while len(bases) < 1200:
+        bases.add(tuple(sorted(rng.sample(elements, 7), key=int)))
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"elements": elements, "rank": 7, "bases": sorted(bases)}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and ": not a matroid: exchange fails" in err
+    assert err.count("exchange fails") == 3
+    text = dumps_matroid(uniform(7, 14))
+    start = time.perf_counter()
+    assert len(loads_matroid(text).basis_masks) == 3432
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("argv", [

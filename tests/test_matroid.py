@@ -339,7 +339,8 @@ def test_geometry_messages_match_the_reference():
 
 def test_json_bases_form_round_trip():
     m = u24()
-    text = dumps_matroid(m, form="bases")
+    text = dumps_matroid(m)
+    assert set(json.loads(text)) == {"elements", "rank", "bases"}  # U_2_4 has rank 2
     again = loads_matroid(text)
     assert again == m
 

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +14,9 @@ from rayleigh_kit.poly import (
     GGHI,
     GHIJ,
     PACKED_BITS,
-    MonomialShape,
     Polynomial,
     add_products,
     add_square,
-    classify_shape,
-    coefficient_of_shape,
     dominates,
     format_polynomial,
     from_packed,
@@ -238,46 +236,36 @@ def test_from_packed_decode_table_matches_the_reference_decoder():
         check(terms, labels)
 
 
-def test_classify_shape():
-    m22 = Polynomial.monomial({"g": 2, "h": 2})
-    m211 = Polynomial.monomial({"g": 2, "h": 1, "i": 1})
-    m1111 = Polynomial.monomial({"g": 1, "h": 1, "i": 1, "j": 1})
-    (mono22,) = [m for m, _ in m22.terms()]
-    (mono211,) = [m for m, _ in m211.terms()]
-    (mono1111,) = [m for m, _ in m1111.terms()]
-    assert classify_shape(mono22) == MonomialShape(GGHH, ("g", "h"))
-    assert classify_shape(mono211) == MonomialShape(GGHI, ("g", "h", "i"))
-    assert classify_shape(mono1111) == MonomialShape(GHIJ, ("g", "h", "i", "j"))
-    (cube,) = [m for m, _ in (y("g") ** 3 * y("h")).terms()]
-    assert classify_shape(cube) is None
-    (deg3,) = [m for m, _ in (y("g") * y("h") * y("i")).terms()]
-    assert classify_shape(deg3) is None
-    # the packed test agrees with it on every exponent vector up to 15,
-    # with the fields spread over positions 0, 1, 9 and 63
+def test_is_packed_shape():
+    # every exponent vector with fields 0..15 at positions 0, 1, 9 and 63
     positions = (0, 1, 9, 63)
     for exps in itertools.product(range(16), repeat=4):
-        key = sum(x << 4 * p for x, p in zip(exps, positions))
-        (mono, _), = Polynomial.monomial(
-            {f"v{p}": x for x, p in zip(exps, positions)}).terms()
-        assert is_packed_shape(key) == (classify_shape(mono) is not None), exps
+        key = sum(x << PACKED_BITS * p for x, p in zip(exps, positions))
+        assert is_packed_shape(key) == (sum(exps) == 4 and max(exps) <= 2), exps
 
 
-def test_pack_shape_matches_monomial_shape():
+def test_pack_shape_matches_polynomial_monomial():
     labels = [f"v{i}" for i in range(12)]
-    for kind, positions in ((GGHH, (11, 2)), (GGHI, (3, 0, 10)), (GHIJ, (9, 1, 4, 7))):
-        shape = MonomialShape(kind, tuple(labels[p] for p in positions))
-        expected = Polynomial({shape.monomial(): 1})
-        assert from_packed({pack_shape(kind, positions): 1}, labels) == expected
+    for kind, positions, exps in (
+        (GGHH, (11, 2), (2, 2)),
+        (GGHI, (3, 0, 10), (2, 1, 1)),
+        (GHIJ, (9, 1, 4, 7), (1, 1, 1, 1)),
+    ):
+        key = pack_shape(kind, positions)
+        assert is_packed_shape(key)
+        expected = Polynomial.monomial({labels[p]: x for p, x in zip(positions, exps)})
+        assert from_packed({key: 1}, labels) == expected
     with pytest.raises(ValueError):
         pack_shape(GGHI, (0, 1))
 
 
-def test_coefficient_of_shape():
-    p = (y("3") * y("4") - y("5") * y("6")) ** 2
-    assert coefficient_of_shape(p, MonomialShape(GGHH, ("3", "4"))) == 1
-    assert (
-        coefficient_of_shape(p, MonomialShape(GHIJ, ("3", "4", "5", "6"))) == -2
-    )
+def test_readme_library_tour_runs():
+    # the README's code must name only API that exists
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "named(" in code and "certify(" in code
+    exec(compile(code, "README.md", "exec"), {})
 
 
 def test_immutability():
