@@ -2,7 +2,7 @@
 
 The named instances are point-line geometries (linear spaces) listed in a
 table below, plus uniform matroids built on demand from a ``U_r_m`` name.  The
-enumerator produces every isomorphism class of linear space on n <= 8 points
+enumerator produces every isomorphism class of linear space on n <= 9 points
 (equivalently, every simple rank-3 matroid) by an orderly search: a line set is
 represented as the ascending tuple of its line bitmasks, and a set is kept only
 if that tuple is lexicographically minimal over all relabelings of the points.
@@ -110,7 +110,7 @@ def named(name: str) -> Matroid:
 # ---------------------------------------------------------------------------
 # Orderly enumeration of linear spaces.
 
-_MAX_N = 8
+_MAX_N = 9
 
 
 def _is_canonical(masks: tuple[int, ...], n: int) -> bool:
@@ -120,21 +120,23 @@ def _is_canonical(masks: tuple[int, ...], n: int) -> bool:
 
 def _candidate_lines(n: int) -> list[int]:
     """Bitmasks usable as lines: 3 <= size <= n-1 (a full line would mean rank 2)."""
-    return [
-        mask for mask in range(1 << n) if 3 <= bin(mask).count("1") <= n - 1
-    ]
+    return [mask for mask in range(1 << n) if 3 <= mask.bit_count() <= n - 1]
+
+
+def _positions(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _space_matroid(masks: tuple[int, ...], n: int) -> Matroid:
     points = _points(n)
     return from_geometry(
-        points, ([points[i] for i in range(n) if mask >> i & 1] for mask in masks)
+        points, ([points[i] for i in _positions(mask)] for mask in masks)
     )
 
 
 @lru_cache(maxsize=None)
 def enumerate_simple_rank3(n: int) -> EnumerationResult:
-    """All isomorphism classes of simple rank-3 matroids on n points, 3 <= n <= 8.
+    """All isomorphism classes of simple rank-3 matroids on n points, 3 <= n <= 9.
 
     Deterministic: classes are sorted by (number of lines, mask tuple) of their
     canonical line sets.
@@ -142,19 +144,24 @@ def enumerate_simple_rank3(n: int) -> EnumerationResult:
     if not 3 <= n <= _MAX_N:
         raise ValueError(f"n must be between 3 and {_MAX_N}, got {n}")
     candidates = _candidate_lines(n)
+    # pairs[idx]: one bit per pair of points on candidates[idx]; two lines
+    # share two points exactly when their pair sets meet.
+    pairs = [
+        sum(1 << a * n + b for a, b in itertools.combinations(_positions(line), 2))
+        for line in candidates
+    ]
     found: list[tuple[int, ...]] = []
 
-    def extend(current: tuple[int, ...], start: int) -> None:
+    def extend(current: tuple[int, ...], covered: int, start: int) -> None:
         found.append(current)
         for idx in range(start, len(candidates)):
-            line = candidates[idx]
-            if any(bin(line & prev).count("1") > 1 for prev in current):
+            if pairs[idx] & covered:
                 continue
-            grown = current + (line,)
+            grown = current + (candidates[idx],)
             if _is_canonical(grown, n):
-                extend(grown, idx + 1)
+                extend(grown, covered | pairs[idx], idx + 1)
 
-    extend((), 0)
+    extend((), 0, 0)
     found.sort(key=lambda masks: (len(masks), masks))
     classes = tuple(_space_matroid(masks, n) for masks in found)
     return EnumerationResult(n, classes, len(classes))

@@ -527,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("enumerate", help="write all simple rank-3 classes on n points")
-    p.add_argument("n", type=int, help="ground set size (3..8)")
+    p.add_argument("n", type=int, help="ground set size (3..9)")
     _add_common(p, pairs=False)
     p.set_defaults(func=cmd_enumerate)
 

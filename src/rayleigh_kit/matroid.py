@@ -19,7 +19,8 @@ the second is what "the restriction to S" means everywhere else.
 from __future__ import annotations
 
 import json
-from itertools import islice
+from collections import Counter
+from itertools import combinations, islice
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 __all__ = [
@@ -428,23 +429,48 @@ def from_geometry(points: Iterable[str], lines: Iterable[Iterable[str]]) -> Matr
     points = tuple(_check_element_id(p) for p in points)
     if len(points) > 64:
         raise ValueError("at most 64 elements supported")
-    lines = sorted((frozenset(line) for line in lines), key=sorted)
+    # (line, copies) for each distinct line, in sorted order
+    counts = Counter(frozenset(line) for line in lines)
+    runs = sorted(counts.items(), key=lambda run: sorted(run[0]))
 
     def problems():
         known = set(points)
         if len(known) != len(points):
             yield "duplicate points"
-        for line in lines:
-            if len(line) < 3:
-                yield f"line {sorted(line)} has fewer than 3 points"
-            if not line <= known:
-                yield f"line {sorted(line)} uses unknown points"
-        for i, l1 in enumerate(lines):
-            for l2 in lines[i + 1 :]:
-                if l1 == l2:
-                    yield f"duplicate line {sorted(l1)}"
-                elif len(l1 & l2) > 1:
-                    yield f"lines {sorted(l1)} and {sorted(l2)} share two points"
+        strays = []  # runs whose line uses unknown points
+        for u, (line, copies) in enumerate(runs):
+            short, stray = len(line) < 3, not line <= known
+            if stray:
+                strays.append(u)
+            if short or stray:
+                for _ in range(copies):
+                    if short:
+                        yield f"line {sorted(line)} has fewer than 3 points"
+                    if stray:
+                        yield f"line {sorted(line)} uses unknown points"
+        # Past this point at most two lines use unknown points (three would
+        # have made three problems).  Lines sharing two points meet in an
+        # index of their pairs of known points; the lines with unknown points,
+        # which may share those, are also compared directly.
+        pairs = [list(combinations(sorted(line & known), 2)) for line, _ in runs]
+        through: dict[tuple[str, str], list[int]] = {}
+        for u, own in enumerate(pairs):
+            for pair in own:
+                through.setdefault(pair, []).append(u)
+        # The pairs of lines in order: for each copy of a line, the later
+        # copies, then the copies of each later line sharing two points.
+        for u, (line, copies) in enumerate(runs):
+            clashes = {v for pair in pairs[u] for v in through[pair]}
+            if u in strays:
+                clashes.update(v for v in strays if len(runs[v][0] & line) > 1)
+            clashes = sorted(v for v in clashes if v > u)
+            for copy in range(copies):
+                for _ in range(copies - 1 - copy):
+                    yield f"duplicate line {sorted(line)}"
+                for v in clashes:
+                    other, times = runs[v]
+                    for _ in range(times):
+                        yield f"lines {sorted(line)} and {sorted(other)} share two points"
 
     first = list(islice(problems(), 3))
     if first:
@@ -452,15 +478,13 @@ def from_geometry(points: Iterable[str], lines: Iterable[Iterable[str]]) -> Matr
     if len(points) < 3:
         raise ValueError("rank < 3: fewer than three points")
     index = {p: i for i, p in enumerate(points)}
-    line_masks = [sum(1 << index[p] for p in line) for line in lines]
-    masks = []
-    npts = len(points)
-    for i in range(npts):
-        for j in range(i + 1, npts):
-            for k in range(j + 1, npts):
-                tri = 1 << i | 1 << j | 1 << k
-                if not any(tri & lm == tri for lm in line_masks):
-                    masks.append(tri)
+    collinear = {
+        1 << a | 1 << b | 1 << c
+        for line, _ in runs
+        for a, b, c in combinations(sorted(index[p] for p in line), 3)
+    }
+    triples = (1 << a | 1 << b | 1 << c for a, b, c in combinations(range(len(points)), 3))
+    masks = [tri for tri in triples if tri not in collinear]
     # With every pair of points on at most one line, all triples are
     # collinear exactly when one line holds every point.
     if not masks:
@@ -512,10 +536,31 @@ def canonical_form(
 
     Positions are filled in order.  A mask's image is fixed once its last
     point is placed at position j, and then lies in [2^j, 2^(j+1)), so the
-    sorted image only ever grows by appending.  A branch is cut when its
-    prefix exceeds the best image, or ties with it while the best image's
-    next entry is below 2^(j+1); of two unplaced points whose transposition
-    maps the family onto itself only one is tried at each position.
+    sorted image only ever grows by appending.  Each non-empty mask keeps
+    ``part``, the image of its placed points, and ``left``, the number of its
+    unplaced points; both are updated as a point is placed and undone on
+    backtrack.  A branch is cut when its prefix exceeds the best image, or
+    ties with it while the best image's next entry is below 2^(j+1); of two
+    unplaced points whose transposition maps the family onto itself only one
+    is tried at each position.
+
+    Two more cuts skip work while the prefix ties with the best image:
+
+    * Candidate filter: if the best image's next entry t is below 2^(j+1),
+      it completes a mask at position j.  Only a point that completes some
+      mask with ``part + 2^j <= t`` can then tie or win; any other point
+      would complete nothing (and fall behind t) or only masks above t.
+      Twins pass or fail the filter together.
+    * Completion bound: an unfinished mask ends at least at
+      ``part + 2^(j+1)·(2^left − 1)``, its points taking the next positions.
+      After a placement that ties, the branch is cut when every unfinished
+      mask's bound exceeds the best image's next entry.
+
+    Both cut only branches whose every completion is strictly larger than
+    the best image, and neither changes the order of the branches left.  So
+    the search meets the same improving images in the same order as without
+    them: the form, the first labelling that reaches it, and the `beat`
+    result are unchanged.
     """
     family = frozenset(masks)
     size = len(family)
@@ -529,15 +574,29 @@ def canonical_form(
         for p in cell:
             cell_of[p] = cell_mask
         slots += [cell_mask] * len(cell)
-    by_point = [[m for m in family if m >> p & 1] for p in range(n)]
+    members = [m for m in family if m]
+    # containing[p]: the indices i of the members that hold point p
+    containing: list[list[int]] = [[] for _ in range(n)]
+    for i, m in enumerate(members):
+        while m:
+            low = m & -m
+            containing[low.bit_length() - 1].append(i)
+            m ^= low
+    part = [0] * len(members)  # part[i]: the image of members[i]'s placed points
+    left = [m.bit_count() for m in members]  # left[i]: its unplaced points
     twins = [0] * n  # twins[p]: points q of p's cell with (p q) an automorphism
     for p in range(n):
-        for q in range(p + 1, n):
-            swap = 1 << p | 1 << q
-            if cell_of[p] >> q & 1 and all(
+        degree = len(containing[p])  # an automorphism keeps each point's degree
+        later = cell_of[p] >> p + 1 << p + 1  # the points after p in its cell
+        while later:
+            low = later & -later
+            later ^= low
+            q = low.bit_length() - 1
+            swap = 1 << p | low
+            if len(containing[q]) == degree and all(
                 (m ^ swap) in family for m in family if (m & swap) not in (0, swap)
             ):
-                twins[p] |= 1 << q
+                twins[p] |= low
                 twins[q] |= 1 << p
 
     pos = [0] * n
@@ -545,13 +604,13 @@ def canonical_form(
     best = None if beat is None else list(beat)
     labelling: Optional[tuple[int, ...]] = None
 
-    def image(mask: int) -> int:
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << pos[low.bit_length() - 1]
-            mask ^= low
-        return out
+    def hopeless(j: int, nxt: int) -> bool:
+        """The completion bound: every unfinished mask ends above `nxt`."""
+        shift = j + 1
+        for have, need in zip(part, left):
+            if need and have + ((1 << need) - 1 << shift) <= nxt:
+                return False
+        return True
 
     def search(j: int, placed: int, tied: bool) -> bool:
         """Extend the placement from position j; True means stop."""
@@ -562,37 +621,62 @@ def canonical_form(
             best, labelling = prefix[:], tuple(pos)
             return beat is not None
         start = len(prefix)
+        bit = 1 << j
         tried = 0
         free = slots[j] & ~placed
+        narrow = tied  # the candidate filter is due: on a tie, and after a new best
         while free:
-            bit = free & -free
-            free ^= bit
-            p = bit.bit_length() - 1
+            if narrow:
+                # If the best image's next entry t completes a mask at
+                # position j, only points completing a mask at most t remain.
+                narrow = False
+                t = best[start] if start < size else 0
+                if not t >> j + 1:
+                    completing = 0
+                    for m, have, need in zip(members, part, left):
+                        if need == 1 and have | bit <= t:
+                            completing |= m
+                    free &= completing
+                    if not free:
+                        break
+            low = free & -free
+            free ^= low
+            p = low.bit_length() - 1
             if twins[p] & tried:
                 continue
-            tried |= bit
-            pos[p] = j
-            now = placed | bit
-            seg = [image(m) for m in by_point[p] if not m & ~now]
-            seg.sort()
+            tried |= low
+            mine = containing[p]
+            seg = [part[i] | bit for i in mine if left[i] == 1]
+            if len(seg) > 1:
+                seg.sort()
             end = start + len(seg)
-            child_tied = False
-            if tied:
+            # A point that completes nothing keeps a tie: the filter has
+            # dropped such points wherever the best image completes a mask.
+            child_tied = tied
+            if tied and seg:
                 target = best[start:end]
                 if seg > target:
                     continue
-                if seg == target:
-                    if end == size or best[end] < 2 << j:
-                        continue
-                    child_tied = True
-            prefix.extend(seg)
-            before = labelling
-            if search(j + 1, now, child_tied):
-                return True
-            del prefix[start:]
-            # A new best found below extends this node's prefix.
-            if labelling is not before:
-                tied = True
+                if seg < target:
+                    child_tied = False
+                elif end == size or best[end] < bit << 1:
+                    continue
+            for i in mine:
+                part[i] |= bit
+                left[i] -= 1
+            if not (child_tied and hopeless(j, best[end])):
+                pos[p] = j
+                prefix.extend(seg)
+                before = labelling
+                if search(j + 1, placed | low, child_tied):
+                    return True
+                del prefix[start:]
+                # A new best found below extends this node's prefix.
+                if labelling is not before:
+                    tied = narrow = True
+            for i in mine:
+                part[i] ^= bit
+                left[i] += 1
         return False
 
     search(0, 0, beat is not None)

@@ -128,11 +128,16 @@ def test_enumeration_matches_naive_path():
             assert is_isomorphic(a, b) is not None
 
 
+def test_census_count_n9():
+    # 383 classes on nine points (the same 2012 census)
+    assert enumerate_simple_rank3(9).count == 383
+
+
 def test_enumeration_guards():
     with pytest.raises(ValueError):
         enumerate_simple_rank3(2)
     with pytest.raises(ValueError):
-        enumerate_simple_rank3(9)
+        enumerate_simple_rank3(10)
 
 
 def test_enumeration_is_deterministic():

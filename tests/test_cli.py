@@ -309,12 +309,14 @@ _TOO_MANY = json.dumps(
     ("", ("verify", "K4", "--out", "{path}"), "cannot write to --out"),
     ("", ("verify", "K4", "--out", "{path}/sub"), "cannot write to --out"),
     ("", ("enumerate", "4", "--out", "{path}"), "cannot write to --out"),
+    # beyond the census bound
+    ("", ("enumerate", "10", "--out", "{path}.d"), "n must be between 3 and 9, got 10\n"),
 ], ids=["directory", "deep-nesting", "list-basis-entry", "list-element-id",
         "list-line-entry", "empty-bases-rank-0", "comma-in-element-id", "rank-true",
         "rank-false", "duplicate-element-ids", "65-elements", "lines-share-two-points",
         "two-point-line", "unknown-point", "duplicate-points", "duplicate-line",
         "fewer-than-three-points", "all-points-collinear", "out-is-a-file",
-        "out-below-a-file", "enumerate-out-is-a-file"])
+        "out-below-a-file", "enumerate-out-is-a-file", "enumerate-10"])
 def test_hostile_input_exits_two(capsys, tmp_path, content, argv, reason):
     path = tmp_path / "input.json"
     if content is None:
@@ -333,10 +335,18 @@ def test_hostile_input_exits_two(capsys, tmp_path, content, argv, reason):
      "at most 64 elements supported\n"),
     ({"elements": ["1", "2", "3", "4"], "lines": [["1", "2", "3"]] * 2000},
      "not a linear space: " + "; ".join(["duplicate line ['1', '2', '3']"] * 3) + "\n"),
-], ids=["400-points", "2000-copies-of-a-line"])
+    # PG(4, 2) (the 155 lines {a, b, a ^ b} on the nonzero vectors of GF(2)^5)
+    # plus a 32nd point, then 100,000 copies of one line on three more points
+    ({"elements": [f"p{i:02d}" for i in range(1, 33)] + ["q1", "q2", "q3"],
+      "lines": sorted({tuple(sorted((f"p{a:02d}", f"p{b:02d}", f"p{a ^ b:02d}")))
+                       for a in range(1, 32) for b in range(1, 32) if a != b})
+      + [("q1", "q2", "q3")] * 100_000},
+     "not a linear space: " + "; ".join(["duplicate line ['q1', 'q2', 'q3']"] * 3) + "\n"),
+], ids=["400-points", "2000-copies-of-a-line", "linear-space-then-100000-copies"])
 def test_oversized_geometry_exits_two_quickly(capsys, tmp_path, doc, reason):
-    # the point cap comes before any line is compared, and at most three
-    # problems are collected
+    # the point cap comes before any line is compared, at most three problems
+    # are collected, and lines are compared through runs of copies and a
+    # point-pair index, not pairwise
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
     start = time.perf_counter()

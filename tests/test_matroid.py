@@ -522,6 +522,127 @@ def test_canonical_form_matches_brute_force():
             assert _image(masks, beaten[1]) == beaten[0]
 
 
+def _reference_canonical_form(masks, n, cells=None, *, beat=None):
+    """The canonical-form search without the candidate filter and the
+    completion bound: the oracle of `canonical_form`, which must return the
+    same form, the same labelling and the same `beat` result."""
+    family = frozenset(masks)
+    size = len(family)
+    cells = [range(n)] if cells is None else [list(c) for c in cells]
+    slots = []
+    cell_of = [0] * n
+    for cell in cells:
+        cell_mask = sum(1 << p for p in cell)
+        for p in cell:
+            cell_of[p] = cell_mask
+        slots += [cell_mask] * len(cell)
+    by_point = [[m for m in family if m >> p & 1] for p in range(n)]
+    twins = [0] * n
+    for p in range(n):
+        for q in range(p + 1, n):
+            swap = 1 << p | 1 << q
+            if cell_of[p] >> q & 1 and all(
+                (m ^ swap) in family for m in family if (m & swap) not in (0, swap)
+            ):
+                twins[p] |= 1 << q
+                twins[q] |= 1 << p
+
+    pos = [0] * n
+    prefix = [0] if 0 in family else []
+    best = None if beat is None else list(beat)
+    labelling = None
+
+    def image(mask):
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= 1 << pos[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    def search(j, placed, tied):
+        nonlocal best, labelling
+        if j == n:
+            if tied:
+                return False
+            best, labelling = prefix[:], tuple(pos)
+            return beat is not None
+        start = len(prefix)
+        tried = 0
+        free = slots[j] & ~placed
+        while free:
+            bit = free & -free
+            free ^= bit
+            p = bit.bit_length() - 1
+            if twins[p] & tried:
+                continue
+            tried |= bit
+            pos[p] = j
+            now = placed | bit
+            seg = [image(m) for m in by_point[p] if not m & ~now]
+            seg.sort()
+            end = start + len(seg)
+            child_tied = False
+            if tied:
+                target = best[start:end]
+                if seg > target:
+                    continue
+                if seg == target:
+                    if end == size or best[end] < 2 << j:
+                        continue
+                    child_tied = True
+            prefix.extend(seg)
+            before = labelling
+            if search(j + 1, now, child_tied):
+                return True
+            del prefix[start:]
+            if labelling is not before:
+                tied = True
+        return False
+
+    search(0, 0, beat is not None)
+    if labelling is None:
+        return None
+    return tuple(best), labelling
+
+
+def _engine_cases():
+    """Every census class with n <= 8, as line masks and as basis masks, under
+    a seeded relabelling, once with one cell and once with random cells; then
+    the random families of `test_canonical_form_matches_brute_force`."""
+    rng = random.Random(1998)
+    for n in range(3, 9):
+        for m in enumerate_simple_rank3(n).classes:
+            for family in (line_masks(m), m.basis_masks):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                family = [sum(1 << perm[i] for i in range(n) if x >> i & 1) for x in family]
+                points = list(range(n))
+                rng.shuffle(points)
+                cuts = sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
+                yield family, n, None
+                yield family, n, [points[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    rng = random.Random(2012)
+    for _ in range(400):
+        yield _random_instance(rng)
+
+
+def test_canonical_form_matches_the_reference_search():
+    rng = random.Random(2004)
+    checked = 0
+    for masks, n, cells in _engine_cases():
+        assert canonical_form(masks, n, cells) == _reference_canonical_form(masks, n, cells)
+        # the family itself, as the orderly census asks, and a random image
+        own = tuple(sorted(set(masks)))
+        other = _image(masks, _random_labelling(rng, n, cells or [range(n)]))
+        for beat in (own, other):
+            assert canonical_form(masks, n, cells, beat=beat) == _reference_canonical_form(
+                masks, n, cells, beat=beat
+            ), (masks, n, cells, beat)
+        checked += 1
+    assert checked == 2 * 2 * 107 + 400
+
+
 def test_canonical_form_cells_must_partition():
     with pytest.raises(ValueError):
         canonical_form([0b11], 3, [[0, 1]])
