@@ -120,17 +120,15 @@ def _is_canonical(masks: tuple[int, ...], n: int) -> bool:
 
 def _candidate_lines(n: int) -> list[int]:
     """Bitmasks usable as lines: 3 <= size <= n-1 (a full line would mean rank 2)."""
-    return [mask for mask in range(1 << n) if 3 <= mask.bit_count() <= n - 1]
-
-
-def _positions(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    return [
+        mask for mask in range(1 << n) if 3 <= bin(mask).count("1") <= n - 1
+    ]
 
 
 def _space_matroid(masks: tuple[int, ...], n: int) -> Matroid:
     points = _points(n)
     return from_geometry(
-        points, ([points[i] for i in _positions(mask)] for mask in masks)
+        points, ([points[i] for i in range(n) if mask >> i & 1] for mask in masks)
     )
 
 
@@ -144,24 +142,19 @@ def enumerate_simple_rank3(n: int) -> EnumerationResult:
     if not 3 <= n <= _MAX_N:
         raise ValueError(f"n must be between 3 and {_MAX_N}, got {n}")
     candidates = _candidate_lines(n)
-    # pairs[idx]: one bit per pair of points on candidates[idx]; two lines
-    # share two points exactly when their pair sets meet.
-    pairs = [
-        sum(1 << a * n + b for a, b in itertools.combinations(_positions(line), 2))
-        for line in candidates
-    ]
     found: list[tuple[int, ...]] = []
 
-    def extend(current: tuple[int, ...], covered: int, start: int) -> None:
+    def extend(current: tuple[int, ...], start: int) -> None:
         found.append(current)
         for idx in range(start, len(candidates)):
-            if pairs[idx] & covered:
+            line = candidates[idx]
+            if any(bin(line & prev).count("1") > 1 for prev in current):
                 continue
-            grown = current + (candidates[idx],)
+            grown = current + (line,)
             if _is_canonical(grown, n):
-                extend(grown, covered | pairs[idx], idx + 1)
+                extend(grown, idx + 1)
 
-    extend((), 0, 0)
+    extend((), 0)
     found.sort(key=lambda masks: (len(masks), masks))
     classes = tuple(_space_matroid(masks, n) for masks in found)
     return EnumerationResult(n, classes, len(classes))

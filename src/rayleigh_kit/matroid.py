@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations, islice
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
@@ -418,6 +419,29 @@ def with_parallel_copy(m: Matroid, x: str, new_id: str) -> Matroid:
 # Point-line geometries (simple rank-3 descriptions).
 
 
+@lru_cache(maxsize=None)
+def _pair_layout(n: int) -> tuple[int, int, int]:
+    w = n + 2  # row width of the pair bits
+    copies = sum(1 << (n + 1) * a for a in range(n))
+    diagonal = sum(1 << w * a for a in range(n))
+    upper = sum(1 << w * a + b for a in range(n) for b in range(a + 1, n))
+    return copies, diagonal, upper
+
+
+def _pair_bits(mask: int, n: int) -> int:
+    """One bit, ``a*(n+2) + b``, for each pair a < b of the points of `mask`
+    in range(n).  Two masks share two points exactly when their pair bits meet.
+
+    Two products build the bits without a loop over the points: ``mask *
+    copies`` puts a copy of `mask` at every multiple of n+1, so bit a of copy
+    a lands at a*(n+2), and the diagonal keeps those bits; `mask` times them
+    then puts a copy of `mask` at a*(n+2) for each point a.  The copies never
+    overlap, so no carries arise.
+    """
+    copies, diagonal, upper = _pair_layout(n)
+    return mask * (mask * copies & diagonal) & upper
+
+
 def from_geometry(points: Iterable[str], lines: Iterable[Iterable[str]]) -> Matroid:
     """The rank-3 matroid on `points` whose bases are the non-collinear triples.
 
@@ -437,11 +461,11 @@ def from_geometry(points: Iterable[str], lines: Iterable[Iterable[str]]) -> Matr
         known = set(points)
         if len(known) != len(points):
             yield "duplicate points"
-        strays = []  # runs whose line uses unknown points
+        strays = set()  # runs whose line uses unknown points
         for u, (line, copies) in enumerate(runs):
             short, stray = len(line) < 3, not line <= known
             if stray:
-                strays.append(u)
+                strays.add(u)
             if short or stray:
                 for _ in range(copies):
                     if short:
@@ -449,21 +473,34 @@ def from_geometry(points: Iterable[str], lines: Iterable[Iterable[str]]) -> Matr
                     if stray:
                         yield f"line {sorted(line)} uses unknown points"
         # Past this point at most two lines use unknown points (three would
-        # have made three problems).  Lines sharing two points meet in an
-        # index of their pairs of known points; the lines with unknown points,
-        # which may share those, are also compared directly.
-        pairs = [list(combinations(sorted(line & known), 2)) for line, _ in runs]
-        through: dict[tuple[str, str], list[int]] = {}
-        for u, own in enumerate(pairs):
-            for pair in own:
-                through.setdefault(pair, []).append(u)
+        # have made three problems).  Two lines share two points when the
+        # pair bits of their known points meet, or, for those two, directly.
+        bit = {p: 1 << i for i, p in enumerate(points)}
+        pairs = [
+            _pair_bits(sum(map(bit.__getitem__, line & known)), len(points))
+            for line, _ in runs
+        ]
+
+        def clash(u: int, v: int) -> bool:
+            if u in strays and v in strays:
+                return len(runs[u][0] & runs[v][0]) > 1
+            return bool(pairs[u] & pairs[v])
+
+        # clashing[u]: line u shares two points with a later line; only the
+        # few lines reached before three problems are compared one by one.
+        clashing = [False] * len(runs)
+        later = 0
+        for u in reversed(range(len(runs))):
+            clashing[u] = bool(pairs[u] & later)
+            later |= pairs[u]
+        for u, v in combinations(sorted(strays), 2):
+            clashing[u] = clashing[u] or clash(u, v)
         # The pairs of lines in order: for each copy of a line, the later
         # copies, then the copies of each later line sharing two points.
         for u, (line, copies) in enumerate(runs):
-            clashes = {v for pair in pairs[u] for v in through[pair]}
-            if u in strays:
-                clashes.update(v for v in strays if len(runs[v][0] & line) > 1)
-            clashes = sorted(v for v in clashes if v > u)
+            clashes = []
+            if clashing[u]:
+                clashes = [v for v in range(u + 1, len(runs)) if clash(u, v)]
             for copy in range(copies):
                 for _ in range(copies - 1 - copy):
                     yield f"duplicate line {sorted(line)}"
@@ -544,23 +581,15 @@ def canonical_form(
     unplaced points whose transposition maps the family onto itself only one
     is tried at each position.
 
-    Two more cuts skip work while the prefix ties with the best image:
-
-    * Candidate filter: if the best image's next entry t is below 2^(j+1),
-      it completes a mask at position j.  Only a point that completes some
-      mask with ``part + 2^j <= t`` can then tie or win; any other point
-      would complete nothing (and fall behind t) or only masks above t.
-      Twins pass or fail the filter together.
-    * Completion bound: an unfinished mask ends at least at
-      ``part + 2^(j+1)·(2^left − 1)``, its points taking the next positions.
-      After a placement that ties, the branch is cut when every unfinished
-      mask's bound exceeds the best image's next entry.
-
-    Both cut only branches whose every completion is strictly larger than
-    the best image, and neither changes the order of the branches left.  So
-    the search meets the same improving images in the same order as without
-    them: the form, the first labelling that reaches it, and the `beat`
-    result are unchanged.
+    A candidate filter saves work at a node whose prefix ties with the best
+    image: if the best image's next entry t is below 2^(j+1), it completes a
+    mask at position j, and only a point that completes some mask with
+    ``part + 2^j <= t`` can tie or win; any other point would complete
+    nothing (and fall behind t) or only masks above t.  So the filter drops
+    only points that the tests above would cut, twins pass or fail it
+    together, and the points left are tried in the same order: the form, the
+    first labelling that reaches it, and the `beat` result are those of the
+    search without it.
     """
     family = frozenset(masks)
     size = len(family)
@@ -604,14 +633,6 @@ def canonical_form(
     best = None if beat is None else list(beat)
     labelling: Optional[tuple[int, ...]] = None
 
-    def hopeless(j: int, nxt: int) -> bool:
-        """The completion bound: every unfinished mask ends above `nxt`."""
-        shift = j + 1
-        for have, need in zip(part, left):
-            if need and have + ((1 << need) - 1 << shift) <= nxt:
-                return False
-        return True
-
     def search(j: int, placed: int, tied: bool) -> bool:
         """Extend the placement from position j; True means stop."""
         nonlocal best, labelling
@@ -624,21 +645,17 @@ def canonical_form(
         bit = 1 << j
         tried = 0
         free = slots[j] & ~placed
-        narrow = tied  # the candidate filter is due: on a tie, and after a new best
+        if tied:
+            # If the best image's next entry t completes a mask at position
+            # j, only points completing a mask at most t remain.
+            t = best[start] if start < size else 0
+            if not t >> j + 1:
+                completing = 0
+                for m, have, need in zip(members, part, left):
+                    if need == 1 and have | bit <= t:
+                        completing |= m
+                free &= completing
         while free:
-            if narrow:
-                # If the best image's next entry t completes a mask at
-                # position j, only points completing a mask at most t remain.
-                narrow = False
-                t = best[start] if start < size else 0
-                if not t >> j + 1:
-                    completing = 0
-                    for m, have, need in zip(members, part, left):
-                        if need == 1 and have | bit <= t:
-                            completing |= m
-                    free &= completing
-                    if not free:
-                        break
             low = free & -free
             free ^= low
             p = low.bit_length() - 1
@@ -647,33 +664,29 @@ def canonical_form(
             tried |= low
             mine = containing[p]
             seg = [part[i] | bit for i in mine if left[i] == 1]
-            if len(seg) > 1:
-                seg.sort()
+            seg.sort()
             end = start + len(seg)
-            # A point that completes nothing keeps a tie: the filter has
-            # dropped such points wherever the best image completes a mask.
-            child_tied = tied
-            if tied and seg:
+            child_tied = False
+            if tied:
                 target = best[start:end]
                 if seg > target:
                     continue
-                if seg < target:
-                    child_tied = False
-                elif end == size or best[end] < bit << 1:
-                    continue
+                if seg == target:
+                    if end == size or best[end] < 2 << j:
+                        continue
+                    child_tied = True
             for i in mine:
                 part[i] |= bit
                 left[i] -= 1
-            if not (child_tied and hopeless(j, best[end])):
-                pos[p] = j
-                prefix.extend(seg)
-                before = labelling
-                if search(j + 1, placed | low, child_tied):
-                    return True
-                del prefix[start:]
-                # A new best found below extends this node's prefix.
-                if labelling is not before:
-                    tied = narrow = True
+            pos[p] = j
+            prefix.extend(seg)
+            before = labelling
+            if search(j + 1, placed | low, child_tied):
+                return True
+            del prefix[start:]
+            # A new best found below extends this node's prefix.
+            if labelling is not before:
+                tied = True
             for i in mine:
                 part[i] ^= bit
                 left[i] += 1

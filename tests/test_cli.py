@@ -6,7 +6,7 @@ import random
 import time
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, islice
 from operator import xor
 
 import pytest
@@ -330,6 +330,14 @@ def test_hostile_input_exits_two(capsys, tmp_path, content, argv, reason):
     assert err.startswith("error: ") and reason in err
 
 
+# 10,000 distinct lines of 60 points on 64, each leaving out four points, in
+# sorted order: the first shares two points with every other line
+_LONG_LINES = sorted(
+    [f"p{i:02d}" for i in range(64) if i not in out]
+    for out in islice(combinations(range(64), 4), 10_000)
+)
+
+
 @pytest.mark.parametrize("doc, reason", [
     ({"elements": [f"p{i}" for i in range(400)], "lines": []},
      "at most 64 elements supported\n"),
@@ -342,11 +350,16 @@ def test_hostile_input_exits_two(capsys, tmp_path, content, argv, reason):
                        for a in range(1, 32) for b in range(1, 32) if a != b})
       + [("q1", "q2", "q3")] * 100_000},
      "not a linear space: " + "; ".join(["duplicate line ['q1', 'q2', 'q3']"] * 3) + "\n"),
-], ids=["400-points", "2000-copies-of-a-line", "linear-space-then-100000-copies"])
+    ({"elements": [f"p{i:02d}" for i in range(64)], "lines": _LONG_LINES[::-1]},
+     "not a linear space: " + "; ".join(
+         f"lines {_LONG_LINES[0]} and {_LONG_LINES[v]} share two points" for v in (1, 2, 3)
+     ) + "\n"),
+], ids=["400-points", "2000-copies-of-a-line", "linear-space-then-100000-copies",
+        "10000-lines-of-60-points"])
 def test_oversized_geometry_exits_two_quickly(capsys, tmp_path, doc, reason):
     # the point cap comes before any line is compared, at most three problems
-    # are collected, and lines are compared through runs of copies and a
-    # point-pair index, not pairwise
+    # are collected, and lines are compared through runs of copies and bit
+    # sets of their point pairs, not pairwise
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
     start = time.perf_counter()

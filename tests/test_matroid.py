@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from rayleigh_kit.catalog import catalog_names, enumerate_simple_rank3, named
 from rayleigh_kit.matroid import (
     Matroid,
+    _pair_bits,
     canonical_form,
     dumps_matroid,
     from_geometry,
@@ -337,6 +338,19 @@ def test_geometry_messages_match_the_reference():
     assert min(outcomes.values()) > 100, outcomes
 
 
+def test_pair_bits():
+    # one bit per pair of points, and two masks share two points exactly
+    # when their pair bits meet
+    rng = random.Random(64)
+    for n in (0, 1, 2, 3, 9, 64):
+        masks = [0, (1 << n) - 1] + [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(30)]
+        for a in masks:
+            k = a.bit_count()
+            assert _pair_bits(a, n).bit_count() == k * (k - 1) // 2
+            for b in masks:
+                assert bool(_pair_bits(a, n) & _pair_bits(b, n)) == ((a & b).bit_count() > 1)
+
+
 def test_json_bases_form_round_trip():
     m = u24()
     text = dumps_matroid(m)
@@ -523,8 +537,8 @@ def test_canonical_form_matches_brute_force():
 
 
 def _reference_canonical_form(masks, n, cells=None, *, beat=None):
-    """The canonical-form search without the candidate filter and the
-    completion bound: the oracle of `canonical_form`, which must return the
+    """The canonical-form search without incremental images and the
+    candidate filter: the oracle of `canonical_form`, which must return the
     same form, the same labelling and the same `beat` result."""
     family = frozenset(masks)
     size = len(family)
