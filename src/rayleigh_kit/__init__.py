@@ -4,60 +4,56 @@ Computes Rayleigh differences Delta M{e,f} of matroid basis generating
 polynomials exactly, builds the explicit sum-of-squares style certificate
 showing every rank-3 matroid is Rayleigh, and enumerates all small
 rank-3 matroids to confirm the statement exhaustively.
+
+Importing the package loads none of its modules: each public name below is
+imported from its module on first use (PEP 562), so a command that needs
+only the census never compiles the certificate code.
 """
 
-from .matroid import (
-    Matroid,
-    from_geometry,
-    is_isomorphic,
-    lines_of,
-    loads_matroid,
-    dumps_matroid,
-    with_parallel_copy,
-)
-from .poly import (
-    GGHH,
-    GGHI,
-    GHIJ,
-    Polynomial,
-    dominates,
-    format_polynomial,
-    parse_polynomial,
-    reciprocal_transform,
-)
-from .rayleigh import (
-    InjectionRecord,
-    PairContext,
-    central_term,
-    closed_pair_filter,
-    decomposition_check,
-    generating_polynomial,
-    lemma31_injection,
-    minor_polynomial,
-    negative_correlation_check,
-    negative_correlation_sample,
-    rayleigh_difference,
-    theta_dominance_check,
-)
-from .catalog import (
-    EnumerationResult,
-    NamedInstance,
-    catalog_names,
-    enumerate_simple_rank3,
-    instance,
-    named,
-    uniform,
-)
-from .certificate import (
-    AnsatzParts,
-    CertificateReport,
-    ReductionResult,
-    TableReport,
-    ansatz_parts,
-    ansatz_polynomial,
-    certify,
-    lemma33_reduce,
-    table_coefficients,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
+# The schema of every JSON report the package writes.
+REPORT_SCHEMA = "rayleigh-kit/1"
+
+_EXPORTS = {
+    "matroid": (
+        "Matroid", "from_geometry", "is_isomorphic", "lines_of",
+        "loads_matroid", "dumps_matroid", "with_parallel_copy",
+    ),
+    "poly": (
+        "GGHH", "GGHI", "GHIJ", "Polynomial", "dominates",
+        "format_polynomial", "parse_polynomial", "reciprocal_transform",
+    ),
+    "rayleigh": (
+        "InjectionRecord", "PairContext", "central_term", "closed_pair_filter",
+        "decomposition_check", "generating_polynomial", "lemma31_injection",
+        "minor_polynomial", "negative_correlation_check",
+        "negative_correlation_sample", "rayleigh_difference",
+        "theta_dominance_check",
+    ),
+    "catalog": (
+        "EnumerationResult", "NamedInstance", "catalog_names",
+        "enumerate_simple_rank3", "instance", "named", "uniform",
+    ),
+    "certificate": (
+        "AnsatzParts", "CertificateReport", "ReductionResult", "TableReport",
+        "ansatz_parts", "ansatz_polynomial", "certify", "lemma33_reduce",
+        "table_coefficients",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    if name in _EXPORTS:  # a module, as after the eager init
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -34,12 +34,11 @@ of expected values per type.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .catalog import enumerate_simple_rank3, named
+from . import REPORT_SCHEMA
 from .matroid import Matroid, canonical_form, line_masks
 from .poly import (
     GGHH,
@@ -65,15 +64,12 @@ from .rayleigh import (
     rayleigh_difference,
 )
 
-REPORT_SCHEMA = "rayleigh-kit/1"
-
 
 # ---------------------------------------------------------------------------
 # The Ansatz.
 
 
-@dataclass(frozen=True)
-class AnsatzParts:
+class AnsatzParts(NamedTuple):
     """The ingredients of one square term T_a = (y_a*B_a - C_a*D_a)^2."""
 
     a: str
@@ -305,8 +301,21 @@ def lemma33_reduce(m: Matroid, e: str, f: str) -> ReductionResult:
 # Certification.
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class _ReportFields(NamedTuple):
+    pair: tuple[str, str]
+    mode: str  # "rank-le-2" | "product" | "reduced-ansatz"
+    reduced_pair_closed: bool
+    reduction_chain: tuple[str, ...]
+    verdict: bool
+    delta_original: Polynomial
+    unreduced_dominance: Optional[bool]
+    matroid: Matroid
+    four_p: dict[int, int]
+    gap: dict[int, int]
+    roots: tuple[tuple[int, dict[int, int]], ...]
+
+
+class CertificateReport(_ReportFields):
     """Outcome of certifying one pair.
 
     `delta`, `P` and `residual` refer to the certified (reduced) matroid;
@@ -332,19 +341,18 @@ class CertificateReport:
     (`delta` by `rayleigh_difference` on the reduced matroid, which is
     built then).  `delta_original` and `unreduced_dominance` are computed by
     `certify`.
+
+    The report is read-only.  The class has no ``__slots__``, so the cached
+    fields live in the instance ``__dict__``, which `cached_property` writes
+    directly; `__setattr__` refuses every other assignment.
     """
 
-    pair: tuple[str, str]
-    mode: str  # "rank-le-2" | "product" | "reduced-ansatz"
-    reduced_pair_closed: bool
-    reduction_chain: tuple[str, ...]
-    verdict: bool
-    delta_original: Polynomial
-    unreduced_dominance: Optional[bool]
-    matroid: Matroid = field(repr=False)
-    four_p: dict[int, int] = field(repr=False)
-    gap: dict[int, int] = field(repr=False)
-    roots: tuple[tuple[int, dict[int, int]], ...] = field(repr=False)
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: the report is read-only")
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields[:7])
+        return f"CertificateReport({shown})"
 
     @cached_property
     def P(self) -> Polynomial:
@@ -637,6 +645,8 @@ def _where(pair: str, m: Matroid, support: tuple[int, ...], family: str) -> str:
 
 
 def _scan_matroids() -> list[tuple[str, Matroid]]:
+    from .catalog import enumerate_simple_rank3, named
+
     out = []
     for n in (4, 5, 6):
         for idx, cls in enumerate(enumerate_simple_rank3(n).classes):
@@ -659,6 +669,8 @@ def table_coefficients(shape_family: str) -> TableReport:
     set.  Coverage requires every row to be hit and every allowed Ansatz
     value to be observed somewhere.
     """
+    from .catalog import named
+
     if shape_family not in _TABLE_ROWS:
         raise ValueError(f"unknown shape family {shape_family!r}")
     rows = _TABLE_ROWS[shape_family]

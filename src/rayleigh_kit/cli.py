@@ -5,6 +5,11 @@ arguments name either a JSON file (basis or geometry form) or a catalog
 instance such as ``K4``, ``fig2.III`` or ``U_2_5``.  Exit codes: 0 success /
 everything verified, 1 a verification failure was found, 2 usage or input
 errors.  Output is byte-deterministic for a fixed invocation and seed.
+
+Each subcommand imports the modules it runs when it runs, so a call pays
+for compiling only those: ``enumerate`` never loads the certificate or the
+Rayleigh-difference code, ``delta`` and ``sample`` never load the
+certificate, and a MATROID given as a file never loads the catalog.
 """
 
 from __future__ import annotations
@@ -16,15 +21,14 @@ import itertools
 import json
 import os
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .catalog import catalog_names, enumerate_simple_rank3, named
-from .certificate import (
-    REPORT_SCHEMA, CertificateReport, certify, table_coefficients,
-)
-from .matroid import Matroid, dumps_matroid, loads_matroid
+from . import REPORT_SCHEMA
 from .poly import GGHH, GGHI, GHIJ, format_polynomial
-from .rayleigh import PairContext, negative_correlation_sample, rayleigh_difference
+
+if TYPE_CHECKING:
+    from .certificate import CertificateReport
+    from .matroid import Matroid
 
 _FAMILY_SHAPES = {
     GGHH: "y_g^2 y_h^2",
@@ -40,12 +44,16 @@ class CliError(Exception):
 def _load_matroid(token: str) -> tuple[Matroid, list[str]]:
     """Interpret the MATROID argument as a file path or a catalog name."""
     if os.path.exists(token):
+        from .matroid import loads_matroid
+
         try:
             with open(token, "r", encoding="utf-8") as fh:
                 m = loads_matroid(fh.read())
         except (ValueError, KeyError, OSError) as exc:
             raise CliError(f"cannot load matroid file {token!r}: {exc}") from exc
     else:
+        from .catalog import catalog_names, named
+
         try:
             m = named(token)
         except (KeyError, ValueError) as exc:
@@ -64,6 +72,8 @@ def _load_matroid(token: str) -> tuple[Matroid, list[str]]:
 
 def _parse_pairs(m: Matroid, tokens: Optional[list[str]]) -> list[tuple[str, str]]:
     if tokens:
+        from .rayleigh import PairContext
+
         out = []
         for token in tokens:
             pieces = [p.strip() for p in token.split(",")]
@@ -119,6 +129,8 @@ def _format_point(m: Matroid, point: dict) -> str:
 def _certify_all(
     m: Matroid, pairs: list[tuple[str, str]]
 ) -> list[CertificateReport]:
+    from .certificate import certify
+
     try:
         return [certify(m, e, f) for e, f in pairs]
     except ValueError as exc:
@@ -164,6 +176,8 @@ def _verify_sampled(
     args: argparse.Namespace, m: Matroid, notes: list[str],
     pairs: list[tuple[str, str]],
 ) -> int:
+    from .rayleigh import negative_correlation_sample
+
     result = negative_correlation_sample(
         m, pairs=pairs, samples=args.samples, seed=args.seed
     )
@@ -210,6 +224,8 @@ def _verify_sampled(
 
 
 def cmd_delta(args: argparse.Namespace) -> int:
+    from .rayleigh import PairContext, rayleigh_difference
+
     m, notes = _load_matroid(args.matroid)
     if args.e is not None or args.f is not None:
         if args.e is None or args.f is None:
@@ -280,6 +296,8 @@ def cmd_certificate(args: argparse.Namespace) -> int:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
+    from .certificate import table_coefficients
+
     families = [GGHH, GGHI, GHIJ] if args.family == "all" else [args.family]
     reports = [table_coefficients(fam) for fam in families]
     if args.format == "json":
@@ -372,6 +390,9 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    from .catalog import enumerate_simple_rank3
+    from .matroid import dumps_matroid
+
     if args.out is None:
         raise CliError("enumerate requires --out DIR")
     try:
@@ -409,6 +430,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    from .rayleigh import negative_correlation_sample
+
     m, notes = _load_matroid(args.matroid)
     pairs = _parse_pairs(m, args.pairs)
     result = negative_correlation_sample(
@@ -462,7 +485,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _sample_count(value: str) -> int:
-    count = int(value)
+    try:
+        count = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {value!r}") from None
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
     return count

@@ -18,7 +18,6 @@ triples {e,f,g} as executable code.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -64,24 +63,28 @@ def minor_polynomial(m: Matroid, contract: Iterable[str], delete: Iterable[str])
     return generating_polynomial(m.minor(contract, delete))
 
 
-@dataclass(frozen=True)
-class PairContext:
+class _Pair(NamedTuple):
+    matroid: Matroid
+    e: str
+    f: str
+
+
+class PairContext(_Pair):
     """A matroid together with a distinguished pair of distinct elements.
 
     This is the one place where a pair, and a third element `g` next to it,
     is checked against the matroid.
     """
 
-    matroid: Matroid
-    e: str
-    f: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        for el in (self.e, self.f):
-            if el not in self.matroid.elements:
+    def __new__(cls, matroid: Matroid, e: str, f: str) -> PairContext:
+        for el in (e, f):
+            if el not in matroid.elements:
                 raise ValueError(f"element {el!r} not in the ground set")
-        if self.e == self.f:
+        if e == f:
             raise ValueError("pair elements must be distinct")
+        return super().__new__(cls, matroid, e, f)
 
     def check_third(self, g: str, *, dependent: bool = False) -> None:
         """Check that g is a ground-set element other than e and f.
@@ -192,8 +195,7 @@ def decomposition_check(ctx: PairContext, g: str) -> bool:
     return delta == y_g * y_g * contracted + y_g * theta + deleted
 
 
-@dataclass(frozen=True)
-class InjectionRecord:
+class InjectionRecord(NamedTuple):
     """One step of the weight-preserving injection behind Theta >> 0.
 
     b1 is a basis containing g but neither e nor f; b2 a basis containing

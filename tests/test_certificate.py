@@ -37,6 +37,7 @@ from rayleigh_kit.rayleigh import (
     closed_pair_filter,
     delta_terms,
     draw_dyadic_point,
+    lemma31_injection,
     minor_polynomial,
     rayleigh_difference,
 )
@@ -260,6 +261,35 @@ def test_certify_k4_pair():
         assert root == ansatz_parts(named("K4"), "1", "2", a).square_root_term()
     assert rep.unreduced_dominance is True
     assert rep.delta_original == rep.delta
+
+
+def test_reports_and_records_are_read_only_values():
+    k4 = named("K4")
+    rep = certify(k4, "1", "2")
+    assert rep.P is rep.P  # built once, on first read
+    ctx = PairContext(k4, "2", "3")
+    record = lemma31_injection(ctx, "5")[0]
+    for value, field in [
+        (ctx, "e"), (ctx, "matroid"), (record, "branch"), (record, "a1"),
+        (ansatz_parts(k4, "1", "2", "3"), "T_a"),
+        (rep, "verdict"), (rep, "gap"), (rep, "P"), (rep, "delta"),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    assert rep.P == ansatz_polynomial(k4, "1", "2")
+    assert repr(rep).startswith("CertificateReport(pair=('1', '2'), mode='reduced-ansatz',")
+    assert "four_p" not in repr(rep)
+
+    same = PairContext(matroid=k4, e="2", f="3")
+    assert same == ctx and hash(same) == hash(ctx)
+    assert PairContext(k4, "3", "2") != ctx
+    assert (same.matroid, same.e, same.f) == (k4, "2", "3")
+    with pytest.raises(ValueError, match=r"^element '9' not in the ground set$"):
+        PairContext(k4, "1", "9")
+    with pytest.raises(ValueError, match=r"^element '0' not in the ground set$"):
+        PairContext(k4, "0", "1")
+    with pytest.raises(ValueError, match=r"^pair elements must be distinct$"):
+        PairContext(k4, "1", "1")
 
 
 def test_certify_reduced_pair():

@@ -3,14 +3,19 @@
 import hashlib
 import json
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from functools import reduce
+from importlib import import_module
 from itertools import combinations, islice
 from operator import xor
+from pathlib import Path
 
 import pytest
 
+import rayleigh_kit
 from rayleigh_kit.catalog import uniform
 from rayleigh_kit.cli import main
 from rayleigh_kit.matroid import Matroid, dumps_matroid, loads_matroid
@@ -404,6 +409,13 @@ def test_samples_below_one_exit_two(capsys, argv):
     assert "usage:" in err and "--samples" in err
 
 
+def test_samples_not_an_integer_exit_two(capsys):
+    code, out, err = run_exit(capsys, "sample", "K4", "--samples", "abc")
+    assert code == 2
+    assert out == ""
+    assert err.endswith("error: argument --samples: must be an integer, got 'abc'\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("delta", "K4", "--seed", "3"),
     ("tables", "--samples", "5"),
@@ -456,3 +468,96 @@ def test_cli_outputs_match_the_pinned_digest(capsys, tmp_path):
         record = [list(template), code, out, err, files]
         digest.update(json.dumps(record).encode() + b"\n")
     assert digest.hexdigest() == _CLI_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# Package surface: what `import rayleigh_kit` offers, and what each
+# subcommand imports.
+
+# Every name the package exported when its init imported all modules eagerly.
+_PUBLIC = {
+    "matroid": ("Matroid", "from_geometry", "is_isomorphic", "lines_of",
+                "loads_matroid", "dumps_matroid", "with_parallel_copy"),
+    "poly": ("GGHH", "GGHI", "GHIJ", "Polynomial", "dominates",
+             "format_polynomial", "parse_polynomial", "reciprocal_transform"),
+    "rayleigh": ("InjectionRecord", "PairContext", "central_term",
+                 "closed_pair_filter", "decomposition_check",
+                 "generating_polynomial", "lemma31_injection", "minor_polynomial",
+                 "negative_correlation_check", "negative_correlation_sample",
+                 "rayleigh_difference", "theta_dominance_check"),
+    "catalog": ("EnumerationResult", "NamedInstance", "catalog_names",
+                "enumerate_simple_rank3", "instance", "named", "uniform"),
+    "certificate": ("AnsatzParts", "CertificateReport", "ReductionResult",
+                    "TableReport", "ansatz_parts", "ansatz_polynomial", "certify",
+                    "lemma33_reduce", "table_coefficients"),
+}
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_public_api_is_unchanged():
+    names = [name for group in _PUBLIC.values() for name in group]
+    assert sorted(rayleigh_kit.__all__) == sorted(names)
+    assert set(names) <= set(dir(rayleigh_kit))
+    for module, group in _PUBLIC.items():
+        for name in group:
+            assert getattr(rayleigh_kit, name) is getattr(
+                import_module(f"rayleigh_kit.{module}"), name), name
+    star: dict = {}
+    exec("from rayleigh_kit import *", star)
+    assert all(star[name] is getattr(rayleigh_kit, name) for name in names)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rayleigh_kit.no_such_name
+    assert rayleigh_kit.__version__ == "0.1.0"
+    # The README's library tour, in a fresh interpreter, where every name
+    # is first resolved through the lazy package init.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1]
+    proc = _python(tour.split("```", 1)[0])
+    assert proc.returncode == 0, proc.stderr
+
+
+# Runs `python -m rayleigh_kit.cli ARGS` and then reports, on the last line
+# of stderr, the package modules and `dataclasses` that the call imported.
+_LOADED_AFTER_MAIN = """
+import json, runpy, sys
+try:
+    runpy.run_module("rayleigh_kit.cli", run_name="__main__", alter_sys=True)
+finally:
+    loaded = [m for m in sys.modules
+              if m.startswith("rayleigh_kit.") or m == "dataclasses"]
+    print(file=sys.stderr)
+    print(json.dumps(sorted(loaded)), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (("verify", "{tmp}/u35.json"), ("certificate", "matroid", "poly", "rayleigh")),
+    (("verify", "K4"), ("catalog", "certificate", "matroid", "poly", "rayleigh")),
+    (("certificate", "K4"), ("catalog", "certificate", "matroid", "poly", "rayleigh")),
+    (("tables", "--family", "GGHH"),
+     ("catalog", "certificate", "matroid", "poly", "rayleigh")),
+    (("delta", "K4", "1", "2"), ("catalog", "matroid", "poly", "rayleigh")),
+    (("sample", "K4", "--samples", "20"), ("catalog", "matroid", "poly", "rayleigh")),
+    (("sample", "{tmp}/u35.json", "--samples", "20"), ("matroid", "poly", "rayleigh")),
+    (("enumerate", "5", "--out", "{tmp}/n5"), ("catalog", "matroid", "poly")),
+])
+def test_each_subcommand_imports_only_what_it_runs(tmp_path, argv, loaded):
+    # A stray top-level import would silently bring back the start-up cost
+    # of compiling modules a command never runs.
+    (tmp_path / "u35.json").write_text(dumps_matroid(uniform(3, 5)))
+    proc = _python(_LOADED_AFTER_MAIN, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    modules = json.loads(proc.stderr.splitlines()[-1])
+    assert modules == [f"rayleigh_kit.{name}" for name in loaded]
+
+
+def test_importing_the_package_loads_no_submodule():
+    proc = _python("import sys, rayleigh_kit; "
+                   "print(sorted(m for m in sys.modules if m.startswith('rayleigh_kit')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['rayleigh_kit']\n"
