@@ -15,6 +15,11 @@ from importlib import import_module
 __version__ = "0.1.0"
 # The schema of every JSON report the package writes.
 REPORT_SCHEMA = "rayleigh-kit/1"
+# The degree-4 monomial shapes (see `poly`), named here so that the command
+# line parser offers them without loading the polynomial code.
+GGHH = "GGHH"
+GGHI = "GGHI"
+GHIJ = "GHIJ"
 
 _EXPORTS = {
     "matroid": (
@@ -22,7 +27,7 @@ _EXPORTS = {
         "loads_matroid", "dumps_matroid", "with_parallel_copy",
     ),
     "poly": (
-        "GGHH", "GGHI", "GHIJ", "Polynomial", "dominates",
+        "Polynomial", "dominates",
         "format_polynomial", "parse_polynomial", "reciprocal_transform",
     ),
     "rayleigh": (
@@ -44,7 +49,7 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = list(_HOME)
+__all__ = ["GGHH", "GGHI", "GHIJ", *_HOME]
 
 
 def __getattr__(name: str):

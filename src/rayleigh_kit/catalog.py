@@ -18,7 +18,7 @@ import re
 from functools import lru_cache
 from typing import NamedTuple
 
-from .matroid import Matroid, canonical_form, from_geometry
+from .matroid import Matroid, canonical_form, from_geometry, transposition_twins
 
 
 class NamedInstance(NamedTuple):
@@ -138,6 +138,13 @@ def enumerate_simple_rank3(n: int) -> EnumerationResult:
 
     Deterministic: classes are sorted by (number of lines, mask tuple) of their
     canonical line sets.
+
+    Each node first finds the transposition twins of its line set `current`
+    and skips a candidate `line` holding a point q whose twin p < q is off
+    it, without the canonicity test.  That test would fail: the swap (p q)
+    maps ``grown = current + (line,)`` to ``current | {line - q + p}``, and
+    ``line - q + p < line`` while `line` exceeds every member of `current`,
+    so the sorted image is lex-smaller than `grown`.
     """
     if not 3 <= n <= _MAX_N:
         raise ValueError(f"n must be between 3 and {_MAX_N}, got {n}")
@@ -146,9 +153,15 @@ def enumerate_simple_rank3(n: int) -> EnumerationResult:
 
     def extend(current: tuple[int, ...], start: int) -> None:
         found.append(current)
+        twins = transposition_twins(frozenset(current), n)
+        # (1 << q, the twins of q below q) for each point q that has one
+        lowered = [(1 << q, t & (1 << q) - 1) for q, t in enumerate(twins)
+                   if t & (1 << q) - 1]
         for idx in range(start, len(candidates)):
             line = candidates[idx]
             if any(bin(line & prev).count("1") > 1 for prev in current):
+                continue
+            if any(line & bit and below & ~line for bit, below in lowered):
                 continue
             grown = current + (line,)
             if _is_canonical(grown, n):

@@ -38,12 +38,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from . import REPORT_SCHEMA
+from . import GGHH, GGHI, GHIJ, REPORT_SCHEMA
 from .matroid import Matroid, canonical_form, line_masks
 from .poly import (
-    GGHH,
-    GGHI,
-    GHIJ,
     PACKED_BITS,
     Polynomial,
     _SHAPE_EXPONENTS,

@@ -7,9 +7,9 @@ everything verified, 1 a verification failure was found, 2 usage or input
 errors.  Output is byte-deterministic for a fixed invocation and seed.
 
 Each subcommand imports the modules it runs when it runs, so a call pays
-for compiling only those: ``enumerate`` never loads the certificate or the
-Rayleigh-difference code, ``delta`` and ``sample`` never load the
-certificate, and a MATROID given as a file never loads the catalog.
+for compiling only those: ``enumerate`` never loads the certificate, the
+Rayleigh-difference or the polynomial code, ``delta`` and ``sample`` never
+load the certificate, and a MATROID given as a file never loads the catalog.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Optional
 
-from . import REPORT_SCHEMA
-from .poly import GGHH, GGHI, GHIJ, format_polynomial
+from . import GGHH, GGHI, GHIJ, REPORT_SCHEMA
 
 if TYPE_CHECKING:
     from .certificate import CertificateReport
@@ -224,6 +223,7 @@ def _verify_sampled(
 
 
 def cmd_delta(args: argparse.Namespace) -> int:
+    from .poly import format_polynomial
     from .rayleigh import PairContext, rayleigh_difference
 
     m, notes = _load_matroid(args.matroid)
@@ -264,6 +264,8 @@ def cmd_delta(args: argparse.Namespace) -> int:
 
 
 def cmd_certificate(args: argparse.Namespace) -> int:
+    from .poly import format_polynomial
+
     m, notes = _load_matroid(args.matroid)
     pairs = _parse_pairs(m, args.pairs)
     reports = _certify_all(m, pairs)

@@ -28,6 +28,7 @@ __all__ = [
     "Matroid",
     "SimplifyResult",
     "canonical_form",
+    "transposition_twins",
     "from_geometry",
     "is_isomorphic",
     "line_masks",
@@ -552,6 +553,40 @@ def lines_of(m: Matroid) -> list[tuple[str, ...]]:
 # Canonical forms and isomorphism.
 
 
+def transposition_twins(
+    family: frozenset[int], n: int, cell_of: Optional[list[int]] = None
+) -> list[int]:
+    """``twins[p]``: the points q of p's cell whose transposition with p maps
+    the family of bitmasks onto itself.
+
+    ``cell_of[p]`` is the bitmask of the cell holding point p (default: one
+    cell of all n points).  The relation is symmetric, and a point is never
+    its own twin.
+    """
+    if cell_of is None:
+        cell_of = [(1 << n) - 1] * n
+    degree = [0] * n  # an automorphism keeps each point's degree
+    for m in family:
+        while m:
+            low = m & -m
+            degree[low.bit_length() - 1] += 1
+            m ^= low
+    twins = [0] * n
+    for p in range(n):
+        later = cell_of[p] >> p + 1 << p + 1  # the points after p in its cell
+        while later:
+            low = later & -later
+            later ^= low
+            q = low.bit_length() - 1
+            swap = 1 << p | low
+            if degree[q] == degree[p] and all(
+                (m ^ swap) in family for m in family if (m & swap) not in (0, swap)
+            ):
+                twins[p] |= low
+                twins[q] |= 1 << p
+    return twins
+
+
 def canonical_form(
     masks: Iterable[int],
     n: int,
@@ -613,20 +648,7 @@ def canonical_form(
             m ^= low
     part = [0] * len(members)  # part[i]: the image of members[i]'s placed points
     left = [m.bit_count() for m in members]  # left[i]: its unplaced points
-    twins = [0] * n  # twins[p]: points q of p's cell with (p q) an automorphism
-    for p in range(n):
-        degree = len(containing[p])  # an automorphism keeps each point's degree
-        later = cell_of[p] >> p + 1 << p + 1  # the points after p in its cell
-        while later:
-            low = later & -later
-            later ^= low
-            q = low.bit_length() - 1
-            swap = 1 << p | low
-            if len(containing[q]) == degree and all(
-                (m ^ swap) in family for m in family if (m & swap) not in (0, swap)
-            ):
-                twins[p] |= low
-                twins[q] |= 1 << p
+    twins = transposition_twins(family, n, cell_of)
 
     pos = [0] * n
     prefix = [0] if 0 in family else []

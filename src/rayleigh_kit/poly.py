@@ -13,6 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Union
 
+from . import GGHH, GGHI, GHIJ
+
 Coeff = Union[int, Fraction]
 
 # A monomial is a tuple of (variable, exponent) pairs, sorted by variable,
@@ -435,11 +437,8 @@ def reciprocal_transform(p: Polynomial, scope: Iterable[str], cap: int) -> Polyn
 # ---------------------------------------------------------------------------
 # Degree-4 monomial shapes: GGHH is y_g^2 y_h^2, GGHI is y_g^2 y_h y_i and
 # GHIJ is y_g y_h y_i y_j.  A shape's support lists its distinct variables in
-# the order of its exponents, so for GGHI the squared one comes first.
-
-GGHH = "GGHH"
-GGHI = "GGHI"
-GHIJ = "GHIJ"
+# the order of its exponents, so for GGHI the squared one comes first.  The
+# names themselves live in the package init.
 
 _SHAPE_EXPONENTS = {GGHH: (2, 2), GGHI: (2, 1, 1), GHIJ: (1, 1, 1, 1)}
 

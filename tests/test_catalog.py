@@ -5,9 +5,11 @@ import random
 
 import pytest
 
+from rayleigh_kit import catalog
 from rayleigh_kit.catalog import (
     EnumerationResult,
     _candidate_lines,
+    _is_canonical,
     _space_matroid,
     catalog_names,
     enumerate_simple_rank3,
@@ -15,7 +17,13 @@ from rayleigh_kit.catalog import (
     named,
     uniform,
 )
-from rayleigh_kit.matroid import Matroid, canonical_form, is_isomorphic, lines_of
+from rayleigh_kit.matroid import (
+    Matroid,
+    canonical_form,
+    is_isomorphic,
+    line_masks,
+    lines_of,
+)
 
 
 def canonical_line_key(masks, n):
@@ -126,6 +134,54 @@ def test_enumeration_matches_naive_path():
         assert fast.count == slow.count
         for a, b in zip(fast.classes, slow.classes):
             assert is_isomorphic(a, b) is not None
+
+
+def unpruned_orderly_search(n):
+    """The orderly search without the parent-twin cut: every compatible
+    candidate line goes through the canonicity test."""
+    candidates = _candidate_lines(n)
+    found = []
+
+    def extend(current, start):
+        found.append(current)
+        for idx in range(start, len(candidates)):
+            line = candidates[idx]
+            if any(bin(line & prev).count("1") > 1 for prev in current):
+                continue
+            grown = current + (line,)
+            if _is_canonical(grown, n):
+                extend(grown, idx + 1)
+
+    extend((), 0)
+    return sorted(found, key=lambda masks: (len(masks), masks))
+
+
+def test_parent_twin_cut_keeps_every_class_in_order():
+    # The cut only drops line sets the canonicity test rejects, so the
+    # census is the unpruned search's, mask for mask and in the same order.
+    for n in range(3, 9):
+        classes = enumerate_simple_rank3(n).classes
+        assert [line_masks(m) for m in classes] == unpruned_orderly_search(n), n
+
+
+def test_census_canonicity_tests(monkeypatch):
+    # The parent-twin cut leaves 228 canonicity tests for n = 3..8 (990
+    # without it); of these, 101 accept a line set.
+    verdicts = []
+
+    def counted(masks, n):
+        verdicts.append(_is_canonical(masks, n))
+        return verdicts[-1]
+
+    monkeypatch.setattr(catalog, "_is_canonical", counted)
+    enumerate_simple_rank3.cache_clear()
+    try:
+        for n in range(3, 9):
+            enumerate_simple_rank3(n)
+    finally:
+        enumerate_simple_rank3.cache_clear()
+    assert len(verdicts) == 228
+    assert verdicts.count(True) == 101
 
 
 def test_census_count_n9():

@@ -21,6 +21,7 @@ from rayleigh_kit.matroid import (
     loads_matroid,
     matroid_from_json_dict,
     matroid_to_json_dict,
+    transposition_twins,
     with_parallel_copy,
 )
 
@@ -655,6 +656,42 @@ def test_canonical_form_matches_the_reference_search():
             ), (masks, n, cells, beat)
         checked += 1
     assert checked == 2 * 2 * 107 + 400
+
+
+def _swapped(mask, p, q):
+    if (mask >> p ^ mask >> q) & 1:
+        return mask ^ (1 << p | 1 << q)
+    return mask
+
+
+def test_transposition_twins_match_brute_force():
+    rng = random.Random(1978)
+    found = 0
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        family = {rng.randrange(1 << n) for _ in range(rng.randint(0, 10))}
+        if n >= 2 and rng.random() < 0.5:
+            # close the family under a random transposition, so twins occur
+            p, q = rng.sample(range(n), 2)
+            family |= {_swapped(m, p, q) for m in family}
+        points = list(range(n))
+        rng.shuffle(points)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) if n else []
+        cells = [points[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+        cell_of = [0] * n
+        for cell in cells:
+            for p in cell:
+                cell_of[p] = sum(1 << x for x in cell)
+        family = frozenset(family)
+        expected = [0] * n
+        for p, q in itertools.permutations(range(n), 2):
+            if cell_of[p] >> q & 1 and {_swapped(m, p, q) for m in family} == family:
+                expected[p] |= 1 << q
+        assert transposition_twins(family, n, cell_of) == expected, (family, n, cells)
+        if len(cells) == 1:
+            assert transposition_twins(family, n) == expected
+        found += sum(bin(t).count("1") for t in expected)
+    assert found > 200  # the cases do exercise twins (288 twin bits)
 
 
 def test_canonical_form_cells_must_partition():
