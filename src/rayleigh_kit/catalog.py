@@ -2,7 +2,7 @@
 
 The named instances are point-line geometries (linear spaces) listed in a
 table below, plus uniform matroids built on demand from a ``U_r_m`` name.  The
-enumerator produces every isomorphism class of linear space on n <= 9 points
+enumerator produces every isomorphism class of linear space on n <= 10 points
 (equivalently, every simple rank-3 matroid) by an orderly search: a line set is
 represented as the ascending tuple of its line bitmasks, and a set is kept only
 if that tuple is lexicographically minimal over all relabelings of the points.
@@ -18,7 +18,13 @@ import re
 from functools import lru_cache
 from typing import NamedTuple
 
-from .matroid import Matroid, canonical_form, from_geometry, transposition_twins
+from .matroid import (
+    Matroid,
+    _pair_bits,
+    canonical_form,
+    from_geometry,
+    transposition_twins,
+)
 
 
 class NamedInstance(NamedTuple):
@@ -110,7 +116,7 @@ def named(name: str) -> Matroid:
 # ---------------------------------------------------------------------------
 # Orderly enumeration of linear spaces.
 
-_MAX_N = 9
+_MAX_N = 10
 
 
 def _is_canonical(masks: tuple[int, ...], n: int) -> bool:
@@ -134,10 +140,15 @@ def _space_matroid(masks: tuple[int, ...], n: int) -> Matroid:
 
 @lru_cache(maxsize=None)
 def enumerate_simple_rank3(n: int) -> EnumerationResult:
-    """All isomorphism classes of simple rank-3 matroids on n points, 3 <= n <= 9.
+    """All isomorphism classes of simple rank-3 matroids on n points, 3 <= n <= 10.
 
     Deterministic: classes are sorted by (number of lines, mask tuple) of their
     canonical line sets.
+
+    A candidate line may join `current` only if it shares at most one point
+    with each of its lines.  Each candidate's point-pair bits (`_pair_bits`)
+    are computed once, and each node receives the OR of the pair bits of
+    its lines, so the test is one AND.
 
     Each node first finds the transposition twins of its line set `current`
     and skips a candidate `line` holding a point q whose twin p < q is off
@@ -149,25 +160,26 @@ def enumerate_simple_rank3(n: int) -> EnumerationResult:
     if not 3 <= n <= _MAX_N:
         raise ValueError(f"n must be between 3 and {_MAX_N}, got {n}")
     candidates = _candidate_lines(n)
+    pairs = [_pair_bits(line, n) for line in candidates]
     found: list[tuple[int, ...]] = []
 
-    def extend(current: tuple[int, ...], start: int) -> None:
+    def extend(current: tuple[int, ...], start: int, covered: int) -> None:
         found.append(current)
         twins = transposition_twins(frozenset(current), n)
         # (1 << q, the twins of q below q) for each point q that has one
         lowered = [(1 << q, t & (1 << q) - 1) for q, t in enumerate(twins)
                    if t & (1 << q) - 1]
         for idx in range(start, len(candidates)):
-            line = candidates[idx]
-            if any(bin(line & prev).count("1") > 1 for prev in current):
+            if pairs[idx] & covered:  # shares two points with a line
                 continue
+            line = candidates[idx]
             if any(line & bit and below & ~line for bit, below in lowered):
                 continue
             grown = current + (line,)
             if _is_canonical(grown, n):
-                extend(grown, idx + 1)
+                extend(grown, idx + 1, covered | pairs[idx])
 
-    extend((), 0)
+    extend((), 0, 0)
     found.sort(key=lambda masks: (len(masks), masks))
     classes = tuple(_space_matroid(masks, n) for masks in found)
     return EnumerationResult(n, classes, len(classes))

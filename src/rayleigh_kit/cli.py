@@ -4,7 +4,8 @@ Subcommands: verify, delta, certificate, tables, enumerate, sample.  Matroid
 arguments name either a JSON file (basis or geometry form) or a catalog
 instance such as ``K4``, ``fig2.III`` or ``U_2_5``.  Exit codes: 0 success /
 everything verified, 1 a verification failure was found, 2 usage or input
-errors.  Output is byte-deterministic for a fixed invocation and seed.
+errors.  A stdout closed early (``| head``) ends the run quietly with exit
+code 1.  Output is byte-deterministic for a fixed invocation and seed.
 
 Each subcommand imports the modules it runs when it runs, so a call pays
 for compiling only those: ``enumerate`` never loads the certificate, the
@@ -555,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("enumerate", help="write all simple rank-3 classes on n points")
-    p.add_argument("n", type=int, help="ground set size (3..9)")
+    p.add_argument("n", type=int, help="ground set size (3..10)")
     _add_common(p, pairs=False)
     p.set_defaults(func=cmd_enumerate)
 
@@ -580,11 +581,18 @@ def main(argv: Optional[list[str]] = None) -> int:
             ext = "json" if args.format == "json" else "txt"
             _write_files(args.out, [(f"{args.command}.{ext}", text)])
             sys.stdout.write(text)
-            return code
-        return args.func(args)
+        else:
+            code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  Point stdout at
+        # devnull, so the flush at exit has somewhere to go, and end quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

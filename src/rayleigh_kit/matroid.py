@@ -616,15 +616,27 @@ def canonical_form(
     unplaced points whose transposition maps the family onto itself only one
     is tried at each position.
 
-    A candidate filter saves work at a node whose prefix ties with the best
-    image: if the best image's next entry t is below 2^(j+1), it completes a
-    mask at position j, and only a point that completes some mask with
-    ``part + 2^j <= t`` can tie or win; any other point would complete
-    nothing (and fall behind t) or only masks above t.  So the filter drops
-    only points that the tests above would cut, twins pass or fail it
-    together, and the points left are tried in the same order: the form, the
-    first labelling that reaches it, and the `beat` result are those of the
-    search without it.
+    A look-ahead filter saves work at a node whose prefix ties with the best
+    image.  Let t be the best image's next entry.  The next entry of a
+    branch's image is the least final image of an unfinished mask, so the
+    branch can tie or win only if some unfinished mask ends at most t; and a
+    mask whose last point goes to position k ends at least at 2^k.  With
+    point p at position j, the least image of an unfinished mask m is
+    ``part | bits j..j+left-1`` if m holds p, and ``part | bits j+1..j+left``
+    if not.  So if the second bound is at most t for some m, every free point
+    passes; otherwise only the points of the masks whose first bound is at
+    most t do.  With t's last bit at position k and r = k - j + 1, a mask
+    with ``left > r`` meets neither bound; one with ``left == r`` meets only
+    the first, if ``part | bits j..k <= t``; one with ``left == r - 1``
+    meets the first, and the second if ``part | bits j+1..k <= t``; and one
+    with ``left < r - 1`` meets both.  Each dropped point starts a branch
+    that can only lose.  The
+    filter is set at node entry and stays safe, as the best image only
+    decreases.  The swap of two free twins maps the masks holding one onto
+    those holding the other, with the same ``part`` and ``left``, so twins
+    pass or fail together, and the points left are tried in the same order.
+    So the form, the first labelling that reaches it, and the `beat` result
+    are those of the search without the filter.
     """
     family = frozenset(masks)
     size = len(family)
@@ -668,15 +680,22 @@ def canonical_form(
         tried = 0
         free = slots[j] & ~placed
         if tied:
-            # If the best image's next entry t completes a mask at position
-            # j, only points completing a mask at most t remain.
+            # Keep only points after which some unfinished mask can still
+            # end at most t, the best image's next entry (see above).
             t = best[start] if start < size else 0
-            if not t >> j + 1:
-                completing = 0
-                for m, have, need in zip(members, part, left):
-                    if need == 1 and have | bit <= t:
-                        completing |= m
-                free &= completing
+            reach = (t >> j).bit_length()  # k - j + 1, t's last bit at k
+            last = ((1 << reach) - 1) << j  # bits j..k
+            keep = 0
+            for m, have, need in zip(members, part, left):
+                if need == reach:
+                    if have | last <= t:  # with p at j
+                        keep |= m
+                elif need and need < reach:  # with p at j, below 2^k
+                    if need < reach - 1 or have | last ^ bit <= t:
+                        break  # and without p: every point passes
+                    keep |= m
+            else:
+                free &= keep
         while free:
             low = free & -free
             free ^= low

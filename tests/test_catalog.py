@@ -19,6 +19,7 @@ from rayleigh_kit.catalog import (
 )
 from rayleigh_kit.matroid import (
     Matroid,
+    _pair_bits,
     canonical_form,
     is_isomorphic,
     line_masks,
@@ -184,16 +185,44 @@ def test_census_canonicity_tests(monkeypatch):
     assert verdicts.count(True) == 101
 
 
+def _census_digest(n):
+    """SHA-256 of the line masks of the n-point classes, in census order."""
+    masks = [line_masks(m) for m in enumerate_simple_rank3(n).classes]
+    return hashlib.sha256(repr(masks).encode()).hexdigest()
+
+
 def test_census_count_n9():
-    # 383 classes on nine points (the same 2012 census)
+    # 383 classes on nine points (the same 2012 census); the digest pins
+    # every class and their order, not only their count
     assert enumerate_simple_rank3(9).count == 383
+    assert _census_digest(9) == (
+        "e00816239bc8ddae34defe776c74639f62d4961b6785f7aaf9bf570978a907a3")
+
+
+@pytest.mark.slow
+def test_census_n10():
+    # 5249 classes on ten points (the same census), in a pinned order
+    assert enumerate_simple_rank3(10).count == 5249
+    assert _census_digest(10) == (
+        "c73dafbc3994b23607eb5d1ca3254457f12c3c9895e7904fc34afb9ddd524e66")
+
+
+def test_pair_bits_find_the_lines_sharing_two_points():
+    # The enumeration's clash test, one AND of pair bits, agrees with
+    # counting the common points of every two candidate lines.
+    for n in range(3, 9):
+        candidates = _candidate_lines(n)
+        pairs = [_pair_bits(line, n) for line in candidates]
+        for a, pa in zip(candidates, pairs):
+            for b, pb in zip(candidates, pairs):
+                assert bool(pa & pb) == (bin(a & b).count("1") > 1), (n, a, b)
 
 
 def test_enumeration_guards():
     with pytest.raises(ValueError):
         enumerate_simple_rank3(2)
     with pytest.raises(ValueError):
-        enumerate_simple_rank3(10)
+        enumerate_simple_rank3(11)
 
 
 def test_enumeration_is_deterministic():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -315,13 +316,13 @@ _TOO_MANY = json.dumps(
     ("", ("verify", "K4", "--out", "{path}/sub"), "cannot write to --out"),
     ("", ("enumerate", "4", "--out", "{path}"), "cannot write to --out"),
     # beyond the census bound
-    ("", ("enumerate", "10", "--out", "{path}.d"), "n must be between 3 and 9, got 10\n"),
+    ("", ("enumerate", "11", "--out", "{path}.d"), "n must be between 3 and 10, got 11\n"),
 ], ids=["directory", "deep-nesting", "list-basis-entry", "list-element-id",
         "list-line-entry", "empty-bases-rank-0", "comma-in-element-id", "rank-true",
         "rank-false", "duplicate-element-ids", "65-elements", "lines-share-two-points",
         "two-point-line", "unknown-point", "duplicate-points", "duplicate-line",
         "fewer-than-three-points", "all-points-collinear", "out-is-a-file",
-        "out-below-a-file", "enumerate-out-is-a-file", "enumerate-10"])
+        "out-below-a-file", "enumerate-out-is-a-file", "enumerate-11"])
 def test_hostile_input_exits_two(capsys, tmp_path, content, argv, reason):
     path = tmp_path / "input.json"
     if content is None:
@@ -561,3 +562,25 @@ def test_importing_the_package_loads_no_submodule():
                    "print(sorted(m for m in sys.modules if m.startswith('rayleigh_kit')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "['rayleigh_kit']\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "K4"),
+    ("tables", "--format", "json"),
+    ("certificate", "K4", "--out", "{tmp}/report"),
+    ("enumerate", "6", "--out", "{tmp}/n6"),
+])
+def test_a_closed_stdout_ends_the_run_quietly(tmp_path, argv):
+    # The read end of the pipe is closed before the child starts, so its
+    # first write to stdout always meets a closed pipe.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rayleigh_kit.cli",
+             *(arg.format(tmp=tmp_path) for arg in argv)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=300)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 1
