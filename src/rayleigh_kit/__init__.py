@@ -23,7 +23,7 @@ GHIJ = "GHIJ"
 
 _EXPORTS = {
     "matroid": (
-        "Matroid", "from_geometry", "is_isomorphic", "lines_of",
+        "Matroid", "from_geometry", "lines_of",
         "loads_matroid", "dumps_matroid", "with_parallel_copy",
     ),
     "poly": (
@@ -43,7 +43,7 @@ _EXPORTS = {
     ),
     "certificate": (
         "AnsatzParts", "CertificateReport", "ReductionResult", "TableReport",
-        "ansatz_parts", "ansatz_polynomial", "certify", "lemma33_reduce",
+        "ansatz_parts", "certify", "lemma33_reduce",
         "table_coefficients",
     ),
 }

@@ -155,13 +155,6 @@ def ansatz_parts(m: Matroid, e: str, f: str, a: str) -> AnsatzParts:
     )
 
 
-def ansatz_polynomial(m: Matroid, e: str, f: str) -> Polynomial:
-    """P = 1/4 * sum of T_a over all a outside {e,f}; a sum of squares."""
-    _require_rank3(m)
-    PairContext(m, e, f)
-    return from_packed(_four_p_terms(_squares(m, e, f)), m.elements) * Fraction(1, 4)
-
-
 def _gap(delta: dict[int, int], four_p: dict[int, int]) -> dict[int, int]:
     """4*Delta - 4P as packed terms: Delta >> P iff none is negative."""
     gap = {key: 4 * coeff for key, coeff in delta.items()}
@@ -322,13 +315,7 @@ class CertificateReport(_ReportFields):
     the dominance already held there (None outside the reduced-ansatz mode).
     It is decided by a lemma, not by a second ansatz: with a non-empty
     chain it is False, and without one the input is the reduced matroid, so
-    it is `verdict`.  Proof of the first case: take a in the chain.  If a is
-    parallel to neither e nor f, its root holds -y_e*y_f and no root holds
-    y_e^2 or y_f^2, so 4P has y_e^2*y_f^2, which Delta (free of y_e and
-    y_f) lacks.  If a is parallel to e (or f), a point u off the line of
-    {e,f} gives a's root the term y_a*y_u with coefficient 1 and no root
-    holds y_a^2 and y_u^2 together, so 4P has y_a^2*y_u^2, while no basis
-    holds a with e, so y_a^2 is in no term of Delta.  See `certify`.
+    it is `verdict`.  The lemma and its proof are in `certify`'s docstring.
 
     The report keeps what `certify` decided on, as packed terms over the
     positions of the input `matroid` (see `poly.pack_mask`): `four_p` is
@@ -609,7 +596,7 @@ def _pinned_key(
     keep = sum(1 << i for i in support) | 1 << e | 1 << f
     cells.append([i for i in range(n) if not keep >> i & 1])
     masks = [line & keep for line in lines if (line & keep).bit_count() >= 3]
-    return canonical_form(masks, n, cells)[0]
+    return canonical_form(masks, n, cells)
 
 
 def _pair_terms(m: Matroid, e: str, f: str) -> tuple[dict[int, int], ...]:

@@ -41,8 +41,12 @@ class CliError(Exception):
     """Usage or input problem; maps to exit code 2."""
 
 
-def _load_matroid(token: str) -> tuple[Matroid, list[str]]:
-    """Interpret the MATROID argument as a file path or a catalog name."""
+def _load_matroid(token: str) -> tuple[Matroid, list[str], tuple[str, ...]]:
+    """Interpret the MATROID argument as a file path or a catalog name.
+
+    Returns the matroid with its loops removed, the notes to print, and the
+    removed loops.
+    """
     if os.path.exists(token):
         from .matroid import loads_matroid
 
@@ -67,10 +71,12 @@ def _load_matroid(token: str) -> tuple[Matroid, list[str]]:
         # Loops never lie in a basis, so removing them changes no check.
         m = m.delete(loops)
         notes.append(f"removed loops: {', '.join(loops)}")
-    return m, notes
+    return m, notes, loops
 
 
-def _parse_pairs(m: Matroid, tokens: Optional[list[str]]) -> list[tuple[str, str]]:
+def _parse_pairs(
+    m: Matroid, tokens: Optional[list[str]], loops: tuple[str, ...]
+) -> list[tuple[str, str]]:
     if tokens:
         from .rayleigh import PairContext
 
@@ -80,6 +86,12 @@ def _parse_pairs(m: Matroid, tokens: Optional[list[str]]) -> list[tuple[str, str
             if len(pieces) != 2:
                 raise CliError(f"--pairs expects 'e,f', got {token!r}")
             e, f = pieces
+            for el in (e, f):
+                if el in loops:
+                    raise CliError(
+                        f"element {el!r} is a loop of the input; "
+                        "loops are removed before any check"
+                    )
             try:
                 PairContext(m, e, f)
             except ValueError as exc:
@@ -138,8 +150,8 @@ def _certify_all(
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    m, notes = _load_matroid(args.matroid)
-    pairs = _parse_pairs(m, args.pairs)
+    m, notes, loops = _load_matroid(args.matroid)
+    pairs = _parse_pairs(m, args.pairs, loops)
     if m.rank > 3:
         return _verify_sampled(args, m, notes, pairs)
     reports = _certify_all(m, pairs)
@@ -227,15 +239,15 @@ def cmd_delta(args: argparse.Namespace) -> int:
     from .poly import format_polynomial
     from .rayleigh import PairContext, rayleigh_difference
 
-    m, notes = _load_matroid(args.matroid)
+    m, notes, loops = _load_matroid(args.matroid)
     if args.e is not None or args.f is not None:
         if args.e is None or args.f is None:
             raise CliError("give both elements: delta MATROID E F")
         if args.pairs:
             raise CliError("use either positional E F or --pairs, not both")
-        pairs = _parse_pairs(m, [f"{args.e},{args.f}"])
+        pairs = _parse_pairs(m, [f"{args.e},{args.f}"], loops)
     else:
-        pairs = _parse_pairs(m, args.pairs)
+        pairs = _parse_pairs(m, args.pairs, loops)
     deltas = [
         (pair, rayleigh_difference(PairContext(m, pair[0], pair[1])))
         for pair in pairs
@@ -267,8 +279,8 @@ def cmd_delta(args: argparse.Namespace) -> int:
 def cmd_certificate(args: argparse.Namespace) -> int:
     from .poly import format_polynomial
 
-    m, notes = _load_matroid(args.matroid)
-    pairs = _parse_pairs(m, args.pairs)
+    m, notes, loops = _load_matroid(args.matroid)
+    pairs = _parse_pairs(m, args.pairs, loops)
     reports = _certify_all(m, pairs)
     if args.format == "text":
         _print_notes(notes)
@@ -435,8 +447,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     from .rayleigh import negative_correlation_sample
 
-    m, notes = _load_matroid(args.matroid)
-    pairs = _parse_pairs(m, args.pairs)
+    m, notes, loops = _load_matroid(args.matroid)
+    pairs = _parse_pairs(m, args.pairs, loops)
     result = negative_correlation_sample(
         m, pairs=pairs, samples=args.samples, seed=args.seed
     )

@@ -30,7 +30,6 @@ __all__ = [
     "canonical_form",
     "transposition_twins",
     "from_geometry",
-    "is_isomorphic",
     "line_masks",
     "lines_of",
     "with_parallel_copy",
@@ -550,7 +549,7 @@ def lines_of(m: Matroid) -> list[tuple[str, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Canonical forms and isomorphism.
+# Canonical forms.
 
 
 def transposition_twins(
@@ -593,18 +592,19 @@ def canonical_form(
     cells: Optional[Iterable[Iterable[int]]] = None,
     *,
     beat: Optional[tuple[int, ...]] = None,
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+) -> Optional[tuple[int, ...]]:
     """Lex-minimal image of a family of bitmasks over relabellings of range(n).
 
-    A relabelling sends point i to position ``labelling[i]``; the image of the
-    family is the ascending tuple of its relabelled masks.  `cells` is an
-    ordered partition of range(n) (default: one cell): the points of the first
-    cell take the first positions, those of the second the next ones, and so
-    on.  Returns ``(form, labelling)`` for the minimal image.
+    A relabelling sends each point to a position; the image of the family is
+    the ascending tuple of its relabelled masks.  `cells` is an ordered
+    partition of range(n) (default: one cell): the points of the first cell
+    take the first positions, those of the second the next ones, and so on.
+    Returns the minimal image, the form.
 
     With `beat`, an ascending image of the same family (for instance the
     family itself), the search stops at the first relabelling whose image is
-    lex-smaller than `beat` and returns it, or returns None if there is none.
+    lex-smaller than `beat` and returns that image, or returns None if there
+    is none.
 
     Positions are filled in order.  A mask's image is fixed once its last
     point is placed at position j, and then lies in [2^j, 2^(j+1)), so the
@@ -635,8 +635,8 @@ def canonical_form(
     decreases.  The swap of two free twins maps the masks holding one onto
     those holding the other, with the same ``part`` and ``left``, so twins
     pass or fail together, and the points left are tried in the same order.
-    So the form, the first labelling that reaches it, and the `beat` result
-    are those of the search without the filter.
+    So the form and the `beat` result are those of the search without the
+    filter.
     """
     family = frozenset(masks)
     size = len(family)
@@ -662,18 +662,16 @@ def canonical_form(
     left = [m.bit_count() for m in members]  # left[i]: its unplaced points
     twins = transposition_twins(family, n, cell_of)
 
-    pos = [0] * n
     prefix = [0] if 0 in family else []
-    best = None if beat is None else list(beat)
-    labelling: Optional[tuple[int, ...]] = None
+    initial = best = None if beat is None else list(beat)
 
     def search(j: int, placed: int, tied: bool) -> bool:
         """Extend the placement from position j; True means stop."""
-        nonlocal best, labelling
+        nonlocal best
         if j == n:
             if tied:
                 return False
-            best, labelling = prefix[:], tuple(pos)
+            best = prefix[:]
             return beat is not None
         start = len(prefix)
         bit = 1 << j
@@ -719,14 +717,13 @@ def canonical_form(
             for i in mine:
                 part[i] |= bit
                 left[i] -= 1
-            pos[p] = j
             prefix.extend(seg)
-            before = labelling
+            before = best
             if search(j + 1, placed | low, child_tied):
                 return True
             del prefix[start:]
             # A new best found below extends this node's prefix.
-            if labelling is not before:
+            if best is not before:
                 tied = True
             for i in mine:
                 part[i] ^= bit
@@ -734,40 +731,7 @@ def canonical_form(
         return False
 
     search(0, 0, beat is not None)
-    if labelling is None:
-        return None
-    return tuple(best), labelling
-
-
-def is_isomorphic(
-    m1: Matroid, m2: Matroid, pin: Mapping[str, str] | None = None
-) -> Optional[dict[str, str]]:
-    """Find an element bijection carrying bases onto bases, or None.
-
-    `pin` forces specific images.  Both basis families are brought to
-    canonical form, each pinned element a leading singleton cell in pin
-    order; when the forms agree, the bijection follows m1's relabelling and
-    then the inverse of m2's.
-    """
-    if m1.n != m2.n or m1.rank != m2.rank or len(m1.basis_masks) != len(m2.basis_masks):
-        return None
-    pin = dict(pin or {})
-    if not (set(pin) <= set(m1.elements) and set(pin.values()) <= set(m2.elements)):
-        return None
-    if len(set(pin.values())) != len(pin):
-        return None
-
-    def form(m: Matroid, pinned: Iterable[str]):
-        heads = [m._index[el] for el in pinned]
-        rest = [i for i in range(m.n) if i not in heads]
-        return canonical_form(m.basis_masks, m.n, [[i] for i in heads] + [rest])
-
-    form1, lab1 = form(m1, pin)
-    form2, lab2 = form(m2, pin.values())
-    if form1 != form2:
-        return None
-    at = {position: el for el, position in zip(m2.elements, lab2)}
-    return {el: at[position] for el, position in zip(m1.elements, lab1)}
+    return None if best is initial else tuple(best)
 
 
 # ---------------------------------------------------------------------------

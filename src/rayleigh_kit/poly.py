@@ -213,7 +213,7 @@ class Polynomial:
             n >>= 1
         return result
 
-    # -- evaluation and substitution ---------------------------------------
+    # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, point: Mapping[str, Coeff]) -> Coeff:
         """Exact evaluation at a rational point.
@@ -230,23 +230,6 @@ class Polynomial:
                 value *= point[var] ** exp
             total += value
         return _norm_coeff(total)
-
-    def substitute(self, mapping: Mapping[str, "Polynomial | Coeff"]) -> "Polynomial":
-        """Simultaneously substitute polynomials for variables.
-
-        Variables absent from the mapping are left untouched.
-        """
-        subs = {v: _as_poly(p) for v, p in mapping.items()}
-        result = Polynomial.zero()
-        for mono, coeff in self._terms.items():
-            term = Polynomial.constant(coeff)
-            for var, exp in mono:
-                factor = subs.get(var)
-                if factor is None:
-                    factor = Polynomial.variable(var)
-                term = term * factor**exp
-            result = result + term
-        return result
 
     # -- rendering ---------------------------------------------------------
 

@@ -17,7 +17,6 @@ from rayleigh_kit.certificate import (
     _shape_supports,
     _squares,
     ansatz_parts,
-    ansatz_polynomial,
     certify,
     lemma33_reduce,
     table_coefficients,
@@ -31,7 +30,13 @@ from rayleigh_kit.matroid import (
     lines_of,
     with_parallel_copy,
 )
-from rayleigh_kit.poly import Polynomial, dominates, pack_mask, parse_polynomial
+from rayleigh_kit.poly import (
+    Polynomial,
+    dominates,
+    from_packed,
+    pack_mask,
+    parse_polynomial,
+)
 from rayleigh_kit.rayleigh import (
     PairContext,
     closed_pair_filter,
@@ -49,8 +54,8 @@ def _reference_delta(m, e, f):
             - minor_polynomial(m, (e, f), ()) * minor_polynomial(m, (), (e, f)))
 
 
-def _reference_ansatz(m, e, f):
-    """P = 1/4 sum (y_a*B_a - C_a*D_a)^2, flats from the rank function."""
+def _reference_four_p(m, e, f):
+    """4P = sum (y_a*B_a - C_a*D_a)^2, flats from the rank function."""
     def flat(*subset):
         r = m.rank_of(subset)
         return {x for x in m.elements if m.rank_of(subset + (x,)) == r}
@@ -65,7 +70,12 @@ def _reference_ansatz(m, e, f):
         d_a = Polynomial.sum_of_variables(cl_af - {a, f})
         root = Polynomial.variable(a) * b_a - c_a * d_a
         total = total + root * root
-    return total * Fraction(1, 4)
+    return total
+
+
+def _kernel_four_p(m, e, f):
+    """4P, the plain sum of the squares, read from the packed kernel."""
+    return from_packed(certificate._four_p_terms(_squares(m, e, f)), m.elements)
 
 
 def test_packed_kernel_matches_the_polynomial_reference():
@@ -80,7 +90,7 @@ def test_packed_kernel_matches_the_polynomial_reference():
         for e, f in combinations(m.elements, 2):
             assert rayleigh_difference(PairContext(m, e, f)) == _reference_delta(m, e, f)
             if m.rank == 3:
-                assert ansatz_polynomial(m, e, f) == _reference_ansatz(m, e, f)
+                assert _kernel_four_p(m, e, f) == _reference_four_p(m, e, f)
 
 
 def test_closed_pair_structure_check_on_packed_terms():
@@ -162,21 +172,22 @@ def test_ansatz_parts_errors():
 
 
 def test_ansatz_polynomial_u34():
-    p = ansatz_polynomial(uniform(3, 4), "1", "2")
-    assert p == parse_polynomial("+1/2 * y_3^2 y_4^2")
+    # 4P = T_3 + T_4, and each T_a is y_3^2*y_4^2: P = 1/2 * y_3^2*y_4^2
+    four_p = _kernel_four_p(uniform(3, 4), "1", "2")
+    assert four_p == parse_polynomial("+2 * y_3^2 y_4^2")
 
 
 def test_ansatz_polynomial_k4():
     m = named("K4")
-    p = ansatz_polynomial(m, "1", "2")
-    assert p.coefficient({"3": 1, "4": 1, "5": 1, "6": 1}) == -2
+    four_p = _kernel_four_p(m, "1", "2")
+    assert four_p.coefficient({"3": 1, "4": 1, "5": 1, "6": 1}) == -8
     delta = rayleigh_difference(PairContext(m, "1", "2"))
-    assert dominates(delta, p)
+    assert dominates(delta * 4, four_p)
 
 
 def test_ansatz_polynomial_can_vanish():
     # every T_a of fig1.I at the pair {1,2} is zero
-    assert ansatz_polynomial(named("fig1.I"), "1", "2").is_zero
+    assert _kernel_four_p(named("fig1.I"), "1", "2").is_zero
 
 
 def test_ansatz_polynomial_nonnegative_at_points():
@@ -184,10 +195,10 @@ def test_ansatz_polynomial_nonnegative_at_points():
     for name, pair in [("fig3.V", ("1", "4")), ("K4", ("1", "2")),
                        ("fig2.III", ("1", "3"))]:
         m = named(name)
-        p = ansatz_polynomial(m, *pair)
+        four_p = _kernel_four_p(m, *pair)
         for _ in range(50):
             point = draw_dyadic_point(rng, m.elements)
-            assert p.evaluate(point) >= 0
+            assert four_p.evaluate(point) >= 0
 
 
 def test_lemma33_reduce_deletes_line_points():
@@ -276,7 +287,7 @@ def test_reports_and_records_are_read_only_values():
     ]:
         with pytest.raises(AttributeError):
             setattr(value, field, None)
-    assert rep.P == ansatz_polynomial(k4, "1", "2")
+    assert rep.P * 4 == _kernel_four_p(k4, "1", "2")
     assert repr(rep).startswith("CertificateReport(pair=('1', '2'), mode='reduced-ansatz',")
     assert "four_p" not in repr(rep)
 
@@ -586,7 +597,7 @@ def _reference_pinned_key(m, e, f, support, family):
     masks = [sum(1 << index[el] for el in line) for line in lines_of(sub)]
     e_, f_, *rest = (index[el] for el in labels)
     cells = [[e_, f_], [rest[0]], rest[1:]] if family == "GGHI" else [[e_, f_], rest]
-    return canonical_form(masks, sub.n, cells)[0]
+    return canonical_form(masks, sub.n, cells)
 
 
 def test_table_scan_keys_match_the_restriction_reference():

@@ -15,7 +15,6 @@ from rayleigh_kit.matroid import (
     canonical_form,
     dumps_matroid,
     from_geometry,
-    is_isomorphic,
     line_masks,
     lines_of,
     loads_matroid,
@@ -428,7 +427,17 @@ def test_loads_matroid_rejects_deep_nesting():
         loads_matroid("[" * 200000 + "]" * 200000)
 
 
-def test_is_isomorphic_basic():
+def basis_form(m, pinned=()):
+    """Canonical form of m's basis masks, each pinned element a leading
+    singleton cell in order: two matroids on n elements are isomorphic, by
+    a bijection sending pinned elements to pinned elements in order, exactly
+    when these forms agree."""
+    heads = [m.elements.index(el) for el in pinned]
+    rest = [i for i in range(m.n) if i not in heads]
+    return canonical_form(m.basis_masks, m.n, [[i] for i in heads] + [rest])
+
+
+def test_relabelled_copy_has_the_same_form():
     m1 = k4()
     # relabel by reversing element names
     mapping = {e: str(7 - int(e)) for e in m1.elements}
@@ -436,20 +445,21 @@ def test_is_isomorphic_basic():
         sorted(mapping.values()),
         [tuple(sorted(mapping[x] for x in b)) for b in m1.bases],
     )
-    iso = is_isomorphic(m1, m2)
-    assert iso is not None
-    assert all(
-        frozenset(iso[x] for x in b) in m2.bases for b in m1.bases
-    )
-    assert is_isomorphic(m1, u24()) is None
+    assert basis_form(m1) == basis_form(m2)
+    assert basis_form(m1) != basis_form(u24())
+    # one four-point line: six points, rank 3 and 16 bases, as K4 has
+    four_point_line = from_geometry([str(i) for i in range(1, 7)], [["1", "2", "3", "4"]])
+    assert len(four_point_line.basis_masks) == len(m1.basis_masks)
+    assert basis_form(m1) != basis_form(four_point_line)
 
 
-def test_is_isomorphic_respects_pin():
+def test_pinned_forms_respect_the_pin():
     m = k4()
-    assert is_isomorphic(m, m, pin={"1": "1"}) is not None
-    # no automorphism maps a point to one collinear with it here: 1 -> 2 works
-    # through the matching swap, but 1 -> 3 cannot fix the line structure
-    assert is_isomorphic(m, m, pin={"1": "2"}) is not None
+    # the automorphisms of K4 move any element to any other: 1 -> 2 swaps
+    # the matching {1,2} within itself
+    assert basis_form(m, ["1"]) == basis_form(m, ["2"])
+    # but none sends the matching {1,2} onto {1,3}, which spans a line
+    assert basis_form(m, ["1", "2"]) != basis_form(m, ["1", "3"])
 
 
 @given(st.permutations(["1", "2", "3", "4", "5", "6"]))
@@ -461,7 +471,7 @@ def test_isomorphism_invariant_under_relabeling(perm):
         sorted(mapping.values()),
         [tuple(mapping[x] for x in b) for b in m1.bases],
     )
-    assert is_isomorphic(m1, m2) is not None
+    assert basis_form(m1) == basis_form(m2)
 
 
 def _image(masks, labelling):
@@ -473,10 +483,10 @@ def _image(masks, labelling):
     )
 
 
-def _brute_canonical_form(masks, n, cells):
-    """Reference: the minimum image over every cell-respecting relabelling."""
+def _brute_images(masks, n, cells):
+    """Reference: the images under every cell-respecting relabelling."""
     starts = list(itertools.accumulate((len(c) for c in cells), initial=0))
-    best = None
+    images = set()
     for perms in itertools.product(
         *(itertools.permutations(range(s, s + len(c))) for s, c in zip(starts, cells))
     ):
@@ -484,10 +494,8 @@ def _brute_canonical_form(masks, n, cells):
         for cell, perm in zip(cells, perms):
             for p, position in zip(cell, perm):
                 labelling[p] = position
-        image = _image(masks, labelling)
-        if best is None or image < best:
-            best = image
-    return best
+        images.add(_image(masks, labelling))
+    return images
 
 
 def _random_instance(rng):
@@ -517,30 +525,24 @@ def test_canonical_form_matches_brute_force():
     rng = random.Random(2012)
     for _ in range(400):
         masks, n, cells = _random_instance(rng)
-        expected = _brute_canonical_form(masks, n, cells)
-        form, labelling = canonical_form(masks, n, cells)
-        assert form == expected, (masks, n, cells)
-        assert _image(masks, labelling) == form
-        start = 0
-        for cell in cells:
-            assert sorted(labelling[p] for p in cell) == list(
-                range(start, start + len(cell))
-            )
-            start += len(cell)
-        # early stop: a cell-respecting image is beaten iff it is not minimal
+        images = _brute_images(masks, n, cells)
+        expected = min(images)
+        assert canonical_form(masks, n, cells) == expected, (masks, n, cells)
+        # early stop: a cell-respecting image is beaten iff it is not
+        # minimal, and then by a smaller image of the same family
         candidate = _image(masks, _random_labelling(rng, n, cells))
         beaten = canonical_form(masks, n, cells, beat=candidate)
         if candidate == expected:
             assert beaten is None
         else:
-            assert beaten[0] < candidate
-            assert _image(masks, beaten[1]) == beaten[0]
+            assert beaten < candidate
+            assert beaten in images
 
 
 def _reference_canonical_form(masks, n, cells=None, *, beat=None):
     """The canonical-form search without incremental images and the
     candidate filter: the oracle of `canonical_form`, which must return the
-    same form, the same labelling and the same `beat` result."""
+    same form and the same `beat` result."""
     family = frozenset(masks)
     size = len(family)
     cells = [range(n)] if cells is None else [list(c) for c in cells]
@@ -564,8 +566,7 @@ def _reference_canonical_form(masks, n, cells=None, *, beat=None):
 
     pos = [0] * n
     prefix = [0] if 0 in family else []
-    best = None if beat is None else list(beat)
-    labelling = None
+    initial = best = None if beat is None else list(beat)
 
     def image(mask):
         out = 0
@@ -576,11 +577,11 @@ def _reference_canonical_form(masks, n, cells=None, *, beat=None):
         return out
 
     def search(j, placed, tied):
-        nonlocal best, labelling
+        nonlocal best
         if j == n:
             if tied:
                 return False
-            best, labelling = prefix[:], tuple(pos)
+            best = prefix[:]
             return beat is not None
         start = len(prefix)
         tried = 0
@@ -607,18 +608,16 @@ def _reference_canonical_form(masks, n, cells=None, *, beat=None):
                         continue
                     child_tied = True
             prefix.extend(seg)
-            before = labelling
+            before = best
             if search(j + 1, now, child_tied):
                 return True
             del prefix[start:]
-            if labelling is not before:
+            if best is not before:
                 tied = True
         return False
 
     search(0, 0, beat is not None)
-    if labelling is None:
-        return None
-    return tuple(best), labelling
+    return None if best is initial else tuple(best)
 
 
 def _engine_cases():

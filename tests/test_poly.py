@@ -84,12 +84,6 @@ def test_evaluate_exact():
         p.evaluate({"a": 1})
 
 
-def test_substitute_partial():
-    p = y("a") * y("b")
-    q = p.substitute({"a": y("c") + 1})
-    assert q == y("c") * y("b") + y("b")
-
-
 def test_canonical_term_order_golden():
     # graded-lex descending: the K4 difference renders in this exact order
     p = (y("3") * y("4") - y("5") * y("6")) ** 2
