@@ -41,11 +41,10 @@ class CliError(Exception):
     """Usage or input problem; maps to exit code 2."""
 
 
-def _load_matroid(token: str) -> tuple[Matroid, list[str], tuple[str, ...]]:
+def _load_matroid(token: str) -> tuple[Matroid, tuple[str, ...]]:
     """Interpret the MATROID argument as a file path or a catalog name.
 
-    Returns the matroid with its loops removed, the notes to print, and the
-    removed loops.
+    Returns the matroid with its loops removed, and the removed loops.
     """
     if os.path.exists(token):
         from .matroid import loads_matroid
@@ -65,13 +64,11 @@ def _load_matroid(token: str) -> tuple[Matroid, list[str], tuple[str, ...]]:
                 f"{token!r} is neither a file nor a catalog name "
                 f"(catalog: {', '.join(catalog_names())}, or U_r_m)"
             ) from exc
-    notes = []
     loops = m.loops()
     if loops:
         # Loops never lie in a basis, so removing them changes no check.
         m = m.delete(loops)
-        notes.append(f"removed loops: {', '.join(loops)}")
-    return m, notes, loops
+    return m, loops
 
 
 def _parse_pairs(
@@ -121,12 +118,18 @@ def _emit_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _json_header(kind: str, args: argparse.Namespace, notes: list[str]) -> dict:
-    return {"schema": REPORT_SCHEMA, "kind": kind, "input": args.matroid, "notes": notes}
+def _notes(loops: tuple[str, ...]) -> list[str]:
+    return [f"removed loops: {', '.join(loops)}"] if loops else []
 
 
-def _print_notes(notes: list[str]) -> None:
-    for note in notes:
+def _json_header(kind: str, args: argparse.Namespace, loops: tuple[str, ...]) -> dict:
+    return {
+        "schema": REPORT_SCHEMA, "kind": kind, "input": args.matroid, "notes": _notes(loops)
+    }
+
+
+def _print_notes(loops: tuple[str, ...]) -> None:
+    for note in _notes(loops):
         print(f"note: {note}")
 
 
@@ -150,23 +153,23 @@ def _certify_all(
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    m, notes, loops = _load_matroid(args.matroid)
+    m, loops = _load_matroid(args.matroid)
     pairs = _parse_pairs(m, args.pairs, loops)
     if m.rank > 3:
-        return _verify_sampled(args, m, notes, pairs)
+        return _verify_sampled(args, m, loops, pairs)
     reports = _certify_all(m, pairs)
     all_ok = all(r.verdict for r in reports)
     if args.format == "json":
         _emit_json(
             {
-                **_json_header("verify", args, notes),
+                **_json_header("verify", args, loops),
                 "rank": m.rank,
                 "reports": [r.to_json_dict() for r in reports],
                 "all_verified": all_ok,
             }
         )
     else:
-        _print_notes(notes)
+        _print_notes(loops)
         for rep in reports:
             e, f = rep.pair
             if rep.verdict:
@@ -185,7 +188,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _verify_sampled(
-    args: argparse.Namespace, m: Matroid, notes: list[str],
+    args: argparse.Namespace, m: Matroid, loops: tuple[str, ...],
     pairs: list[tuple[str, str]],
 ) -> int:
     from .rayleigh import negative_correlation_sample
@@ -198,7 +201,7 @@ def _verify_sampled(
     if args.format == "json":
         _emit_json(
             {
-                **_json_header("verify", args, notes),
+                **_json_header("verify", args, loops),
                 "rank": m.rank,
                 "mode": "sampled",
                 "samples": args.samples,
@@ -220,7 +223,7 @@ def _verify_sampled(
             }
         )
     else:
-        _print_notes(notes)
+        _print_notes(loops)
         for pair in pairs:
             e, f = pair
             if pair in by_pair:
@@ -239,7 +242,7 @@ def cmd_delta(args: argparse.Namespace) -> int:
     from .poly import format_polynomial
     from .rayleigh import PairContext, rayleigh_difference
 
-    m, notes, loops = _load_matroid(args.matroid)
+    m, loops = _load_matroid(args.matroid)
     if args.e is not None or args.f is not None:
         if args.e is None or args.f is None:
             raise CliError("give both elements: delta MATROID E F")
@@ -255,7 +258,7 @@ def cmd_delta(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit_json(
             {
-                **_json_header("delta", args, notes),
+                **_json_header("delta", args, loops),
                 "pairs": [
                     {"pair": list(pair), "delta": format_polynomial(d)}
                     for pair, d in deltas
@@ -266,7 +269,7 @@ def cmd_delta(args: argparse.Namespace) -> int:
         # Single explicit pair: print the bare polynomial.
         print(format_polynomial(deltas[0][1]))
     else:
-        _print_notes(notes)
+        _print_notes(loops)
         for (e, f), d in deltas:
             print(f"delta {{{e},{f}}}: {format_polynomial(d)}")
     return 0
@@ -279,11 +282,11 @@ def cmd_delta(args: argparse.Namespace) -> int:
 def cmd_certificate(args: argparse.Namespace) -> int:
     from .poly import format_polynomial
 
-    m, notes, loops = _load_matroid(args.matroid)
+    m, loops = _load_matroid(args.matroid)
     pairs = _parse_pairs(m, args.pairs, loops)
     reports = _certify_all(m, pairs)
     if args.format == "text":
-        _print_notes(notes)
+        _print_notes(loops)
         for rep in reports:
             e, f = rep.pair
             verdict = "certified" if rep.verdict else "NOT CERTIFIED"
@@ -298,7 +301,7 @@ def cmd_certificate(args: argparse.Namespace) -> int:
     else:
         _emit_json(
             {
-                **_json_header("certificate-set", args, notes),
+                **_json_header("certificate-set", args, loops),
                 "reports": [r.to_json_dict() for r in reports],
                 "all_verified": all(r.verdict for r in reports),
             }
@@ -447,7 +450,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     from .rayleigh import negative_correlation_sample
 
-    m, notes, loops = _load_matroid(args.matroid)
+    m, loops = _load_matroid(args.matroid)
     pairs = _parse_pairs(m, args.pairs, loops)
     result = negative_correlation_sample(
         m, pairs=pairs, samples=args.samples, seed=args.seed
@@ -457,7 +460,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit_json(
             {
-                **_json_header("sample", args, notes),
+                **_json_header("sample", args, loops),
                 "seed": args.seed,
                 "samples": result.samples,
                 "pairs": [list(p) for p in result.pairs],
@@ -475,7 +478,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
             }
         )
     else:
-        _print_notes(notes)
+        _print_notes(loops)
         print(
             f"checked {len(result.pairs)} pairs x {result.samples} samples "
             f"= {result.checks} exact comparisons (seed {args.seed})"

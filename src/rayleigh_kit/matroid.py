@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 __all__ = [
@@ -453,9 +453,12 @@ def from_geometry(points: Iterable[str], lines: Iterable[Iterable[str]]) -> Matr
     points = tuple(_check_element_id(p) for p in points)
     if len(points) > 64:
         raise ValueError("at most 64 elements supported")
-    # (line, copies) for each distinct line, in sorted order
-    counts = Counter(frozenset(line) for line in lines)
-    runs = sorted(counts.items(), key=lambda run: sorted(run[0]))
+    # (line, copies) for each distinct line as its sorted tuple of points, in
+    # sorted order; identical lists are counted before any of them is sorted
+    counts = Counter()
+    for line, copies in Counter(map(tuple, lines)).items():
+        counts[tuple(sorted(set(line)))] += copies
+    runs = sorted(counts.items())
 
     def problems():
         known = set(points)
@@ -463,27 +466,27 @@ def from_geometry(points: Iterable[str], lines: Iterable[Iterable[str]]) -> Matr
             yield "duplicate points"
         strays = set()  # runs whose line uses unknown points
         for u, (line, copies) in enumerate(runs):
-            short, stray = len(line) < 3, not line <= known
+            short, stray = len(line) < 3, not known.issuperset(line)
             if stray:
                 strays.add(u)
             if short or stray:
                 for _ in range(copies):
                     if short:
-                        yield f"line {sorted(line)} has fewer than 3 points"
+                        yield f"line {list(line)} has fewer than 3 points"
                     if stray:
-                        yield f"line {sorted(line)} uses unknown points"
+                        yield f"line {list(line)} uses unknown points"
         # Past this point at most two lines use unknown points (three would
         # have made three problems).  Two lines share two points when the
         # pair bits of their known points meet, or, for those two, directly.
         bit = {p: 1 << i for i, p in enumerate(points)}
         pairs = [
-            _pair_bits(sum(map(bit.__getitem__, line & known)), len(points))
+            _pair_bits(sum(map(bit.get, line, repeat(0))), len(points))
             for line, _ in runs
         ]
 
         def clash(u: int, v: int) -> bool:
             if u in strays and v in strays:
-                return len(runs[u][0] & runs[v][0]) > 1
+                return len(set(runs[u][0]).intersection(runs[v][0])) > 1
             return bool(pairs[u] & pairs[v])
 
         # clashing[u]: line u shares two points with a later line; only the
@@ -503,11 +506,11 @@ def from_geometry(points: Iterable[str], lines: Iterable[Iterable[str]]) -> Matr
                 clashes = [v for v in range(u + 1, len(runs)) if clash(u, v)]
             for copy in range(copies):
                 for _ in range(copies - 1 - copy):
-                    yield f"duplicate line {sorted(line)}"
+                    yield f"duplicate line {list(line)}"
                 for v in clashes:
                     other, times = runs[v]
                     for _ in range(times):
-                        yield f"lines {sorted(line)} and {sorted(other)} share two points"
+                        yield f"lines {list(line)} and {list(other)} share two points"
 
     first = list(islice(problems(), 3))
     if first:
@@ -745,7 +748,7 @@ def canonical_form(
 
 def _is_string_list(value) -> bool:
     # Checked before any entry is hashed: a list or object id is unhashable.
-    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+    return isinstance(value, list) and all(map(isinstance, value, repeat(str)))
 
 
 def matroid_from_json_dict(data: Mapping) -> Matroid:

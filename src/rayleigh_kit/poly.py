@@ -51,10 +51,6 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(merged.items()))
 
 
-def mono_degree(mono: Monomial) -> int:
-    return sum(exp for _, exp in mono)
-
-
 class Polynomial:
     """An immutable sparse polynomial with exact rational coefficients."""
 
@@ -86,10 +82,6 @@ class Polynomial:
         return cls()
 
     @classmethod
-    def one(cls) -> "Polynomial":
-        return cls.constant(1)
-
-    @classmethod
     def constant(cls, c: Coeff) -> "Polynomial":
         return cls({(): c})
 
@@ -118,22 +110,6 @@ class Polynomial:
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def variables(self) -> tuple[str, ...]:
-        seen = set()
-        for mono in self._terms:
-            for var, _ in mono:
-                seen.add(var)
-        return tuple(sorted(seen))
-
-    def total_degree(self) -> int:
-        """Maximum total degree of a term; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(mono_degree(m) for m in self._terms)
 
     def coefficient(self, exponents: Mapping[str, int]) -> Coeff:
         return self._terms.get(_mono_from_exponents(exponents), 0)
@@ -177,12 +153,6 @@ class Polynomial:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "Polynomial":
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             if not other:
@@ -200,18 +170,6 @@ class Polynomial:
         return Polynomial(acc)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = Polynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     # -- evaluation ----------------------------------------------------------
 
@@ -233,11 +191,8 @@ class Polynomial:
 
     # -- rendering ---------------------------------------------------------
 
-    def to_text(self) -> str:
-        return format_polynomial(self)
-
     def __repr__(self) -> str:
-        return f"Polynomial({self.to_text()!r})"
+        return f"Polynomial({format_polynomial(self)!r})"
 
 
 def _as_poly(value) -> Polynomial:
@@ -252,7 +207,7 @@ def _term_sort_key(mono: Monomial):
     # Graded lexicographic, descending: higher degree first, then the
     # lexicographically largest exponent pattern.  Variables compare by
     # label; an absent variable is a zero exponent.
-    return (-mono_degree(mono), tuple((var, -exp) for var, exp in mono))
+    return (-sum(exp for _, exp in mono), tuple((var, -exp) for var, exp in mono))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +218,8 @@ def _term_sort_key(mono: Monomial):
 # bits 4i..4i+3.  Multiplying two monomials is then adding two ints.  Those
 # loops only form products of two bases (exponents <= 2) and squares of
 # quadratics with exponents <= 2 (exponents <= 4), so a field never carries
-# into the next one.  `Polynomial` stays the type everywhere else.
+# into the next one.  `Polynomial` is the boundary type: `from_packed` turns
+# packed terms into one for text, JSON and the public API.
 
 PACKED_BITS = 4
 

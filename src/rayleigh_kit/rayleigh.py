@@ -51,11 +51,7 @@ __all__ = [
 @lru_cache(maxsize=65536)
 def generating_polynomial(m: Matroid) -> Polynomial:
     """Sum of y^B over the bases B; 0 for an empty family, 1 for rank 0."""
-    terms = {}
-    for basis in m.bases:
-        mono = tuple(sorted((el, 1) for el in basis))
-        terms[mono] = 1
-    return Polynomial(terms)
+    return from_packed(dict.fromkeys(map(pack_mask, m.basis_masks), 1), m.elements)
 
 
 def minor_polynomial(m: Matroid, contract: Iterable[str], delete: Iterable[str]) -> Polynomial:

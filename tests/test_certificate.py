@@ -351,6 +351,17 @@ def test_certify_every_pair_up_to_six_points():
                 assert certify(m, e, f).verdict, (n, e, f)
 
 
+@pytest.mark.slow
+def test_certify_every_pair_on_nine_points():
+    # the theorem on every pair of the 383 nine-point classes
+    pairs = 0
+    for m in enumerate_simple_rank3(9).classes:
+        for e, f in combinations(m.elements, 2):
+            assert certify(m, e, f).verdict, (line_masks(m), e, f)
+            pairs += 1
+    assert pairs == 13_788
+
+
 def _one_doubled(n):
     """Every n-point census class with one element doubled, in a fixed order."""
     return [with_parallel_copy(cls, x, str(n + 1))

@@ -36,13 +36,14 @@ def test_generating_polynomial_u24():
     p = generating_polynomial(m)
     assert len(p) == 6
     assert p.coefficient({"1": 1, "2": 1}) == 1
-    assert p.total_degree() == 2
+    pairs = combinations("1234", 2)
+    assert [mono for mono, _ in p.terms()] == [((a, 1), (b, 1)) for a, b in pairs]
 
 
 def test_minor_polynomial_conventions():
     m = uniform(2, 4)
     # contracting a basis leaves the rank-0 minor with one empty basis
-    assert minor_polynomial(m, ("1", "2"), ()) == Polynomial.one()
+    assert minor_polynomial(m, ("1", "2"), ()) == Polynomial.constant(1)
     # contracting a dependent set gives the zero polynomial
     mp = with_parallel_copy(m, "1", "1p")
     assert minor_polynomial(mp, ("1", "1p"), ()).is_zero
