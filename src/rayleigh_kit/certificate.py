@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import countOf, or_
 from typing import NamedTuple, Optional
 
 from . import GGHH, GGHI, GHIJ, REPORT_SCHEMA
@@ -46,18 +47,19 @@ from .poly import (
     _SHAPE_EXPONENTS,
     add_products,
     add_square,
+    format_packed,
     format_polynomial,
     from_packed,
-    is_packed_shape,
     pack_mask,
     pack_shape,
+    packed_shapes,
     packed_variables,
 )
 from .rayleigh import (
     PairContext,
     basis_split,
     closed_pair_filter,
-    delta_terms,
+    delta_from_split,
     rayleigh_difference,
 )
 
@@ -158,9 +160,13 @@ def ansatz_parts(m: Matroid, e: str, f: str, a: str) -> AnsatzParts:
 def _gap(delta: dict[int, int], four_p: dict[int, int]) -> dict[int, int]:
     """4*Delta - 4P as packed terms: Delta >> P iff none is negative."""
     gap = {key: 4 * coeff for key, coeff in delta.items()}
+    get = gap.get
     for key, coeff in four_p.items():
-        gap[key] = gap.get(key, 0) - coeff
+        gap[key] = get(key, 0) - coeff
     return gap
+
+
+_IDENTITY_VIOLATED = "internal invariant violated: delta != P + residual"
 
 
 def _check_identity(
@@ -168,19 +174,24 @@ def _check_identity(
 ) -> None:
     """4*Delta == 4P + gap in integers, that is Delta == P + residual.
 
-    `delta` must be computed afresh, not be the dict `gap` was cut from, so
-    that the identity does not hold by construction.  It then catches a
-    corrupted Delta dict or gap term.  It cannot catch a wrong `four_p` (the
-    gap is cut from it) or a wrong chain mask (both Delta dicts use it);
-    only the tests that compare reports with the minor-based Delta do.
+    Against a `delta` computed afresh, not the dict `gap` was cut from, the
+    identity does not hold by construction, and it catches a corrupted Delta
+    dict or gap term.  It cannot catch a wrong `four_p` (the gap is cut from
+    it) or a wrong chain mask (both Delta dicts use it); only the tests that
+    compare reports with the minor-based Delta do.  For a pair with a
+    reduction chain, `certify` passes a second product of its basis split.
+    Without one it passes the dict the gap was cut from, which catches a
+    corrupted gap, and compares that dict with `delta_original`, which
+    `rayleigh_difference` computed from a split of its own.
     """
     total = dict(four_p)
+    get = total.get
     for key, coeff in gap.items():
-        total[key] = total.get(key, 0) + coeff
+        total[key] = get(key, 0) + coeff
     for key, coeff in delta.items():
-        total[key] = total.get(key, 0) - 4 * coeff
+        total[key] = get(key, 0) - 4 * coeff
     if any(total.values()):
-        raise RuntimeError("internal invariant violated: delta != P + residual")
+        raise RuntimeError(_IDENTITY_VIOLATED)
 
 
 def _check_closed_pair_structure(
@@ -192,37 +203,35 @@ def _check_closed_pair_structure(
     Every monomial of Delta and of 4P (packed terms) is degree-4 in
     variables outside {e,f} with exponents <= 2, and each square's index
     sets partition cleanly.  Violations indicate a bug, hence RuntimeError.
-    Each distinct monomial is checked once: Delta's first, then the 4P
-    monomials that are not already nonzero in Delta.
+    The nonzero monomials of Delta are checked first, then those of 4P:
+    each set against the packed shapes for m's size, and the OR of its keys
+    against the e and f fields.
     """
     ie, jf = m.elements.index(e), m.elements.index(f)
     pair = pack_mask(1 << ie | 1 << jf) * ((1 << PACKED_BITS) - 1)  # e and f fields
-    for label, terms, checked in (("delta", delta, {}), ("ansatz", four_p, delta)):
-        for key, coeff in terms.items():
-            if not coeff or checked.get(key):
-                continue
-            if not is_packed_shape(key):
-                mono = next(from_packed({key: 1}, m.elements).terms())[0]
-                raise RuntimeError(
-                    f"internal invariant violated: {label} monomial {mono} "
-                    "is not of shape y_g^2y_h^2, y_g^2y_hy_i or y_gy_hy_iy_j"
-                )
-            if key & pair:
-                raise RuntimeError(
-                    f"internal invariant violated: {label} mentions e or f"
-                )
+    shapes = packed_shapes(m.n)
+    for label, terms in (("delta", delta), ("ansatz", four_p)):
+        keys = {key for key, coeff in terms.items() if coeff}
+        if not keys <= shapes:
+            mono = next(from_packed({min(keys - shapes): 1}, m.elements).terms())[0]
+            raise RuntimeError(
+                f"internal invariant violated: {label} monomial {mono} "
+                "is not of shape y_g^2y_h^2, y_g^2y_hy_i or y_gy_hy_iy_j"
+            )
+        if reduce(or_, keys, 0) & pair:
+            raise RuntimeError(
+                f"internal invariant violated: {label} mentions e or f"
+            )
     for square in squares:
-        groups = (square.l_ae, square.l_af, square.u)
-        banned = 1 << square.a | 1 << ie | 1 << jf
-        if any(grp & banned for grp in groups):
+        l_ae, l_af, u = square.l_ae, square.l_af, square.u
+        if (l_ae | l_af | u) & (1 << square.a | 1 << ie | 1 << jf):
             raise RuntimeError(
                 "internal invariant violated: index sets must exclude a, e, f"
             )
-        for g1, g2 in itertools.combinations(groups, 2):
-            if g1 & g2:
-                raise RuntimeError(
-                    "internal invariant violated: L(a,e), L(a,f), U(a) overlap"
-                )
+        if l_ae & l_af | l_ae & u | l_af & u:
+            raise RuntimeError(
+                "internal invariant violated: L(a,e), L(a,f), U(a) overlap"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +374,7 @@ class CertificateReport(_ReportFields):
         return rayleigh_difference(PairContext(m, *self.pair))
 
     def to_json_dict(self) -> dict:
+        labels = self.matroid.elements
         return {
             "schema": REPORT_SCHEMA,
             "kind": "certificate",
@@ -373,12 +383,12 @@ class CertificateReport(_ReportFields):
             "reduced_pair_closed": self.reduced_pair_closed,
             "reduction_chain": list(self.reduction_chain),
             "delta": format_polynomial(self.delta),
-            "ansatz": format_polynomial(self.P),
-            "residual": format_polynomial(self.residual),
-            "residual_terms": len(self.residual),
+            "ansatz": format_packed(self.four_p, labels, 4),
+            "residual": format_packed(self.gap, labels, 4),
+            "residual_terms": len(self.gap) - countOf(self.gap.values(), 0),
             "verdict": self.verdict,
             "squares": [
-                [a, format_polynomial(root)] for a, root in self.square_terms
+                [labels[a], format_packed(root, labels)] for a, root in self.roots
             ],
             "delta_original": format_polynomial(self.delta_original),
             "unreduced_dominance": self.unreduced_dominance,
@@ -404,10 +414,14 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
     squares come from m's flats less the chain, and the reduced Delta from
     the bases of m that avoid it.  On every call the identity
     4*Delta = 4P + (4*Delta - 4P) is checked in integers against a Delta
-    computed afresh.  Only `delta_original` is a `Polynomial` on return;
-    the report builds its other fields when they are read.  Each pair
-    computes Delta three times: `delta_original`, the Delta the gap is cut
-    from, and the fresh one of the identity check.
+    that is not the dict the gap was cut from.  The bases are split twice
+    per pair, once for `delta_original` and once for the reduced Delta.
+    With a chain, the fresh Delta is a second product of the reduced split.
+    Without one (closed, product and rank <= 2 pairs) the reduced Delta is
+    Delta_M, so the dict the gap was cut from must equal `delta_original`,
+    which `rayleigh_difference` computed from its own split.  Only
+    `delta_original` is a `Polynomial` on return; the report builds its
+    other fields when they are read.
 
     `unreduced_dominance` (Delta >> P on m itself, before the reduction) is
     `not chain and verdict`, by this lemma: if m is loopless of rank 3,
@@ -451,10 +465,17 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
         mode, closed = "reduced-ansatz", True
         squares = _squares(m, e, f, chain)
     four_p = _four_p_terms(squares)
-    red_terms = delta_terms(m, e, f, chain)
+    split = basis_split(m, e, f, chain)
+    red_terms = delta_from_split(*split)
     gap = _gap(red_terms, four_p)
-    _check_identity(delta_terms(m, e, f, chain), four_p, gap)
-    verdict = all(coeff >= 0 for coeff in gap.values())
+    if chain:
+        _check_identity(delta_from_split(*split), four_p, gap)
+    else:
+        # Nothing is deleted, so the reduced Delta is Delta_M itself.
+        _check_identity(red_terms, four_p, gap)
+        if from_packed(red_terms, m.elements) != delta_orig:
+            raise RuntimeError(_IDENTITY_VIOLATED)
+    verdict = min(gap.values(), default=0) >= 0
     unreduced = None
     if mode == "reduced-ansatz":
         if _simple_after_deleting(m, chain):

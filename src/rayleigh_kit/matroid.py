@@ -53,6 +53,7 @@ class Matroid:
 
     __slots__ = (
         "elements", "rank", "_masks", "_index", "_bases_cache", "_flats", "_share_masks",
+        "_packed",
     )
 
     def __init__(self, elements: Iterable[str], rank: int, basis_masks: Iterable[int]):
@@ -78,6 +79,7 @@ class Matroid:
         object.__setattr__(self, "_bases_cache", None)
         object.__setattr__(self, "_flats", {})
         object.__setattr__(self, "_share_masks", None)
+        object.__setattr__(self, "_packed", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matroid is immutable")
@@ -273,6 +275,17 @@ class Matroid:
             if inter.bit_count() == r:
                 new_masks.add(self._remap_mask(inter, remap))
         return Matroid(keep, r, new_masks)
+
+    def _packed_bases(self) -> tuple[int, ...]:
+        """The bases as packed monomials (see `poly.pack_mask`), in the order
+        of `basis_masks`, memoised per matroid."""
+        cached = self._packed
+        if cached is None:
+            from .poly import pack_mask  # enumerating loads no polynomial code
+
+            cached = tuple(map(pack_mask, self._masks))
+            object.__setattr__(self, "_packed", cached)
+        return cached
 
     # -- simplification ----------------------------------------------------
 

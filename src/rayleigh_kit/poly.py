@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
+from math import gcd
 from typing import Iterable, Iterator, Mapping, Union
 
 from . import GGHH, GGHI, GHIJ
@@ -241,21 +243,13 @@ def pack_mask(mask: int) -> int:
     return out
 
 
-# Bit 0, bit 1 and bits 2-3 of every field, for all 64 ground-set positions.
-_FIELD_LOW_BITS = sum(1 << PACKED_BITS * i for i in range(64))
-_FIELD_BIT1 = _FIELD_LOW_BITS << 1
-_FIELD_HIGH_BITS = _FIELD_LOW_BITS * 12
-
-
-def is_packed_shape(key: int) -> bool:
-    """True iff a packed monomial has degree 4 and no exponent above 2: one of
-    the shapes GGHH, GGHI and GHIJ."""
-    ones = _FIELD_LOW_BITS
-    # An exponent is at most 2 when bits 2 and 3 of its field are clear and
-    # bits 0 and 1 are not both set; the degree then counts bit 1 twice.
-    if key & _FIELD_HIGH_BITS or key & key >> 1 & ones:
-        return False
-    return (key & ones).bit_count() + 2 * (key & _FIELD_BIT1).bit_count() == 4
+@lru_cache(maxsize=8)
+def packed_shapes(n: int) -> frozenset[int]:
+    """Every packed monomial over n positions of degree 4 with no exponent
+    above 2 (the shapes GGHH, GGHI and GHIJ): the sums of two products
+    y_g*y_h, equal or not."""
+    pairs = [pack_mask(1 << g | 1 << h) for g, h in combinations(range(n), 2)]
+    return frozenset(p + q for p, q in combinations_with_replacement(pairs, 2))
 
 
 def packed_variables(mask: int) -> list[int]:
@@ -397,26 +391,44 @@ def pack_shape(kind: str, positions: Iterable[int]) -> int:
 # constant term.  Rationals render as p/q.  The zero polynomial is `0`.
 
 
-def _format_coeff(c: Coeff) -> str:
-    if isinstance(c, Fraction):
-        sign = "+" if c > 0 else "-"
-        return f"{sign}{abs(c.numerator)}/{c.denominator}"
-    return f"{c:+d}"
+def _coeff_text(num: int, den: int) -> str:
+    """The text of the rational num/den (den > 0): `+3`, `-1/2`."""
+    if den == 1:
+        return f"{num:+d}"
+    g = gcd(num, den)
+    return f"{num // g:+d}" if g == den else f"{num // g:+d}/{den // g}"
+
+
+@lru_cache(maxsize=1 << 16)
+def _monomial_text(mono: Monomial) -> tuple[tuple, str]:
+    """A monomial's `_term_sort_key` and its text (` * y_3^2 y_4`, empty for
+    the constant), each built once per distinct monomial."""
+    text = " ".join(f"y_{var}" if exp == 1 else f"y_{var}^{exp}" for var, exp in mono)
+    return _term_sort_key(mono), " * " + text if mono else ""
+
+
+def _join_terms(terms: Iterable[tuple[Monomial, str]]) -> str:
+    """The text of (monomial, coefficient text) pairs, none with a zero
+    coefficient, in canonical order; `0` when there are none."""
+    rendered = sorted((_monomial_text(mono), coeff) for mono, coeff in terms)
+    return " ".join([coeff + text for (_, text), coeff in rendered]) or "0"
 
 
 def format_polynomial(p: Polynomial) -> str:
-    if p.is_zero:
-        return "0"
-    chunks = []
-    for mono, coeff in p.terms():
-        piece = _format_coeff(coeff)
-        if mono:
-            vars_part = " ".join(
-                f"y_{var}" if exp == 1 else f"y_{var}^{exp}" for var, exp in mono
-            )
-            piece += " * " + vars_part
-        chunks.append(piece)
-    return " ".join(chunks)
+    return _join_terms(
+        (mono, f"{c:+d}" if type(c) is int else _coeff_text(c.numerator, c.denominator))
+        for mono, c in p._terms.items()
+    )
+
+
+def format_packed(terms: Mapping[int, int], labels: Iterable[str], den: int = 1) -> str:
+    """The text of the packed terms, each coefficient divided by `den`, with
+    position i the variable labels[i]: `format_polynomial` of the matching
+    `from_packed` result, built without it and without a Fraction."""
+    table = _monomial_table(tuple(labels))
+    return _join_terms(
+        (table[key], _coeff_text(coeff, den)) for key, coeff in terms.items() if coeff
+    )
 
 
 def parse_polynomial(text: str) -> Polynomial:

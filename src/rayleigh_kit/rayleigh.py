@@ -33,6 +33,7 @@ __all__ = [
     "generating_polynomial",
     "minor_polynomial",
     "basis_split",
+    "delta_from_split",
     "delta_terms",
     "rayleigh_difference",
     "central_term",
@@ -105,7 +106,8 @@ def _split(m: Matroid, members: Sequence[str], deleted: int = 0) -> list[list[in
     in s (bit i for members[i]); contracting those members and deleting the
     others leaves exactly these bases, so entry s is that minor's packed
     generating polynomial.  A dependent subset lies in no basis, so its entry
-    is empty, as the minor is.
+    is empty, as the minor is.  A basis less the members is its memoised
+    packed monomial with the members' fields cleared.
     """
     groups: dict[int, list[int]] = {0: []}
     whole = 0
@@ -114,9 +116,10 @@ def _split(m: Matroid, members: Sequence[str], deleted: int = 0) -> list[list[in
         whole |= bit
         for key in list(groups):
             groups[key | bit] = []
-    for b in m.basis_masks:
+    others = ~pack_mask(whole)
+    for b, packed in zip(m.basis_masks, m._packed_bases()):
         if not b & deleted:
-            groups[b & whole].append(pack_mask(b & ~whole))
+            groups[b & whole].append(packed & others)
     return list(groups.values())
 
 
@@ -136,14 +139,21 @@ def basis_split(
     return only_e, only_f, both, neither
 
 
+def delta_from_split(
+    only_e: list[int], only_f: list[int], both: list[int], neither: list[int]
+) -> dict[int, int]:
+    """M_e^f * M_f^e - M_ef * M^ef from the four lists of `basis_split`, as
+    a new dict of packed terms; some may be 0."""
+    return add_products(add_products({}, only_e, only_f), both, neither, -1)
+
+
 def delta_terms(m: Matroid, e: str, f: str, deleted: int = 0) -> dict[int, int]:
     """Delta M{e,f} as packed terms (see `poly.pack_mask`); some may be 0.
 
     With `deleted` (see `basis_split`), the Delta of m with those positions
     deleted, on m's own positions.
     """
-    only_e, only_f, both, neither = basis_split(m, e, f, deleted)
-    return add_products(add_products({}, only_e, only_f), both, neither, -1)
+    return delta_from_split(*basis_split(m, e, f, deleted))
 
 
 def rayleigh_difference(ctx: PairContext) -> Polynomial:

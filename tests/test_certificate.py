@@ -33,6 +33,7 @@ from rayleigh_kit.matroid import (
 from rayleigh_kit.poly import (
     Polynomial,
     dominates,
+    format_polynomial,
     from_packed,
     pack_mask,
     parse_polynomial,
@@ -473,6 +474,17 @@ def test_report_fields_satisfy_the_read_time_identities(pinned_reports):
             assert rep.delta_original == rep.delta, rep.pair
 
 
+def test_packed_rendering_matches_the_report_fields(pinned_reports):
+    for rep in pinned_reports:
+        doc = rep.to_json_dict()
+        assert doc["ansatz"] == format_polynomial(rep.P), rep.pair
+        assert doc["residual"] == format_polynomial(rep.residual), rep.pair
+        assert doc["residual_terms"] == len(rep.residual), rep.pair
+        assert doc["squares"] == [
+            [a, format_polynomial(root)] for a, root in rep.square_terms
+        ], rep.pair
+
+
 @pytest.mark.parametrize("corrupt", ["delta", "gap"])
 def test_identity_check_fires_inside_certify(monkeypatch, corrupt):
     real_gap = certificate._gap
@@ -522,32 +534,59 @@ def test_certify_builds_no_minor_until_delta_is_read(monkeypatch):
 
 
 def test_certify_work_per_pair(monkeypatch):
-    # Delta three times per pair (delta_original, the gap's, the identity
-    # check's), each one basis split; the parallel structure once per matroid.
+    # Two basis splits per pair (delta_original's, and certify's own for the
+    # reduced Delta and its identity check); the parallel structure and the
+    # packed bases once per matroid.
     splits = []
-    shares = {}
-    real_split, real_shares = rayleigh.basis_split, Matroid._shares
+    built = {"_shares": {}, "_packed_bases": {}}
+    real_split = rayleigh._split
 
-    def counted_split(*args, **kwargs):
-        splits.append(args[1:3])
-        return real_split(*args, **kwargs)
+    def counted_split(m, members, *args, **kwargs):
+        splits.append(tuple(members))
+        return real_split(m, members, *args, **kwargs)
 
-    def recorded_shares(self):
-        result = real_shares(self)
-        shares.setdefault(id(self), []).append(result)  # kept alive: ids stay apart
-        return result
+    def recorded(name):
+        real = getattr(Matroid, name)
 
-    monkeypatch.setattr(rayleigh, "basis_split", counted_split)
-    monkeypatch.setattr(Matroid, "_shares", recorded_shares)
+        def method(self):
+            result = real(self)
+            built[name].setdefault(id(self), []).append(result)  # kept alive: ids stay apart
+            return result
+
+        return method
+
+    monkeypatch.setattr(rayleigh, "_split", counted_split)
+    for name in built:
+        monkeypatch.setattr(Matroid, name, recorded(name))
     inputs = list(enumerate_simple_rank3(7).classes) + _one_doubled(5)
     for m in inputs:
         for e, f in combinations(m.elements, 2):
             splits.clear()
             certify(m, e, f)
-            assert splits == [(e, f)] * 3, (m, e, f)
-    assert len(shares) == len(inputs)
-    for built in shares.values():
-        assert len(built) > 1 and all(s is built[0] for s in built)
+            assert splits == [(e, f)] * 2, (m, e, f)
+    for per_matroid in built.values():
+        assert len(per_matroid) == len(inputs)
+        for results in per_matroid.values():
+            assert len(results) > 1 and all(r is results[0] for r in results)
+
+
+def test_a_corrupted_delta_original_is_caught(monkeypatch):
+    # Without a chain the reduced Delta is Delta_M, and certify checks it
+    # against delta_original.
+    real_difference = certificate.rayleigh_difference
+
+    def corrupted_difference(ctx):
+        return real_difference(ctx) + Polynomial.constant(1)
+
+    monkeypatch.setattr(certificate, "rayleigh_difference", corrupted_difference)
+    cases = [
+        (named("K4"), "1", "2"),  # reduced-ansatz, closed pair
+        (with_parallel_copy(uniform(3, 4), "1", "p"), "1", "p"),  # product
+        (uniform(2, 4), "1", "2"),  # rank-le-2
+    ]
+    for m, e, f in cases:
+        with pytest.raises(RuntimeError, match=r"delta != P \+ residual"):
+            certify(m, e, f)
 
 
 def test_report_serialization():

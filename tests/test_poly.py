@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rayleigh_kit.poly import (
@@ -18,11 +18,12 @@ from rayleigh_kit.poly import (
     add_products,
     add_square,
     dominates,
+    format_packed,
     format_polynomial,
     from_packed,
-    is_packed_shape,
     pack_mask,
     pack_shape,
+    packed_shapes,
     packed_variables,
     parse_polynomial,
     reciprocal_transform,
@@ -127,6 +128,54 @@ def test_text_round_trip(p):
     assert parse_polynomial(format_polynomial(p)) == p
 
 
+def _reference_format(p):
+    """`format_polynomial` before its per-monomial cache: every term is
+    rendered afresh, a rational through its Fraction."""
+    if p.is_zero:
+        return "0"
+    chunks = []
+    for mono, coeff in p.terms():
+        if isinstance(coeff, Fraction):
+            sign = "+" if coeff > 0 else "-"
+            piece = f"{sign}{abs(coeff.numerator)}/{coeff.denominator}"
+        else:
+            piece = f"{coeff:+d}"
+        if mono:
+            piece += " * " + " ".join(
+                f"y_{var}" if exp == 1 else f"y_{var}^{exp}" for var, exp in mono
+            )
+        chunks.append(piece)
+    return " ".join(chunks)
+
+
+@given(polynomials())
+@example(Polynomial.zero())
+@example(Polynomial.constant(-7))
+@example(Polynomial.constant(Fraction(5, 6)) + y("a") * Fraction(-3, 2) + y("1") * 4)
+@settings(max_examples=80, deadline=None)
+def test_format_matches_the_reference_renderer(p):
+    assert format_polynomial(p) == _reference_format(p)
+    assert format_polynomial(p) == _reference_format(p)  # from a warm cache
+
+
+@given(
+    st.dictionaries(st.integers(0, 4 ** 4 - 1), st.integers(-9, 9), max_size=8),
+    st.sampled_from([1, 4]),
+)
+@example({}, 4)
+@example({0: 6, 1: -3, 17: 8, 2: 0}, 4)
+@settings(max_examples=80, deadline=None)
+def test_format_packed_matches_the_reference_renderer(digits, den):
+    # keys read as base-4 digits: four positions, exponents 0..3
+    terms = {
+        sum((k >> 2 * i & 3) << PACKED_BITS * i for i in range(4)): c
+        for k, c in digits.items()
+    }
+    labels = ("b", "10", "2", "a")
+    expected = from_packed(terms, labels) * Fraction(1, den)
+    assert format_packed(terms, labels, den) == _reference_format(expected)
+
+
 @given(polynomials(), polynomials())
 @settings(max_examples=40, deadline=None)
 def test_dominance_via_difference(p, q):
@@ -229,11 +278,14 @@ def test_from_packed_decode_table_matches_the_reference_decoder():
 
 
 def test_is_packed_shape():
-    # every exponent vector with fields 0..15 at positions 0, 1, 9 and 63
-    positions = (0, 1, 9, 63)
+    # a packed key is a shape iff it lies in packed_shapes: every exponent
+    # vector with fields 0..15 at positions 0, 1, 6 and 9
+    positions = (0, 1, 6, 9)
+    shapes = packed_shapes(10)
     for exps in itertools.product(range(16), repeat=4):
         key = sum(x << PACKED_BITS * p for x, p in zip(exps, positions))
-        assert is_packed_shape(key) == (sum(exps) == 4 and max(exps) <= 2), exps
+        assert (key in shapes) == (sum(exps) == 4 and max(exps) <= 2), exps
+    assert len(shapes) == 45 + 10 * 36 + 210  # GGHH, GGHI and GHIJ over 10
 
 
 def test_pack_shape_matches_polynomial_monomial():
@@ -244,7 +296,7 @@ def test_pack_shape_matches_polynomial_monomial():
         (GHIJ, (9, 1, 4, 7), (1, 1, 1, 1)),
     ):
         key = pack_shape(kind, positions)
-        assert is_packed_shape(key)
+        assert key in packed_shapes(12)
         expected = Polynomial.monomial({labels[p]: x for p, x in zip(positions, exps)})
         assert from_packed({key: 1}, labels) == expected
     with pytest.raises(ValueError):
