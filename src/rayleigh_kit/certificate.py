@@ -58,7 +58,6 @@ from .poly import (
 from .rayleigh import (
     PairContext,
     basis_split,
-    closed_pair_filter,
     delta_from_split,
     rayleigh_difference,
 )
@@ -123,13 +122,13 @@ def _square(m: Matroid, e: int, f: int, a: int, deleted: int = 0) -> _Square:
     return _Square(a, l_ae, l_af, u, root)
 
 
-def _squares(m: Matroid, e: str, f: str, deleted: int = 0) -> list[_Square]:
-    """The squares for every a outside {e,f} and `deleted`, in ground-set order."""
-    ie, jf = m.elements.index(e), m.elements.index(f)
+def _squares(m: Matroid, e: int, f: int, deleted: int = 0) -> list[_Square]:
+    """The squares for every position a outside the positions e, f and the
+    `deleted` bitmask, in ground-set order."""
     return [
-        _square(m, ie, jf, a, deleted)
+        _square(m, e, f, a, deleted)
         for a in range(m.n)
-        if a not in (ie, jf) and not deleted >> a & 1
+        if a not in (e, f) and not deleted >> a & 1
     ]
 
 
@@ -145,8 +144,8 @@ def ansatz_parts(m: Matroid, e: str, f: str, a: str) -> AnsatzParts:
     """Compute L(a,e), L(a,f), U(a) and the polynomials B, C, D, T for one a."""
     _require_rank3(m)
     PairContext(m, e, f).check_third(a)
-    index = m.elements.index
-    square = _square(m, index(e), index(f), index(a))
+    index = m._index
+    square = _square(m, index[e], index[f], index[a])
     l_ae, l_af, u_a = (m._unmask(mask) for mask in square[1:4])
     return AnsatzParts(
         a, l_ae, l_af, u_a,
@@ -195,10 +194,11 @@ def _check_identity(
 
 
 def _check_closed_pair_structure(
-    m: Matroid, e: str, f: str, delta: dict[int, int], four_p: dict[int, int],
+    m: Matroid, e: int, f: int, delta: dict[int, int], four_p: dict[int, int],
     squares: list[_Square],
 ) -> None:
-    """Structural facts that hold when m is simple and {e,f} is closed.
+    """Structural facts that hold when m is simple and the pair at positions
+    e, f is closed.
 
     Every monomial of Delta and of 4P (packed terms) is degree-4 in
     variables outside {e,f} with exponents <= 2, and each square's index
@@ -207,8 +207,7 @@ def _check_closed_pair_structure(
     each set against the packed shapes for m's size, and the OR of its keys
     against the e and f fields.
     """
-    ie, jf = m.elements.index(e), m.elements.index(f)
-    pair = pack_mask(1 << ie | 1 << jf) * ((1 << PACKED_BITS) - 1)  # e and f fields
+    pair = pack_mask(1 << e | 1 << f) * ((1 << PACKED_BITS) - 1)  # e and f fields
     shapes = packed_shapes(m.n)
     for label, terms in (("delta", delta), ("ansatz", four_p)):
         keys = {key for key, coeff in terms.items() if coeff}
@@ -224,7 +223,7 @@ def _check_closed_pair_structure(
             )
     for square in squares:
         l_ae, l_af, u = square.l_ae, square.l_af, square.u
-        if (l_ae | l_af | u) & (1 << square.a | 1 << ie | 1 << jf):
+        if (l_ae | l_af | u) & (1 << square.a | 1 << e | 1 << f):
             raise RuntimeError(
                 "internal invariant violated: index sets must exclude a, e, f"
             )
@@ -244,17 +243,16 @@ class ReductionResult(NamedTuple):
     pair_dependent: bool
 
 
-def _closure_chain(m: Matroid, e: str, f: str) -> Optional[int]:
-    """The third elements in the closure of {e,f}, as a bitmask over m's
-    positions; None when {e,f} is dependent.
+def _closure_chain(m: Matroid, e: int, f: int) -> Optional[int]:
+    """The third elements in the closure of the pair at positions e, f, as a
+    bitmask over m's positions; None when the pair is dependent.
 
     Deletion restricts the rank function, so cl_{M\\X}({e,f}) =
     cl_M({e,f}) - X: deleting the whole chain at once closes the pair.
     """
-    ie, jf = m.elements.index(e), m.elements.index(f)
-    if not m._shares()[ie] >> jf & 1:  # no basis holds both e and f
+    if not m._shares()[e] >> f & 1:  # no basis holds both e and f
         return None
-    pair = 1 << ie | 1 << jf
+    pair = 1 << e | 1 << f
     return m.closure_mask(pair) & ~pair
 
 
@@ -289,7 +287,7 @@ def lemma33_reduce(m: Matroid, e: str, f: str) -> ReductionResult:
     """
     _require_rank3(m)
     PairContext(m, e, f)
-    chain_mask = _closure_chain(m, e, f)
+    chain_mask = _closure_chain(m, m._index[e], m._index[f])
     if chain_mask is None:
         return ReductionResult(m, (), True)
     chain = _labels(m, chain_mask)
@@ -454,18 +452,20 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
             f"certify requires a loopless matroid (loops: {sorted(m.loops())})"
         )
     delta_orig = rayleigh_difference(ctx)
-    chain = _closure_chain(m, e, f) if m.rank == 3 else None
+    ie, jf = m._index[e], m._index[f]
+    chain = _closure_chain(m, ie, jf) if m.rank == 3 else None
     if chain is None:
         # Rank <= 2: Delta itself is >> 0.  Dependent pair: no basis contains
         # both e and f, so Delta = M_e^f * M_f^e >> 0.  Either way P = 0.
         mode = "product" if m.rank == 3 else "rank-le-2"
-        closed = m.rank < 3 and closed_pair_filter(m, e, f)
+        pair = 1 << ie | 1 << jf
+        closed = m.rank < 3 and m.closure_mask(pair) == pair
         chain, squares = 0, []
     else:
         mode, closed = "reduced-ansatz", True
-        squares = _squares(m, e, f, chain)
+        squares = _squares(m, ie, jf, chain)
     four_p = _four_p_terms(squares)
-    split = basis_split(m, e, f, chain)
+    split = basis_split(m, ie, jf, chain)
     red_terms = delta_from_split(*split)
     gap = _gap(red_terms, four_p)
     if chain:
@@ -479,7 +479,7 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
     unreduced = None
     if mode == "reduced-ansatz":
         if _simple_after_deleting(m, chain):
-            _check_closed_pair_structure(m, e, f, red_terms, four_p, squares)
+            _check_closed_pair_structure(m, ie, jf, red_terms, four_p, squares)
         unreduced = not chain and verdict  # the lemma in the docstring
     return CertificateReport(
         pair=(e, f),
@@ -620,8 +620,9 @@ def _pinned_key(
     return canonical_form(masks, n, cells)
 
 
-def _pair_terms(m: Matroid, e: str, f: str) -> tuple[dict[int, int], ...]:
-    """(M_e^f * M_f^e, M_{ef} * M^{ef}, 4P) as packed terms."""
+def _pair_terms(m: Matroid, e: int, f: int) -> tuple[dict[int, int], ...]:
+    """(M_e^f * M_f^e, M_{ef} * M^{ef}, 4P) as packed terms, for the pair at
+    positions e, f."""
     only_e, only_f, both, neither = basis_split(m, e, f)
     return (
         add_products({}, only_e, only_f),
@@ -684,14 +685,15 @@ def table_coefficients(shape_family: str) -> TableReport:
     rows_by_key: dict[tuple, TableRow] = {}
     for row in rows:
         inst = named(row.instance)
-        index = inst.elements.index
+        index = inst._index
         others = [x for x in inst.elements if x not in row.pair]
         if row.g is not None:
             support = (row.g,) + tuple(x for x in others if x != row.g)
         else:
             support = tuple(others)
-        positions = tuple(map(index, support))
-        positive, negative, four_p = _pair_terms(inst, *row.pair)
+        positions = tuple(index[x] for x in support)
+        e, f = index[row.pair[0]], index[row.pair[1]]
+        positive, negative, four_p = _pair_terms(inst, e, f)
         mono = pack_shape(row.family, positions)
         cpos, cneg = positive.get(mono, 0), negative.get(mono, 0)
         pval = Fraction(four_p.get(mono, 0), 4)
@@ -704,7 +706,6 @@ def table_coefficients(shape_family: str) -> TableReport:
         checks.append(
             RowCheck(row, cpos, cneg, cpos - cneg, pval, ok)
         )
-        e, f = map(index, row.pair)
         key = _pinned_key(line_masks(inst), inst.n, e, f, positions, row.family)
         if key in rows_by_key:
             raise RuntimeError(f"ambiguous table rows: {rows_by_key[key].label} "
@@ -719,11 +720,11 @@ def table_coefficients(shape_family: str) -> TableReport:
     for mname, m in _scan_matroids():
         lines = line_masks(m)
         for ie, jf in itertools.combinations(range(m.n), 2):
-            if any(line >> ie & line >> jf & 1 for line in lines):
+            ef = 1 << ie | 1 << jf
+            if m.closure_mask(ef) != ef:
                 continue  # {e,f} is not closed: it spans a line
-            e, f = m.elements[ie], m.elements[jf]
-            pair = f"{mname} pair {{{e},{f}}}"
-            positive, negative, four_p = _pair_terms(m, e, f)
+            pair = f"{mname} pair {{{m.elements[ie]},{m.elements[jf]}}}"
+            positive, negative, four_p = _pair_terms(m, ie, jf)
             others = [i for i in range(m.n) if i not in (ie, jf)]
             for support in _shape_supports(others, shape_family):
                 occurrences += 1

@@ -52,7 +52,7 @@ def _load_matroid(token: str) -> tuple[Matroid, tuple[str, ...]]:
         try:
             with open(token, "r", encoding="utf-8") as fh:
                 m = loads_matroid(fh.read())
-        except (ValueError, KeyError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             raise CliError(f"cannot load matroid file {token!r}: {exc}") from exc
     else:
         from .catalog import catalog_names, named
@@ -280,8 +280,6 @@ def cmd_delta(args: argparse.Namespace) -> int:
 
 
 def cmd_certificate(args: argparse.Namespace) -> int:
-    from .poly import format_polynomial
-
     m, loops = _load_matroid(args.matroid)
     pairs = _parse_pairs(m, args.pairs, loops)
     reports = _certify_all(m, pairs)
@@ -293,11 +291,12 @@ def cmd_certificate(args: argparse.Namespace) -> int:
             print(f"pair {{{e},{f}}}: {verdict} (mode={rep.mode})")
             if rep.reduction_chain:
                 print(f"  deleted: {', '.join(rep.reduction_chain)}")
-            print(f"  delta    = {format_polynomial(rep.delta)}")
-            print(f"  ansatz   = {format_polynomial(rep.P)}")
-            print(f"  residual = {format_polynomial(rep.residual)}")
-            for a, root in rep.square_terms:
-                print(f"  square[{a}] = {format_polynomial(root)}")
+            doc = rep.to_json_dict()
+            print(f"  delta    = {doc['delta']}")
+            print(f"  ansatz   = {doc['ansatz']}")
+            print(f"  residual = {doc['residual']}")
+            for a, root in doc["squares"]:
+                print(f"  square[{a}] = {root}")
     else:
         _emit_json(
             {

@@ -34,7 +34,6 @@ __all__ = [
     "minor_polynomial",
     "basis_split",
     "delta_from_split",
-    "delta_terms",
     "rayleigh_difference",
     "central_term",
     "decomposition_check",
@@ -45,7 +44,6 @@ __all__ = [
     "SampleResult",
     "Violation",
     "negative_correlation_sample",
-    "draw_dyadic_point",
 ]
 
 
@@ -98,10 +96,11 @@ class PairContext(_Pair):
             raise ValueError("precondition: {e,f,g} must be dependent")
 
 
-def _split(m: Matroid, members: Sequence[str], deleted: int = 0) -> list[list[int]]:
+def _split(m: Matroid, members: Sequence[int], deleted: int = 0) -> list[list[int]]:
     """The bases of m that miss `deleted`, packed less `members`, by how they
     meet `members`.
 
+    `members` are ground-set positions and `deleted` a bitmask of positions.
     Entry s holds the bases that contain exactly the members whose bit is set
     in s (bit i for members[i]); contracting those members and deleting the
     others leaves exactly these bases, so entry s is that minor's packed
@@ -112,7 +111,7 @@ def _split(m: Matroid, members: Sequence[str], deleted: int = 0) -> list[list[in
     groups: dict[int, list[int]] = {0: []}
     whole = 0
     for x in members:  # pre-key every subset, in the order of s
-        bit = 1 << m.elements.index(x)
+        bit = 1 << x
         whole |= bit
         for key in list(groups):
             groups[key | bit] = []
@@ -124,16 +123,16 @@ def _split(m: Matroid, members: Sequence[str], deleted: int = 0) -> list[list[in
 
 
 def basis_split(
-    m: Matroid, e: str, f: str, deleted: int = 0
+    m: Matroid, e: int, f: int, deleted: int = 0
 ) -> tuple[list[int], ...]:
     """The bases of m less {e,f}, packed, by how they meet {e,f}.
 
-    Returns (only e, only f, both, neither): the packed terms of M_e^f,
-    M_f^e, M_ef and M^ef.  A dependent {e,f} lies in no basis, so `both` is
-    then empty, as M_ef is (contracting a dependent set leaves no basis).
-    With `deleted`, a bitmask of positions outside {e,f}, only the bases
-    that miss it count: those are the bases of ``m.delete`` of that set, kept
-    on m's own positions.
+    `e` and `f` are ground-set positions.  Returns (only e, only f, both,
+    neither): the packed terms of M_e^f, M_f^e, M_ef and M^ef.  A dependent
+    {e,f} lies in no basis, so `both` is then empty, as M_ef is (contracting
+    a dependent set leaves no basis).  With `deleted`, a bitmask of positions
+    outside {e,f}, only the bases that miss it count: those are the bases of
+    ``m.delete`` of that set, kept on m's own positions.
     """
     neither, only_e, only_f, both = _split(m, (e, f), deleted)
     return only_e, only_f, both, neither
@@ -147,26 +146,20 @@ def delta_from_split(
     return add_products(add_products({}, only_e, only_f), both, neither, -1)
 
 
-def delta_terms(m: Matroid, e: str, f: str, deleted: int = 0) -> dict[int, int]:
-    """Delta M{e,f} as packed terms (see `poly.pack_mask`); some may be 0.
-
-    With `deleted` (see `basis_split`), the Delta of m with those positions
-    deleted, on m's own positions.
-    """
-    return delta_from_split(*basis_split(m, e, f, deleted))
-
-
 def rayleigh_difference(ctx: PairContext) -> Polynomial:
     """Delta M{e,f} = M_e^f * M_f^e - M_ef * M^ef.
 
-    Computed straight from the bases (`delta_terms`): each product of two
-    packed bases is one integer addition.  Packed monomials hold a 4-bit
-    exponent per ground-set position, and no exponent in the certificate's
-    loops exceeds 4 (here they stay <= 2), so 4 bits are enough.  The result
-    becomes a `Polynomial` once, with its variables in label order.
+    Computed straight from the bases: the pair's labels become positions
+    once, `basis_split` groups the packed bases and `delta_from_split`
+    multiplies them, each product of two packed bases one integer addition.
+    Packed monomials hold a 4-bit exponent per ground-set position, and no
+    exponent in the certificate's loops exceeds 4 (here they stay <= 2), so
+    4 bits are enough.  The result becomes a `Polynomial` once, with its
+    variables in label order.
     """
     m = ctx.matroid
-    return from_packed(delta_terms(m, ctx.e, ctx.f), m.elements)
+    split = basis_split(m, m._index[ctx.e], m._index[ctx.f])
+    return from_packed(delta_from_split(*split), m.elements)
 
 
 def central_term(ctx: PairContext, g: str) -> Polynomial:
@@ -182,7 +175,7 @@ def central_term(ctx: PairContext, g: str) -> Polynomial:
     m = ctx.matroid
     ctx.check_third(g)
     # Entry s of the split: bit 1 is e, bit 2 is f, bit 4 is g.
-    groups = _split(m, (ctx.e, ctx.f, g))
+    groups = _split(m, (m._index[ctx.e], m._index[ctx.f], m._index[g]))
     terms = add_products({}, groups[1], groups[6])
     add_products(terms, groups[2], groups[5])
     add_products(terms, groups[4], groups[3], -1)
@@ -286,7 +279,8 @@ def theta_dominance_check(ctx: PairContext, g: str) -> bool:
 
 def closed_pair_filter(m: Matroid, e: str, f: str) -> bool:
     """True iff {e,f} is closed: nothing else lies in its closure."""
-    return m.closure((e, f)) == frozenset((e, f))
+    pair = m._mask((e, f))
+    return m.closure_mask(pair) == pair
 
 
 def negative_correlation_check(
@@ -335,13 +329,6 @@ def _draw_scaled_weight(rng: random.Random) -> int:
     return mantissa << (k - _EXP_LOW)
 
 
-def draw_dyadic_point(rng: random.Random, elements: Sequence[str]) -> dict[str, Fraction]:
-    """A full positive weight vector of dyadic rationals in [2^-9, 2^9)."""
-    return {
-        el: Fraction(_draw_scaled_weight(rng), 1 << _SCALE_SHIFT) for el in elements
-    }
-
-
 class Violation(NamedTuple):
     pair: tuple[str, str]
     sample_index: int
@@ -386,7 +373,7 @@ def negative_correlation_sample(
     if not pairs:
         return SampleResult((), samples, 0, (), 0)
     rng = random.Random(seed)
-    index = {el: i for i, el in enumerate(m.elements)}
+    index = m._index
     masks = m.basis_masks
     nelems = len(m.elements)
     supports = [[i for i in range(nelems) if b >> i & 1] for b in masks]

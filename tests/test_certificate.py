@@ -40,9 +40,9 @@ from rayleigh_kit.poly import (
 )
 from rayleigh_kit.rayleigh import (
     PairContext,
+    basis_split,
     closed_pair_filter,
-    delta_terms,
-    draw_dyadic_point,
+    delta_from_split,
     lemma31_injection,
     minor_polynomial,
     rayleigh_difference,
@@ -76,7 +76,8 @@ def _reference_four_p(m, e, f):
 
 def _kernel_four_p(m, e, f):
     """4P, the plain sum of the squares, read from the packed kernel."""
-    return from_packed(certificate._four_p_terms(_squares(m, e, f)), m.elements)
+    squares = _squares(m, m.elements.index(e), m.elements.index(f))
+    return from_packed(certificate._four_p_terms(squares), m.elements)
 
 
 def test_packed_kernel_matches_the_polynomial_reference():
@@ -95,7 +96,7 @@ def test_packed_kernel_matches_the_polynomial_reference():
 
 
 def test_closed_pair_structure_check_on_packed_terms():
-    m, e, f = named("K4"), "1", "2"  # elements 1..6 sit at positions 0..5
+    m, e, f = named("K4"), 0, 1  # elements 1..6 sit at positions 0..5
     y = [pack_mask(1 << i) for i in range(6)]
     good = {2 * y[2] + 2 * y[3]: 1, y[2] + y[3] + y[4] + y[5]: -2}
     squares = _squares(m, e, f)
@@ -198,7 +199,8 @@ def test_ansatz_polynomial_nonnegative_at_points():
         m = named(name)
         four_p = _kernel_four_p(m, *pair)
         for _ in range(50):
-            point = draw_dyadic_point(rng, m.elements)
+            point = {el: Fraction(rng.randrange(1, 1000), rng.randrange(1, 1000))
+                     for el in m.elements}
             assert four_p.evaluate(point) >= 0
 
 
@@ -322,6 +324,19 @@ def test_certify_rank_two():
     assert rep.P.is_zero
     assert rep.residual == rep.delta
     assert all(c >= 0 for _, c in rep.delta.terms())
+    # every pair of each U_1_n and U_2_n on <= 6 points, and of a rank-2
+    # matroid with a two-element parallel class
+    doubled = with_parallel_copy(uniform(2, 4), "1", "p")
+    low_rank = [uniform(r, n) for r in (1, 2) for n in range(max(r, 2), 7)]
+    answers = set()
+    for m in low_rank + [doubled]:
+        for e, f in combinations(m.elements, 2):
+            rep = certify(m, e, f)
+            assert rep.mode == "rank-le-2" and rep.verdict
+            closed = m.closure((e, f)) == frozenset((e, f))
+            assert rep.reduced_pair_closed is closed, (m, e, f)
+            answers.add(closed)
+    assert answers == {True, False}
 
 
 def test_certify_parallel_pair_product_mode():
@@ -385,8 +400,9 @@ def _two_copies(n):
 
 def _unreduced_dominance_reference(m, e, f):
     """Delta >> P on m itself, before any reduction: the full second ansatz."""
-    four_p = certificate._four_p_terms(_squares(m, e, f))
-    gap = certificate._gap(delta_terms(m, e, f), four_p)
+    ie, jf = m.elements.index(e), m.elements.index(f)
+    four_p = certificate._four_p_terms(_squares(m, ie, jf))
+    gap = certificate._gap(delta_from_split(*basis_split(m, ie, jf)), four_p)
     return all(coeff >= 0 for coeff in gap.values())
 
 
@@ -563,7 +579,8 @@ def test_certify_work_per_pair(monkeypatch):
         for e, f in combinations(m.elements, 2):
             splits.clear()
             certify(m, e, f)
-            assert splits == [(e, f)] * 2, (m, e, f)
+            ie, jf = m.elements.index(e), m.elements.index(f)
+            assert splits == [(ie, jf)] * 2, (m, e, f)
     for per_matroid in built.values():
         assert len(per_matroid) == len(inputs)
         for results in per_matroid.values():

@@ -14,10 +14,11 @@ from rayleigh_kit.matroid import Matroid, with_parallel_copy
 from rayleigh_kit.poly import Polynomial, dominates, parse_polynomial
 from rayleigh_kit.rayleigh import (
     PairContext,
+    _SCALE_SHIFT,
+    _draw_scaled_weight,
     central_term,
     closed_pair_filter,
     decomposition_check,
-    draw_dyadic_point,
     generating_polynomial,
     lemma31_injection,
     minor_polynomial,
@@ -188,6 +189,12 @@ def test_closed_pair_filter():
     m = named("K4")
     assert closed_pair_filter(m, "1", "2")  # a matching pair spans no line
     assert not closed_pair_filter(m, "2", "3")  # {2,3} spans the line {2,3,5}
+    census = [m for n in range(3, 8) for m in enumerate_simple_rank3(n).classes]
+    doubled = [with_parallel_copy(m, x, "p") for n in (4, 5, 6)
+               for m in enumerate_simple_rank3(n).classes for x in m.elements]
+    for m in census + doubled:
+        for e, f in combinations(m.elements, 2):
+            assert closed_pair_filter(m, e, f) == (m.closure((e, f)) == frozenset((e, f)))
 
 
 def test_negative_correlation_check_exact():
@@ -217,8 +224,8 @@ def test_negative_correlation_check_errors():
 def test_dyadic_points_stay_in_range():
     rng = random.Random(123)
     for _ in range(20):
-        point = draw_dyadic_point(rng, ["a", "b", "c"])
-        for w in point.values():
+        point = [Fraction(_draw_scaled_weight(rng), 1 << _SCALE_SHIFT) for _ in range(3)]
+        for w in point:
             assert Fraction(1, 512) <= w < 512
             assert Fraction(1, 1000) <= w <= 1000
             # denominators are powers of two (exact dyadic rationals)
