@@ -304,7 +304,7 @@ class _ReportFields(NamedTuple):
     reduced_pair_closed: bool
     reduction_chain: tuple[str, ...]
     verdict: bool
-    delta_original: Polynomial
+    delta_input: Optional[Polynomial]  # Delta_M when certify built it, else None
     unreduced_dominance: Optional[bool]
     matroid: Matroid
     four_p: dict[int, int]
@@ -327,11 +327,16 @@ class CertificateReport(_ReportFields):
     The report keeps what `certify` decided on, as packed terms over the
     positions of the input `matroid` (see `poly.pack_mask`): `four_p` is
     4P, `gap` is 4*delta - 4P, and `roots` pairs the position of each
-    square's a with its root.  `P`, `residual`, `square_terms` and `delta`
-    are built from them as `Polynomial`s when first read, once each
-    (`delta` by `rayleigh_difference` on the reduced matroid, which is
-    built then).  `delta_original` and `unreduced_dominance` are computed by
-    `certify`.
+    square's a with its root.  `P`, `residual` and `delta` are built from
+    them as `Polynomial`s when first read, once each (`delta` by
+    `rayleigh_difference` on the reduced matroid, which is built then).
+    `unreduced_dominance` is computed by `certify`, and so is
+    `delta_original` for a pair without a reduction chain, which `certify`
+    checks against the reduced Delta; `delta_input` holds it then, and is
+    None otherwise.  With a chain no check reads Delta_M, so
+    `delta_original` is built by `rayleigh_difference` on the input matroid
+    when first read, once; the JSON report and the `certificate` command
+    read it, `verify`'s text output does not.
 
     The report is read-only.  The class has no ``__slots__``, so the cached
     fields live in the instance ``__dict__``, which `cached_property` writes
@@ -341,9 +346,18 @@ class CertificateReport(_ReportFields):
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to {name!r}: the report is read-only")
 
+    _SHOWN = ("pair", "mode", "reduced_pair_closed", "reduction_chain",
+              "verdict", "delta_original", "unreduced_dominance")
+
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields[:7])
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._SHOWN)
         return f"CertificateReport({shown})"
+
+    @cached_property
+    def delta_original(self) -> Polynomial:
+        if self.delta_input is not None:
+            return self.delta_input
+        return rayleigh_difference(PairContext(self.matroid, *self.pair))
 
     @cached_property
     def P(self) -> Polynomial:
@@ -356,11 +370,6 @@ class CertificateReport(_ReportFields):
             for key, coeff in self.gap.items()
         }
         return from_packed(quarter, self.matroid.elements)
-
-    @cached_property
-    def square_terms(self) -> tuple[tuple[str, Polynomial], ...]:
-        labels = self.matroid.elements
-        return tuple((labels[a], from_packed(root, labels)) for a, root in self.roots)
 
     @cached_property
     def delta(self) -> Polynomial:
@@ -412,12 +421,14 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
     squares come from m's flats less the chain, and the reduced Delta from
     the bases of m that avoid it.  On every call the identity
     4*Delta = 4P + (4*Delta - 4P) is checked in integers against a Delta
-    that is not the dict the gap was cut from.  The bases are split twice
-    per pair, once for `delta_original` and once for the reduced Delta.
-    With a chain, the fresh Delta is a second product of the reduced split.
-    Without one (closed, product and rank <= 2 pairs) the reduced Delta is
-    Delta_M, so the dict the gap was cut from must equal `delta_original`,
-    which `rayleigh_difference` computed from its own split.  Only
+    that is not the dict the gap was cut from.  A pair with a reduction
+    chain splits its bases once, for the reduced Delta, and multiplies the
+    split out twice: the fresh Delta is the second product.  It does not
+    build Delta_M, which no check reads; the report builds `delta_original`
+    when it is read.  Every other pair (closed, product and rank <= 2)
+    splits its bases twice: the reduced Delta is Delta_M there, so the dict
+    the gap was cut from must equal `delta_original`, which
+    `rayleigh_difference` computes from a split of its own.  Only that
     `delta_original` is a `Polynomial` on return; the report builds its
     other fields when they are read.
 
@@ -451,7 +462,6 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
         raise ValueError(
             f"certify requires a loopless matroid (loops: {sorted(m.loops())})"
         )
-    delta_orig = rayleigh_difference(ctx)
     ie, jf = m._index[e], m._index[f]
     chain = _closure_chain(m, ie, jf) if m.rank == 3 else None
     if chain is None:
@@ -470,9 +480,11 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
     gap = _gap(red_terms, four_p)
     if chain:
         _check_identity(delta_from_split(*split), four_p, gap)
+        delta_orig = None  # the report builds Delta_M when it is read
     else:
         # Nothing is deleted, so the reduced Delta is Delta_M itself.
         _check_identity(red_terms, four_p, gap)
+        delta_orig = rayleigh_difference(ctx)
         if from_packed(red_terms, m.elements) != delta_orig:
             raise RuntimeError(_IDENTITY_VIOLATED)
     verdict = min(gap.values(), default=0) >= 0
@@ -487,7 +499,7 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
         reduced_pair_closed=closed,
         reduction_chain=_labels(m, chain),
         verdict=verdict,
-        delta_original=delta_orig,
+        delta_input=delta_orig,
         unreduced_dominance=unreduced,
         matroid=m,
         four_p=four_p,

@@ -269,10 +269,12 @@ def test_certify_k4_pair():
     assert rep.delta == square * square
     assert rep.delta == rep.P + rep.residual
     assert all(c >= 0 for _, c in rep.residual.terms())
-    assert len(rep.square_terms) == 4
-    for a, root in rep.square_terms:
+    squares = rep.to_json_dict()["squares"]
+    assert len(squares) == 4
+    for a, root in squares:
         assert a in ("3", "4", "5", "6")
-        assert root == ansatz_parts(named("K4"), "1", "2", a).square_root_term()
+        expected = ansatz_parts(named("K4"), "1", "2", a).square_root_term()
+        assert parse_polynomial(root) == expected
     assert rep.unreduced_dominance is True
     assert rep.delta_original == rep.delta
 
@@ -483,7 +485,8 @@ def test_report_fields_satisfy_the_read_time_identities(pinned_reports):
     for rep in pinned_reports:
         assert rep.delta == rep.P + rep.residual, rep.pair
         four_p = Polynomial.zero()
-        for _, root in rep.square_terms:
+        for _, packed in rep.roots:
+            root = from_packed(packed, rep.matroid.elements)
             four_p = four_p + root * root
         assert rep.P * 4 == four_p, rep.pair
         if not rep.reduction_chain:
@@ -496,8 +499,10 @@ def test_packed_rendering_matches_the_report_fields(pinned_reports):
         assert doc["ansatz"] == format_polynomial(rep.P), rep.pair
         assert doc["residual"] == format_polynomial(rep.residual), rep.pair
         assert doc["residual_terms"] == len(rep.residual), rep.pair
+        labels = rep.matroid.elements
         assert doc["squares"] == [
-            [a, format_polynomial(root)] for a, root in rep.square_terms
+            [labels[a], format_polynomial(from_packed(root, labels))]
+            for a, root in rep.roots
         ], rep.pair
 
 
@@ -542,7 +547,7 @@ def test_certify_builds_no_minor_until_delta_is_read(monkeypatch):
     chained = next(rep for rep in reports if rep.reduction_chain)
     closed = next(rep for rep in reports if not rep.reduction_chain)
     for rep in (chained, closed):
-        rep.P, rep.residual, rep.square_terms, rep.delta_original
+        rep.P, rep.residual, rep.delta_original
     closed.delta
     assert minors == []
     assert chained.delta is chained.delta
@@ -550,9 +555,11 @@ def test_certify_builds_no_minor_until_delta_is_read(monkeypatch):
 
 
 def test_certify_work_per_pair(monkeypatch):
-    # Two basis splits per pair (delta_original's, and certify's own for the
-    # reduced Delta and its identity check); the parallel structure and the
-    # packed bases once per matroid.
+    # A pair with a reduction chain splits its bases once, for the reduced
+    # Delta and its identity check, and builds no delta_original; every other
+    # pair splits them twice (that split, and delta_original's, which the
+    # reduced Delta is checked against).  The parallel structure and the
+    # packed bases are built once per matroid.
     splits = []
     built = {"_shares": {}, "_packed_bases": {}}
     real_split = rayleigh._split
@@ -578,13 +585,45 @@ def test_certify_work_per_pair(monkeypatch):
     for m in inputs:
         for e, f in combinations(m.elements, 2):
             splits.clear()
-            certify(m, e, f)
+            rep = certify(m, e, f)
             ie, jf = m.elements.index(e), m.elements.index(f)
-            assert splits == [(ie, jf)] * 2, (m, e, f)
+            expected = 1 if rep.reduction_chain else 2
+            assert splits == [(ie, jf)] * expected, (m, e, f)
     for per_matroid in built.values():
         assert len(per_matroid) == len(inputs)
         for results in per_matroid.values():
             assert len(results) > 1 and all(r is results[0] for r in results)
+
+
+def test_delta_original_of_a_chained_pair_is_built_when_read(monkeypatch):
+    # With a reduction chain no check reads Delta_M, so certify leaves it to
+    # the report, which builds it on first read and keeps it.
+    calls = []
+    real_difference = certificate.rayleigh_difference
+
+    def counted_difference(ctx):
+        calls.append((ctx.e, ctx.f))
+        return real_difference(ctx)
+
+    monkeypatch.setattr(certificate, "rayleigh_difference", counted_difference)
+    m = named("fig1.I")
+    rep = certify(m, "2", "3")
+    assert rep.reduction_chain == ("4",)
+    assert calls == []
+    first = rep.delta_original
+    assert calls == [("2", "3")]
+    assert rep.delta_original is first
+    assert calls == [("2", "3")]
+    assert first == real_difference(PairContext(m, "2", "3"))
+    assert first == _reference_delta(m, "2", "3")
+    assert repr(rep) == (
+        "CertificateReport(pair=('2', '3'), mode='reduced-ansatz', "
+        "reduced_pair_closed=True, reduction_chain=('4',), verdict=True, "
+        "delta_original=Polynomial('+1 * y_1^2 y_4^2'), unreduced_dominance=False)"
+    )
+    with pytest.raises(AttributeError):
+        rep.delta_original = None
+    assert rep.delta_original is first
 
 
 def test_a_corrupted_delta_original_is_caught(monkeypatch):
