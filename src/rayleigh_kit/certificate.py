@@ -54,6 +54,7 @@ from .poly import (
     pack_shape,
     packed_shapes,
     packed_variables,
+    shape_text,
 )
 from .rayleigh import (
     PairContext,
@@ -215,7 +216,7 @@ def _check_closed_pair_structure(
             mono = next(from_packed({min(keys - shapes): 1}, m.elements).terms())[0]
             raise RuntimeError(
                 f"internal invariant violated: {label} monomial {mono} "
-                "is not of shape y_g^2y_h^2, y_g^2y_hy_i or y_gy_hy_iy_j"
+                f"is not of shape {' or '.join(map(shape_text, _SHAPE_EXPONENTS))}"
             )
         if reduce(or_, keys, 0) & pair:
             raise RuntimeError(
@@ -259,20 +260,6 @@ def _closure_chain(m: Matroid, e: int, f: int) -> Optional[int]:
 def _labels(m: Matroid, mask: int) -> tuple[str, ...]:
     """The elements of a bitmask, in ground-set order."""
     return tuple(el for i, el in enumerate(m.elements) if mask >> i & 1)
-
-
-def _simple_after_deleting(m: Matroid, deleted: int) -> bool:
-    """Whether the loopless m with the `deleted` positions deleted is simple.
-
-    Deletion restricts the rank function, so the parallel pairs left are
-    m's parallel pairs outside `deleted`.
-    """
-    full = (1 << m.n) - 1
-    return all(
-        shares | deleted == full
-        for i, shares in enumerate(m._shares())
-        if not deleted >> i & 1
-    )
 
 
 def lemma33_reduce(m: Matroid, e: str, f: str) -> ReductionResult:
@@ -329,7 +316,7 @@ class CertificateReport(_ReportFields):
     4P, `gap` is 4*delta - 4P, and `roots` pairs the position of each
     square's a with its root.  `P`, `residual` and `delta` are built from
     them as `Polynomial`s when first read, once each (`delta` by
-    `rayleigh_difference` on the reduced matroid, which is built then).
+    `rayleigh_difference` on `lemma33_reduce`'s matroid, built on that read).
     `unreduced_dominance` is computed by `certify`, and so is
     `delta_original` for a pair without a reduction chain, which `certify`
     checks against the reduced Delta; `delta_input` holds it then, and is
@@ -375,10 +362,8 @@ class CertificateReport(_ReportFields):
     def delta(self) -> Polynomial:
         if self.mode != "reduced-ansatz":
             return self.delta_original
-        m = self.matroid
-        if self.reduction_chain:
-            m = m.delete(self.reduction_chain)
-        return rayleigh_difference(PairContext(m, *self.pair))
+        reduced = lemma33_reduce(self.matroid, *self.pair).matroid
+        return rayleigh_difference(PairContext(reduced, *self.pair))
 
     def to_json_dict(self) -> dict:
         labels = self.matroid.elements
@@ -490,7 +475,7 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
     verdict = min(gap.values(), default=0) >= 0
     unreduced = None
     if mode == "reduced-ansatz":
-        if _simple_after_deleting(m, chain):
+        if m.is_simple(chain):
             _check_closed_pair_structure(m, ie, jf, red_terms, four_p, squares)
         unreduced = not chain and verdict  # the lemma in the docstring
     return CertificateReport(
@@ -613,8 +598,8 @@ def _pinned_key(
 ) -> tuple[int, ...]:
     """Canonical form of the restriction of a simple rank-3 matroid on n
     points with these line masks to {e,f} plus a monomial's support, with
-    {e,f} pinned setwise and, for the GGHI shape, g = support[0] pointwise.
-    All of them are positions.
+    {e,f} pinned setwise and the support's positions pinned by exponent:
+    for the GGHI shape, g = support[0] pointwise.  All of them are positions.
 
     Minimal sorted line-mask tuple over all relabelings sending {e,f} to
     positions {0,1} and g to position 2.  The restriction's lines are the
@@ -622,10 +607,10 @@ def _pinned_key(
     the other positions lie on none of them and take the last cell, so the
     form is the one the restriction itself would give.
     """
-    if family == GGHI:
-        cells = [[e, f], [support[0]], list(support[1:])]
-    else:
-        cells = [[e, f], list(support)]
+    exps = _SHAPE_EXPONENTS[family]
+    cells = [[e, f]] + [
+        [i for i, x in zip(support, exps) if x == exp] for exp in (2, 1) if exp in exps
+    ]
     keep = sum(1 << i for i in support) | 1 << e | 1 << f
     cells.append([i for i in range(n) if not keep >> i & 1])
     masks = [line & keep for line in lines if (line & keep).bit_count() >= 3]
@@ -644,16 +629,14 @@ def _pair_terms(m: Matroid, e: int, f: int) -> tuple[dict[int, int], ...]:
 
 
 def _shape_supports(others: list[int], family: str):
-    """All supports of the family's shape over these positions, in a fixed
-    order, each listed as `pack_shape` takes it."""
-    if family == GGHH:
-        yield from itertools.combinations(others, 2)
-    elif family == GGHI:
-        for g in others:
-            for h, i in itertools.combinations([x for x in others if x != g], 2):
-                yield (g, h, i)
-    else:
-        yield from itertools.combinations(others, 4)
+    """All supports of the family's shape over these positions, each listed
+    as `pack_shape` takes it: the squared positions in combination order,
+    then each combination of the rest."""
+    squared = _SHAPE_EXPONENTS[family].count(2)
+    linear = len(_SHAPE_EXPONENTS[family]) - squared
+    for sq in itertools.combinations(others, squared):
+        for lin in itertools.combinations([x for x in others if x not in sq], linear):
+            yield sq + lin
 
 
 def _where(pair: str, m: Matroid, support: tuple[int, ...], family: str) -> str:
@@ -699,10 +682,7 @@ def table_coefficients(shape_family: str) -> TableReport:
         inst = named(row.instance)
         index = inst._index
         others = [x for x in inst.elements if x not in row.pair]
-        if row.g is not None:
-            support = (row.g,) + tuple(x for x in others if x != row.g)
-        else:
-            support = tuple(others)
+        support = sorted(others, key=lambda x: x != row.g)  # a squared g first
         positions = tuple(index[x] for x in support)
         e, f = index[row.pair[0]], index[row.pair[1]]
         positive, negative, four_p = _pair_terms(inst, e, f)

@@ -30,13 +30,6 @@ if TYPE_CHECKING:
     from .certificate import CertificateReport
     from .matroid import Matroid
 
-_FAMILY_SHAPES = {
-    GGHH: "y_g^2 y_h^2",
-    GGHI: "y_g^2 y_h y_i",
-    GHIJ: "y_g y_h y_i y_j",
-}
-
-
 class CliError(Exception):
     """Usage or input problem; maps to exit code 2."""
 
@@ -314,6 +307,7 @@ def cmd_certificate(args: argparse.Namespace) -> int:
 
 def cmd_tables(args: argparse.Namespace) -> int:
     from .certificate import table_coefficients
+    from .poly import shape_text
 
     families = [GGHH, GGHI, GHIJ] if args.family == "all" else [args.family]
     reports = [table_coefficients(fam) for fam in families]
@@ -325,7 +319,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
                 "families": [
                     {
                         "family": rep.family,
-                        "shape": _FAMILY_SHAPES[rep.family],
+                        "shape": shape_text(rep.family),
                         "rows": [
                             {
                                 "label": chk.row.label,
@@ -370,7 +364,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
         )
     else:
         for rep in reports:
-            print(f"monomial shape {_FAMILY_SHAPES[rep.family]}")
+            print(f"monomial shape {shape_text(rep.family)}")
             header = (
                 f"  {'row':<12} {'expected':<10} {'computed':<10} "
                 f"{'ansatz allowed':<16} {'ansatz':<8} result"

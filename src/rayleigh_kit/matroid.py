@@ -24,21 +24,6 @@ from functools import lru_cache
 from itertools import combinations, islice, repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
-__all__ = [
-    "Matroid",
-    "SimplifyResult",
-    "canonical_form",
-    "transposition_twins",
-    "from_geometry",
-    "line_masks",
-    "lines_of",
-    "with_parallel_copy",
-    "matroid_from_json_dict",
-    "matroid_to_json_dict",
-    "loads_matroid",
-    "dumps_matroid",
-]
-
 
 def _check_element_id(el) -> str:
     if not isinstance(el, str) or not el:
@@ -327,11 +312,17 @@ class Matroid:
             classes.append(tuple(sorted(self.elements[j] for j in members)))
         return sorted(classes, key=lambda c: c[0])
 
-    def is_simple(self) -> bool:
+    def is_simple(self, deleted: int = 0) -> bool:
         """No loops and no parallel pairs: every element shares a basis with
-        every element."""
+        every element.  With `deleted`, a bitmask of positions, the answer
+        for `delete` of them, which keeps the bases avoiding them: with one
+        left, ranks in the rest are unchanged, so its loops and parallel
+        pairs are this matroid's outside `deleted`."""
         full = (1 << len(self.elements)) - 1
-        return all(s == full for s in self._shares())
+        if 0 not in map(deleted.__and__, self._masks):  # no basis avoids them
+            return deleted == full
+        shares = enumerate(self._shares())
+        return all(s | deleted == full for i, s in shares if not deleted >> i & 1)
 
     def simplify(self) -> "SimplifyResult":
         """Delete loops, keep one representative per parallel class.

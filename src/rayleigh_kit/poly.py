@@ -370,8 +370,10 @@ def reciprocal_transform(p: Polynomial, scope: Iterable[str], cap: int) -> Polyn
 # ---------------------------------------------------------------------------
 # Degree-4 monomial shapes: GGHH is y_g^2 y_h^2, GGHI is y_g^2 y_h y_i and
 # GHIJ is y_g y_h y_i y_j.  A shape's support lists its distinct variables in
-# the order of its exponents, so for GGHI the squared one comes first.  The
-# names themselves live in the package init.
+# the order of its exponents, so the squared ones come first.  The names
+# themselves live in the package init; everything else about a shape (its
+# text, the supports the table scan visits, the cells it pins) is derived
+# from this table.
 
 _SHAPE_EXPONENTS = {GGHH: (2, 2), GGHI: (2, 1, 1), GHIJ: (1, 1, 1, 1)}
 
@@ -381,6 +383,12 @@ def pack_shape(kind: str, positions: Iterable[int]) -> int:
     these ground-set positions, listed in the order of the shape's exponents."""
     pairs = zip(_SHAPE_EXPONENTS[kind], positions, strict=True)
     return sum(exp << PACKED_BITS * pos for exp, pos in pairs)
+
+
+def shape_text(kind: str) -> str:
+    """A shape written over the variables g, h, i, j: `y_g^2 y_h y_i`."""
+    exps = zip("ghij", _SHAPE_EXPONENTS[kind])
+    return " ".join(f"y_{var}^{exp}" if exp > 1 else f"y_{var}" for var, exp in exps)
 
 
 # ---------------------------------------------------------------------------

@@ -27,25 +27,6 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 from .matroid import Matroid
 from .poly import Coeff, Polynomial, add_products, dominates, from_packed, pack_mask
 
-__all__ = [
-    "PairContext",
-    "InjectionRecord",
-    "generating_polynomial",
-    "minor_polynomial",
-    "basis_split",
-    "delta_from_split",
-    "rayleigh_difference",
-    "central_term",
-    "decomposition_check",
-    "lemma31_injection",
-    "theta_dominance_check",
-    "closed_pair_filter",
-    "negative_correlation_check",
-    "SampleResult",
-    "Violation",
-    "negative_correlation_sample",
-]
-
 
 @lru_cache(maxsize=65536)
 def generating_polynomial(m: Matroid) -> Polynomial:

@@ -37,6 +37,7 @@ from rayleigh_kit.poly import (
     from_packed,
     pack_mask,
     parse_polynomial,
+    shape_text,
 )
 from rayleigh_kit.rayleigh import (
     PairContext,
@@ -723,6 +724,50 @@ def test_table_scan_keys_match_the_restriction_reference():
     scanned = sum(table_coefficients(fam).scan_occurrences
                   for fam in ("GGHH", "GGHI", "GHIJ"))
     assert visited == scanned == 1970
+
+
+def test_shape_text_names_each_shape():
+    assert [shape_text(fam) for fam in ("GGHH", "GGHI", "GHIJ")] == [
+        "y_g^2 y_h^2", "y_g^2 y_h y_i", "y_g y_h y_i y_j"]
+
+
+def _explicit_supports(others, family):
+    """The scan's supports written out per shape: the oracle for their
+    derivation from the exponent table."""
+    if family == "GGHH":
+        yield from combinations(others, 2)
+    elif family == "GGHI":
+        for g in others:
+            for h, i in combinations([x for x in others if x != g], 2):
+                yield (g, h, i)
+    else:
+        yield from combinations(others, 4)
+
+
+@pytest.mark.parametrize("family", ["GGHH", "GGHI", "GHIJ"])
+def test_shape_supports_follow_the_exponent_table(family):
+    # The order of the unmatched and mismatch lines follows this order.
+    for k in range(2, 8):
+        others = list(range(k))
+        assert list(_shape_supports(others, family)) == list(
+            _explicit_supports(others, family)), k
+
+
+def test_report_delta_reduces_through_lemma33(monkeypatch):
+    calls = []
+    real_reduce = certificate.lemma33_reduce
+
+    def counted_reduce(m, e, f):
+        calls.append((e, f))
+        return real_reduce(m, e, f)
+
+    monkeypatch.setattr(certificate, "lemma33_reduce", counted_reduce)
+    m = named("fig1.I")
+    chained, closed = certify(m, "2", "3"), certify(m, "1", "2")
+    assert calls == [] and closed.reduction_chain == ()
+    assert chained.delta == rayleigh_difference(PairContext(m.delete(["4"]), "2", "3"))
+    assert closed.delta == closed.delta_original
+    assert calls == [("2", "3"), ("1", "2")]
 
 
 def test_table_mismatch_fails_the_tables_command(monkeypatch, capsys):

@@ -517,6 +517,12 @@ def _python(code: str, *args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=300)
 
 
+def test_submodules_define_no_api_list():
+    # The package init's `_EXPORTS` is the one list of public names.
+    for module in (*_PUBLIC, "cli"):
+        assert not hasattr(import_module(f"rayleigh_kit.{module}"), "__all__"), module
+
+
 def test_public_api_is_unchanged():
     names = [name for group in _PUBLIC.values() for name in group]
     assert len(names) == 41

@@ -197,6 +197,34 @@ def test_with_parallel_copy():
     assert ("1", "1p") in m.parallel_classes()
 
 
+def test_is_simple_after_a_deletion_matches_the_deleted_matroid():
+    # Every census class on n <= 6 points, and each with one element doubled;
+    # deleted: each chain cl{e,f} - {e,f} of an independent pair, and each
+    # singleton (a coloop among them leaves a deletion with no bases).
+    inputs = []
+    for n in range(3, 7):
+        for m in enumerate_simple_rank3(n).classes:
+            inputs.append(m)
+            inputs.extend(with_parallel_copy(m, x, "p") for x in m.elements)
+    answers = set()
+    for m in inputs:
+        masks = {1 << i for i in range(m.n)}
+        for e, f in itertools.combinations(range(m.n), 2):
+            pair = 1 << e | 1 << f
+            if m.is_independent([m.elements[e], m.elements[f]]):
+                masks.add(m.closure_mask(pair) & ~pair)
+        for mask in masks:
+            deletion = m.delete(x for i, x in enumerate(m.elements) if mask >> i & 1)
+            assert m.is_simple(mask) == deletion.is_simple(), (m, mask)
+            answers.add((m.is_simple(mask), bool(deletion.basis_masks)))
+    assert answers == {(True, True), (False, True), (False, False)}
+    k4 = named("K4")
+    looped = Matroid(k4.elements + ("l",), 3, k4.basis_masks)
+    for mask, simple in ((0, False), (1 << 6, True)):
+        deletion = looped.delete(["l"] if mask else [])
+        assert looped.is_simple(mask) == deletion.is_simple() == simple
+
+
 def test_minor_contract_delete():
     m = k4()
     mc = m.contract(("1",))
