@@ -31,7 +31,7 @@ _EXPORTS = {
         "format_polynomial", "parse_polynomial", "reciprocal_transform",
     ),
     "rayleigh": (
-        "InjectionRecord", "PairContext", "central_term", "closed_pair_filter",
+        "InjectionRecord", "central_term", "closed_pair_filter",
         "decomposition_check", "generating_polynomial", "lemma31_injection",
         "minor_polynomial", "negative_correlation_check",
         "negative_correlation_sample", "rayleigh_difference",

@@ -57,7 +57,8 @@ from .poly import (
     shape_text,
 )
 from .rayleigh import (
-    PairContext,
+    _pair_positions,
+    _triple_positions,
     basis_split,
     delta_from_split,
     rayleigh_difference,
@@ -144,9 +145,7 @@ def _four_p_terms(squares: list[_Square]) -> dict[int, int]:
 def ansatz_parts(m: Matroid, e: str, f: str, a: str) -> AnsatzParts:
     """Compute L(a,e), L(a,f), U(a) and the polynomials B, C, D, T for one a."""
     _require_rank3(m)
-    PairContext(m, e, f).check_third(a)
-    index = m._index
-    square = _square(m, index[e], index[f], index[a])
+    square = _square(m, *_triple_positions(m, e, f, a))
     l_ae, l_af, u_a = (m._unmask(mask) for mask in square[1:4])
     return AnsatzParts(
         a, l_ae, l_af, u_a,
@@ -273,8 +272,7 @@ def lemma33_reduce(m: Matroid, e: str, f: str) -> ReductionResult:
     caller should use the product form of the difference instead.
     """
     _require_rank3(m)
-    PairContext(m, e, f)
-    chain_mask = _closure_chain(m, m._index[e], m._index[f])
+    chain_mask = _closure_chain(m, *_pair_positions(m, e, f))
     if chain_mask is None:
         return ReductionResult(m, (), True)
     chain = _labels(m, chain_mask)
@@ -344,7 +342,7 @@ class CertificateReport(_ReportFields):
     def delta_original(self) -> Polynomial:
         if self.delta_input is not None:
             return self.delta_input
-        return rayleigh_difference(PairContext(self.matroid, *self.pair))
+        return rayleigh_difference(self.matroid, *self.pair)
 
     @cached_property
     def P(self) -> Polynomial:
@@ -363,7 +361,7 @@ class CertificateReport(_ReportFields):
         if self.mode != "reduced-ansatz":
             return self.delta_original
         reduced = lemma33_reduce(self.matroid, *self.pair).matroid
-        return rayleigh_difference(PairContext(reduced, *self.pair))
+        return rayleigh_difference(reduced, *self.pair)
 
     def to_json_dict(self) -> dict:
         labels = self.matroid.elements
@@ -440,14 +438,13 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
     Inputs must be loopless; rank > 3 is rejected (non-Rayleigh matroids
     exist there, and the Ansatz is not defined).
     """
-    ctx = PairContext(m, e, f)
+    ie, jf = _pair_positions(m, e, f)
     if m.rank > 3:
         raise ValueError("certificate Ansatz undefined above rank 3")
     if m.loops():
         raise ValueError(
             f"certify requires a loopless matroid (loops: {sorted(m.loops())})"
         )
-    ie, jf = m._index[e], m._index[f]
     chain = _closure_chain(m, ie, jf) if m.rank == 3 else None
     if chain is None:
         # Rank <= 2: Delta itself is >> 0.  Dependent pair: no basis contains
@@ -469,7 +466,7 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
     else:
         # Nothing is deleted, so the reduced Delta is Delta_M itself.
         _check_identity(red_terms, four_p, gap)
-        delta_orig = rayleigh_difference(ctx)
+        delta_orig = rayleigh_difference(m, e, f)
         if from_packed(red_terms, m.elements) != delta_orig:
             raise RuntimeError(_IDENTITY_VIOLATED)
     verdict = min(gap.values(), default=0) >= 0

@@ -68,7 +68,7 @@ def _parse_pairs(
     m: Matroid, tokens: Optional[list[str]], loops: tuple[str, ...]
 ) -> list[tuple[str, str]]:
     if tokens:
-        from .rayleigh import PairContext
+        from .rayleigh import _pair_positions
 
         out = []
         for token in tokens:
@@ -83,7 +83,7 @@ def _parse_pairs(
                         "loops are removed before any check"
                     )
             try:
-                PairContext(m, e, f)
+                _pair_positions(m, e, f)
             except ValueError as exc:
                 raise CliError(str(exc)) from exc
             out.append((e, f))
@@ -233,7 +233,7 @@ def _verify_sampled(
 
 def cmd_delta(args: argparse.Namespace) -> int:
     from .poly import format_polynomial
-    from .rayleigh import PairContext, rayleigh_difference
+    from .rayleigh import rayleigh_difference
 
     m, loops = _load_matroid(args.matroid)
     if args.e is not None or args.f is not None:
@@ -244,10 +244,7 @@ def cmd_delta(args: argparse.Namespace) -> int:
         pairs = _parse_pairs(m, [f"{args.e},{args.f}"], loops)
     else:
         pairs = _parse_pairs(m, args.pairs, loops)
-    deltas = [
-        (pair, rayleigh_difference(PairContext(m, pair[0], pair[1])))
-        for pair in pairs
-    ]
+    deltas = [(pair, rayleigh_difference(m, *pair)) for pair in pairs]
     if args.format == "json":
         _emit_json(
             {
@@ -580,7 +577,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "out", None) and args.command != "enumerate":
+        if getattr(args, "out", None) is not None and args.command != "enumerate":
             # --out DIR also drops a copy of the report into DIR
             buffer = io.StringIO()
             with contextlib.redirect_stdout(buffer):

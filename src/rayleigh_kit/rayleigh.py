@@ -39,42 +39,30 @@ def minor_polynomial(m: Matroid, contract: Iterable[str], delete: Iterable[str])
     return generating_polynomial(m.minor(contract, delete))
 
 
-class _Pair(NamedTuple):
-    matroid: Matroid
-    e: str
-    f: str
+def _pair_positions(m: Matroid, e: str, f: str) -> tuple[int, int]:
+    """The ground-set positions of e and f, checked to be a pair of m.
 
-
-class PairContext(_Pair):
-    """A matroid together with a distinguished pair of distinct elements.
-
-    This is the one place where a pair, and a third element `g` next to it,
-    is checked against the matroid.
+    This is the one place where a pair is checked against a matroid: every
+    public pair question takes labels and turns them into positions here.
     """
+    for el in (e, f):
+        if el not in m.elements:
+            raise ValueError(f"element {el!r} not in the ground set")
+    if e == f:
+        raise ValueError("pair elements must be distinct")
+    return m._index[e], m._index[f]
 
-    __slots__ = ()
 
-    def __new__(cls, matroid: Matroid, e: str, f: str) -> PairContext:
-        for el in (e, f):
-            if el not in matroid.elements:
-                raise ValueError(f"element {el!r} not in the ground set")
-        if e == f:
-            raise ValueError("pair elements must be distinct")
-        return super().__new__(cls, matroid, e, f)
-
-    def check_third(self, g: str, *, dependent: bool = False) -> None:
-        """Check that g is a ground-set element other than e and f.
-
-        With `dependent`, also require {e,f,g} to be dependent.
-        """
-        if g not in self.matroid.elements:
-            raise ValueError(f"element {g!r} not in the ground set")
-        if g in (self.e, self.f):
-            raise ValueError(
-                f"element {g!r} must differ from e and f (distinct from the pair)"
-            )
-        if dependent and self.matroid.is_independent((self.e, self.f, g)):
-            raise ValueError("precondition: {e,f,g} must be dependent")
+def _triple_positions(m: Matroid, e: str, f: str, g: str) -> tuple[int, int, int]:
+    """The positions of the pair e, f and of a third element g of m."""
+    ie, jf = _pair_positions(m, e, f)
+    if g not in m.elements:
+        raise ValueError(f"element {g!r} not in the ground set")
+    if g in (e, f):
+        raise ValueError(
+            f"element {g!r} must differ from e and f (distinct from the pair)"
+        )
+    return ie, jf, m._index[g]
 
 
 def _split(m: Matroid, members: Sequence[int], deleted: int = 0) -> list[list[int]]:
@@ -127,7 +115,7 @@ def delta_from_split(
     return add_products(add_products({}, only_e, only_f), both, neither, -1)
 
 
-def rayleigh_difference(ctx: PairContext) -> Polynomial:
+def rayleigh_difference(m: Matroid, e: str, f: str) -> Polynomial:
     """Delta M{e,f} = M_e^f * M_f^e - M_ef * M^ef.
 
     Computed straight from the bases: the pair's labels become positions
@@ -138,12 +126,11 @@ def rayleigh_difference(ctx: PairContext) -> Polynomial:
     4 bits are enough.  The result becomes a `Polynomial` once, with its
     variables in label order.
     """
-    m = ctx.matroid
-    split = basis_split(m, m._index[ctx.e], m._index[ctx.f])
+    split = basis_split(m, *_pair_positions(m, e, f))
     return from_packed(delta_from_split(*split), m.elements)
 
 
-def central_term(ctx: PairContext, g: str) -> Polynomial:
+def central_term(m: Matroid, e: str, f: str, g: str) -> Polynomial:
     """The coefficient of y_g in Delta M{e,f} viewed as a quadratic in y_g.
 
     Theta M{e,f|g} = M_e^fg M_fg^e + M_f^eg M_eg^f
@@ -153,10 +140,8 @@ def central_term(ctx: PairContext, g: str) -> Polynomial:
     minor is the group of bases meeting {e,f,g} in its contracted set, and
     each product pairs a group with its complement.
     """
-    m = ctx.matroid
-    ctx.check_third(g)
     # Entry s of the split: bit 1 is e, bit 2 is f, bit 4 is g.
-    groups = _split(m, (m._index[ctx.e], m._index[ctx.f], m._index[g]))
+    groups = _split(m, _triple_positions(m, e, f, g))
     terms = add_products({}, groups[1], groups[6])
     add_products(terms, groups[2], groups[5])
     add_products(terms, groups[4], groups[3], -1)
@@ -164,13 +149,12 @@ def central_term(ctx: PairContext, g: str) -> Polynomial:
     return from_packed(terms, m.elements)
 
 
-def decomposition_check(ctx: PairContext, g: str) -> bool:
+def decomposition_check(m: Matroid, e: str, f: str, g: str) -> bool:
     """Verify Delta M = y_g^2 Delta(M/g) + y_g Theta + Delta(M\\g) exactly."""
-    m, e, f = ctx.matroid, ctx.e, ctx.f
-    theta = central_term(ctx, g)  # validates g
-    delta = rayleigh_difference(ctx)
-    contracted = rayleigh_difference(PairContext(m.contract((g,)), e, f))
-    deleted = rayleigh_difference(PairContext(m.delete((g,)), e, f))
+    theta = central_term(m, e, f, g)  # validates the pair and g
+    delta = rayleigh_difference(m, e, f)
+    contracted = rayleigh_difference(m.contract((g,)), e, f)
+    deleted = rayleigh_difference(m.delete((g,)), e, f)
     y_g = Polynomial.variable(g)
     return delta == y_g * y_g * contracted + y_g * theta + deleted
 
@@ -191,7 +175,7 @@ class InjectionRecord(NamedTuple):
     branch: str  # "e∉L" or "f∉L"
 
 
-def lemma31_injection(ctx: PairContext, g: str) -> list[InjectionRecord]:
+def lemma31_injection(m: Matroid, e: str, f: str, g: str) -> list[InjectionRecord]:
     """Run the injection on all of M_g^ef x M_ef^g, with full bases.
 
     Requires {e,f,g} dependent.  For each pair (B1, B2) of bases with
@@ -210,8 +194,9 @@ def lemma31_injection(ctx: PairContext, g: str) -> list[InjectionRecord]:
     leaves the basis family, RuntimeError is raised rather than silently
     recording a bad pair.
     """
-    m, e, f = ctx.matroid, ctx.e, ctx.f
-    ctx.check_third(g, dependent=True)
+    _triple_positions(m, e, f, g)
+    if m.is_independent((e, f, g)):
+        raise ValueError("precondition: {e,f,g} must be dependent")
 
     bases = m.bases
     domain1 = sorted(
@@ -248,19 +233,22 @@ def lemma31_injection(ctx: PairContext, g: str) -> list[InjectionRecord]:
     return records
 
 
-def theta_dominance_check(ctx: PairContext, g: str) -> bool:
+def theta_dominance_check(m: Matroid, e: str, f: str, g: str) -> bool:
     """True iff the central term has no negative coefficient.
 
     Guaranteed whenever {e,f,g} is dependent (that is the content of the
     injection); this is the test harness for that claim.
     """
-    ctx.check_third(g, dependent=True)
-    return dominates(central_term(ctx, g), Polynomial.zero())
+    _triple_positions(m, e, f, g)
+    if m.is_independent((e, f, g)):
+        raise ValueError("precondition: {e,f,g} must be dependent")
+    return dominates(central_term(m, e, f, g), Polynomial.zero())
 
 
 def closed_pair_filter(m: Matroid, e: str, f: str) -> bool:
     """True iff {e,f} is closed: nothing else lies in its closure."""
-    pair = m._mask((e, f))
+    ie, jf = _pair_positions(m, e, f)
+    pair = 1 << ie | 1 << jf
     return m.closure_mask(pair) == pair
 
 
@@ -269,11 +257,11 @@ def negative_correlation_check(
 ) -> bool:
     """Exact pointwise check of M_ef * M <= M_f * M_e at positive weights.
 
-    Cross-multiplied so no division happens.  Raises on a pair that
-    `PairContext` rejects, on nonpositive weights and on degenerate pairs
+    Cross-multiplied so no division happens.  Raises on an element outside
+    m's ground set, on e == f, on nonpositive weights and on degenerate pairs
     (M_e or M vanishing at the point).
     """
-    PairContext(m, e, f)
+    _pair_positions(m, e, f)
     for el in m.elements:
         w = point.get(el)
         if w is None:
@@ -343,24 +331,25 @@ def negative_correlation_sample(
     split once, before sampling, into the index groups behind T_e, T_f,
     T_ef and T_0; a sample then weighs each basis once and sums the groups.
     Every `_CROSS_CHECK_EVERY`-th sample one pair is re-verified through the
-    polynomial-evaluation path as an independent guard.
+    polynomial-evaluation path as an independent guard.  A negative
+    `samples` raises ValueError; 0 checks nothing.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     if pairs is None:
         pairs = list(combinations(m.elements, 2))
     else:
         pairs = [tuple(p) for p in pairs]
-        for e, f in pairs:
-            PairContext(m, e, f)
+    positions = [_pair_positions(m, e, f) for e, f in pairs]
     if not pairs:
         return SampleResult((), samples, 0, (), 0)
     rng = random.Random(seed)
-    index = m._index
     masks = m.basis_masks
     nelems = len(m.elements)
     supports = [[i for i in range(nelems) if b >> i & 1] for b in masks]
     splits = []  # per pair: indices of bases with only e, only f, both, neither
-    for e, f in pairs:
-        ebit, fbit = 1 << index[e], 1 << index[f]
+    for ie, jf in positions:
+        ebit, fbit = 1 << ie, 1 << jf
         groups: dict[int, list[int]] = {ebit: [], fbit: [], ebit | fbit: [], 0: []}
         for i, b in enumerate(masks):
             groups[b & (ebit | fbit)].append(i)
@@ -386,8 +375,8 @@ def negative_correlation_sample(
             )
             if point is None and (cross_check or not ok):
                 point = {
-                    el: Fraction(scaled[i], 1 << _SCALE_SHIFT)
-                    for el, i in index.items()
+                    el: Fraction(w, 1 << _SCALE_SHIFT)
+                    for el, w in zip(m.elements, scaled)
                 }
             if not ok:
                 violations.append(Violation((e, f), s, dict(point)))

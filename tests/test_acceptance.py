@@ -23,7 +23,6 @@ from rayleigh_kit.cli import main
 from rayleigh_kit.matroid import Matroid
 from rayleigh_kit.poly import Polynomial, dominates, reciprocal_transform
 from rayleigh_kit.rayleigh import (
-    PairContext,
     decomposition_check,
     lemma31_injection,
     negative_correlation_sample,
@@ -47,7 +46,7 @@ def _catalog(ns):
 
 def test_criterion_1_k4_closed_form(capsys):
     t0 = time.monotonic()
-    delta = rayleigh_difference(PairContext(named("K4"), "1", "2"))
+    delta = rayleigh_difference(named("K4"), "1", "2")
     y3, y4, y5, y6 = (Polynomial.variable(v) for v in "3456")
     square = y3 * y4 - y5 * y6
     elapsed = time.monotonic() - t0
@@ -111,12 +110,11 @@ def test_criterion_4_decomposition_identity(capsys):
     ok = True
     for n, m in _catalog((3, 4, 5, 6)):
         for e, f in combinations(m.elements, 2):
-            ctx = PairContext(m, e, f)
             for g in m.elements:
                 if g in (e, f):
                     continue
                 checked += 1
-                if not decomposition_check(ctx, g):
+                if not decomposition_check(m, e, f, g):
                     ok = False
     elapsed = time.monotonic() - t0
     _report(
@@ -134,12 +132,11 @@ def test_criterion_5_injection_and_central_term(capsys):
     ok = True
     for n, m in _catalog((3, 4, 5, 6)):
         for e, f in combinations(m.elements, 2):
-            ctx = PairContext(m, e, f)
             for g in m.elements:
                 if g in (e, f) or m.is_independent((e, f, g)):
                     continue
                 triples += 1
-                records = lemma31_injection(ctx, g)  # raises on any bad swap
+                records = lemma31_injection(m, e, f, g)  # raises on any bad swap
                 outputs = {(r.a1, r.a2) for r in records}
                 if len(outputs) != len(records):
                     ok = False
@@ -148,7 +145,7 @@ def test_criterion_5_injection_and_central_term(capsys):
                     for r in records
                 ):
                     ok = False
-                if not theta_dominance_check(ctx, g):
+                if not theta_dominance_check(m, e, f, g):
                     ok = False
     elapsed = time.monotonic() - t0
     _report(
@@ -168,8 +165,8 @@ def test_criterion_6_duality_reflection(capsys):
         dual = m.dual()
         for e, f in combinations(m.elements, 2):
             checked += 1
-            delta = rayleigh_difference(PairContext(m, e, f))
-            delta_dual = rayleigh_difference(PairContext(dual, e, f))
+            delta = rayleigh_difference(m, e, f)
+            delta_dual = rayleigh_difference(dual, e, f)
             scope = [x for x in m.elements if x not in (e, f)]
             if delta_dual != reciprocal_transform(delta, scope, 2):
                 ok = False
@@ -226,7 +223,7 @@ def test_criterion_7_rank_le_two(capsys):
         instances += 1
         for e, f in combinations(m.elements, 2):
             pairs += 1
-            delta = rayleigh_difference(PairContext(m, e, f))
+            delta = rayleigh_difference(m, e, f)
             if not dominates(delta, Polynomial.zero()):
                 ok = False
     # rank-2 duals of the five-point rank-3 classes, same dominance
@@ -235,7 +232,7 @@ def test_criterion_7_rank_le_two(capsys):
         for e, f in combinations(dual.elements, 2):
             pairs += 1
             if not dominates(
-                rayleigh_difference(PairContext(dual, e, f)), Polynomial.zero()
+                rayleigh_difference(dual, e, f), Polynomial.zero()
             ):
                 ok = False
     # corrected second-symmetric-function expansion for the five-point line,
@@ -246,7 +243,7 @@ def test_criterion_7_rank_le_two(capsys):
     for i, a in enumerate(rest):
         for b in rest[i:]:
             expected = expected + Polynomial.variable(a) * Polynomial.variable(b)
-    if rayleigh_difference(PairContext(m, "1", "2")) != expected:
+    if rayleigh_difference(m, "1", "2") != expected:
         ok = False
     _report(
         capsys,

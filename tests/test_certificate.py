@@ -40,7 +40,6 @@ from rayleigh_kit.poly import (
     shape_text,
 )
 from rayleigh_kit.rayleigh import (
-    PairContext,
     basis_split,
     closed_pair_filter,
     delta_from_split,
@@ -91,7 +90,7 @@ def test_packed_kernel_matches_the_polynomial_reference():
     low_rank = [uniform(r, n) for r in (1, 2) for n in range(r, 7)] + [named("U_2_11")]
     for m in rank3 + low_rank:
         for e, f in combinations(m.elements, 2):
-            assert rayleigh_difference(PairContext(m, e, f)) == _reference_delta(m, e, f)
+            assert rayleigh_difference(m, e, f) == _reference_delta(m, e, f)
             if m.rank == 3:
                 assert _kernel_four_p(m, e, f) == _reference_four_p(m, e, f)
 
@@ -184,7 +183,7 @@ def test_ansatz_polynomial_k4():
     m = named("K4")
     four_p = _kernel_four_p(m, "1", "2")
     assert four_p.coefficient({"3": 1, "4": 1, "5": 1, "6": 1}) == -8
-    delta = rayleigh_difference(PairContext(m, "1", "2"))
+    delta = rayleigh_difference(m, "1", "2")
     assert dominates(delta * 4, four_p)
 
 
@@ -252,9 +251,9 @@ def test_lemma33_steps_shrink_delta_coefficientwise():
     e, f = "3", "4"
     current = m
     for g in lemma33_reduce(m, e, f).chain:
-        before = rayleigh_difference(PairContext(current, e, f))
+        before = rayleigh_difference(current, e, f)
         after_m = current.delete((g,))
-        after = rayleigh_difference(PairContext(after_m, e, f))
+        after = rayleigh_difference(after_m, e, f)
         assert dominates(before, after)
         current = after_m
 
@@ -284,10 +283,9 @@ def test_reports_and_records_are_read_only_values():
     k4 = named("K4")
     rep = certify(k4, "1", "2")
     assert rep.P is rep.P  # built once, on first read
-    ctx = PairContext(k4, "2", "3")
-    record = lemma31_injection(ctx, "5")[0]
+    record = lemma31_injection(k4, "2", "3", "5")[0]
     for value, field in [
-        (ctx, "e"), (ctx, "matroid"), (record, "branch"), (record, "a1"),
+        (record, "branch"), (record, "a1"),
         (ansatz_parts(k4, "1", "2", "3"), "T_a"),
         (rep, "verdict"), (rep, "gap"), (rep, "P"), (rep, "delta"),
     ]:
@@ -297,24 +295,13 @@ def test_reports_and_records_are_read_only_values():
     assert repr(rep).startswith("CertificateReport(pair=('1', '2'), mode='reduced-ansatz',")
     assert "four_p" not in repr(rep)
 
-    same = PairContext(matroid=k4, e="2", f="3")
-    assert same == ctx and hash(same) == hash(ctx)
-    assert PairContext(k4, "3", "2") != ctx
-    assert (same.matroid, same.e, same.f) == (k4, "2", "3")
-    with pytest.raises(ValueError, match=r"^element '9' not in the ground set$"):
-        PairContext(k4, "1", "9")
-    with pytest.raises(ValueError, match=r"^element '0' not in the ground set$"):
-        PairContext(k4, "0", "1")
-    with pytest.raises(ValueError, match=r"^pair elements must be distinct$"):
-        PairContext(k4, "1", "1")
-
 
 def test_certify_reduced_pair():
     m = named("fig1.I")
     rep = certify(m, "2", "3")
     assert rep.verdict
     assert rep.reduction_chain == ("4",)
-    assert rep.delta_original == rayleigh_difference(PairContext(m, "2", "3"))
+    assert rep.delta_original == rayleigh_difference(m, "2", "3")
     # the reduced difference is certified; the original then follows by
     # the deletion chain, each step an exact coefficientwise dominance
     assert dominates(rep.delta_original, rep.delta)
@@ -602,9 +589,9 @@ def test_delta_original_of_a_chained_pair_is_built_when_read(monkeypatch):
     calls = []
     real_difference = certificate.rayleigh_difference
 
-    def counted_difference(ctx):
-        calls.append((ctx.e, ctx.f))
-        return real_difference(ctx)
+    def counted_difference(m, e, f):
+        calls.append((e, f))
+        return real_difference(m, e, f)
 
     monkeypatch.setattr(certificate, "rayleigh_difference", counted_difference)
     m = named("fig1.I")
@@ -615,7 +602,7 @@ def test_delta_original_of_a_chained_pair_is_built_when_read(monkeypatch):
     assert calls == [("2", "3")]
     assert rep.delta_original is first
     assert calls == [("2", "3")]
-    assert first == real_difference(PairContext(m, "2", "3"))
+    assert first == real_difference(m, "2", "3")
     assert first == _reference_delta(m, "2", "3")
     assert repr(rep) == (
         "CertificateReport(pair=('2', '3'), mode='reduced-ansatz', "
@@ -632,8 +619,8 @@ def test_a_corrupted_delta_original_is_caught(monkeypatch):
     # against delta_original.
     real_difference = certificate.rayleigh_difference
 
-    def corrupted_difference(ctx):
-        return real_difference(ctx) + Polynomial.constant(1)
+    def corrupted_difference(m, e, f):
+        return real_difference(m, e, f) + Polynomial.constant(1)
 
     monkeypatch.setattr(certificate, "rayleigh_difference", corrupted_difference)
     cases = [
@@ -765,7 +752,7 @@ def test_report_delta_reduces_through_lemma33(monkeypatch):
     m = named("fig1.I")
     chained, closed = certify(m, "2", "3"), certify(m, "1", "2")
     assert calls == [] and closed.reduction_chain == ()
-    assert chained.delta == rayleigh_difference(PairContext(m.delete(["4"]), "2", "3"))
+    assert chained.delta == rayleigh_difference(m.delete(["4"]), "2", "3")
     assert closed.delta == closed.delta_original
     assert calls == [("2", "3"), ("1", "2")]
 

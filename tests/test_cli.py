@@ -20,7 +20,7 @@ import rayleigh_kit
 from rayleigh_kit.catalog import uniform
 from rayleigh_kit.cli import main
 from rayleigh_kit.matroid import Matroid, dumps_matroid, loads_matroid
-from rayleigh_kit.rayleigh import PairContext, rayleigh_difference
+from rayleigh_kit.rayleigh import rayleigh_difference
 
 
 K4_DELTA = "+1 * y_3^2 y_4^2 -2 * y_3 y_4 y_5 y_6 +1 * y_5^2 y_6^2"
@@ -140,7 +140,7 @@ def s8() -> Matroid:
 def test_s8_violation_is_real(capsys, tmp_path):
     m = s8()
     assert len(m.basis_masks) == 48
-    delta = rayleigh_difference(PairContext(m, "4", "8"))
+    delta = rayleigh_difference(m, "4", "8")
     assert delta.evaluate({el: 1 for el in m.elements}) == -16
     path = tmp_path / "s8.json"
     path.write_text(dumps_matroid(m))
@@ -333,6 +333,7 @@ _TOO_MANY = json.dumps(
     ("", ("verify", "K4", "--out", "{path}"), "cannot write to --out"),
     ("", ("verify", "K4", "--out", "{path}/sub"), "cannot write to --out"),
     ("", ("enumerate", "4", "--out", "{path}"), "cannot write to --out"),
+    ("", ("verify", "K4", "--out", ""), "cannot write to --out ''"),
     # beyond the census bound
     ("", ("enumerate", "11", "--out", "{path}.d"), "n must be between 3 and 10, got 11\n"),
 ], ids=["directory", "deep-nesting", "list-basis-entry", "list-element-id",
@@ -340,7 +341,7 @@ _TOO_MANY = json.dumps(
         "rank-false", "duplicate-element-ids", "65-elements", "lines-share-two-points",
         "two-point-line", "unknown-point", "duplicate-points", "duplicate-line",
         "fewer-than-three-points", "all-points-collinear", "out-is-a-file",
-        "out-below-a-file", "enumerate-out-is-a-file", "enumerate-11"])
+        "out-below-a-file", "enumerate-out-is-a-file", "out-is-empty", "enumerate-11"])
 def test_hostile_input_exits_two(capsys, tmp_path, content, argv, reason):
     path = tmp_path / "input.json"
     if content is None:
@@ -499,7 +500,7 @@ _PUBLIC = {
                 "loads_matroid", "dumps_matroid", "with_parallel_copy"),
     "poly": ("GGHH", "GGHI", "GHIJ", "Polynomial", "dominates",
              "format_polynomial", "parse_polynomial", "reciprocal_transform"),
-    "rayleigh": ("InjectionRecord", "PairContext", "central_term",
+    "rayleigh": ("InjectionRecord", "central_term",
                  "closed_pair_filter", "decomposition_check",
                  "generating_polynomial", "lemma31_injection", "minor_polynomial",
                  "negative_correlation_check", "negative_correlation_sample",
@@ -525,7 +526,7 @@ def test_submodules_define_no_api_list():
 
 def test_public_api_is_unchanged():
     names = [name for group in _PUBLIC.values() for name in group]
-    assert len(names) == 41
+    assert len(names) == 40
     assert sorted(rayleigh_kit.__all__) == sorted(names)
     assert set(names) <= set(dir(rayleigh_kit))
     for module, group in _PUBLIC.items():
@@ -535,9 +536,9 @@ def test_public_api_is_unchanged():
     star: dict = {}
     exec("from rayleigh_kit import *", star)
     assert all(star[name] is getattr(rayleigh_kit, name) for name in names)
-    # Deleted names: compare canonical forms, and read the ansatz from
-    # `certify` or `ansatz_parts`.
-    for gone in ("no_such_name", "is_isomorphic", "ansatz_polynomial"):
+    # Deleted names: compare canonical forms, read the ansatz from
+    # `certify` or `ansatz_parts`, and pass a pair as labels `(m, e, f)`.
+    for gone in ("no_such_name", "is_isomorphic", "ansatz_polynomial", "PairContext"):
         with pytest.raises(AttributeError, match=gone):
             getattr(rayleigh_kit, gone)
     assert rayleigh_kit.__version__ == "0.1.0"

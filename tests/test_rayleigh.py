@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rayleigh_kit.catalog import enumerate_simple_rank3, named, uniform
+from rayleigh_kit.certificate import ansatz_parts, certify, lemma33_reduce
 from rayleigh_kit.matroid import Matroid, with_parallel_copy
 from rayleigh_kit.poly import Polynomial, dominates, parse_polynomial
 from rayleigh_kit.rayleigh import (
-    PairContext,
     _SCALE_SHIFT,
     _draw_scaled_weight,
     central_term,
@@ -50,26 +50,62 @@ def test_minor_polynomial_conventions():
     assert minor_polynomial(mp, ("1", "1p"), ()).is_zero
 
 
-def test_pair_context_validation():
-    m = uniform(2, 4)
-    with pytest.raises(ValueError, match="distinct"):
-        PairContext(m, "1", "1")
-    with pytest.raises(ValueError, match="ground set"):
-        PairContext(m, "1", "9")
+# Every public pair question as (call, whether it takes a third element g).
+_PAIR_QUESTIONS = {
+    "rayleigh_difference": (lambda m, e, f, g: rayleigh_difference(m, e, f), False),
+    "closed_pair_filter": (lambda m, e, f, g: closed_pair_filter(m, e, f), False),
+    "negative_correlation_check": (
+        lambda m, e, f, g: negative_correlation_check(
+            m, e, f, dict.fromkeys(m.elements, 1)), False),
+    "negative_correlation_sample": (
+        lambda m, e, f, g: negative_correlation_sample(m, pairs=[(e, f)], samples=1),
+        False),
+    "certify": (lambda m, e, f, g: certify(m, e, f), False),
+    "lemma33_reduce": (lambda m, e, f, g: lemma33_reduce(m, e, f), False),
+    "ansatz_parts": (ansatz_parts, True),
+    "central_term": (central_term, True),
+    "decomposition_check": (decomposition_check, True),
+    "lemma31_injection": (lemma31_injection, True),
+    "theta_dominance_check": (theta_dominance_check, True),
+}
+
+
+@pytest.mark.parametrize("name", _PAIR_QUESTIONS)
+def test_every_pair_question_checks_the_pair_the_same_way(name):
+    # e, then f, then distinctness; then g; each with the same message.
+    question, takes_g = _PAIR_QUESTIONS[name]
+    k4 = named("K4")
+    unknown = r"^element '9' not in the ground set$"
+    for e, f, g, message in [
+        ("1", "9", "3", unknown),
+        ("9", "1", "3", unknown),
+        ("9", "8", "3", unknown),
+        ("9", "9", "3", unknown),
+        ("1", "1", "9", r"^pair elements must be distinct$"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            question(k4, e, f, g)
+    if takes_g:
+        with pytest.raises(ValueError, match=unknown):
+            question(k4, "2", "3", "9")
+        for g in ("2", "3"):
+            with pytest.raises(ValueError, match=(
+                rf"^element '{g}' must differ from e and f \(distinct from the pair\)$"
+            )):
+                question(k4, "2", "3", g)
 
 
 def test_rayleigh_difference_u34():
     # bases avoiding both pair elements do not exist, so the product of the
     # two single-element minors is the whole difference
-    ctx = PairContext(uniform(3, 4), "1", "2")
-    assert rayleigh_difference(ctx) == parse_polynomial("+1 * y_3^2 y_4^2")
+    delta = rayleigh_difference(uniform(3, 4), "1", "2")
+    assert delta == parse_polynomial("+1 * y_3^2 y_4^2")
 
 
 def test_rayleigh_difference_k4_closed_form():
     # the difference for any pair of the wheel on four vertices is a
     # perfect square in the other matching pair
-    ctx = PairContext(named("K4"), "1", "2")
-    delta = rayleigh_difference(ctx)
+    delta = rayleigh_difference(named("K4"), "1", "2")
     expected = parse_polynomial("+1 * y_3^2 y_4^2 -2 * y_3 y_4 y_5 y_6 +1 * y_5^2 y_6^2")
     assert delta == expected
     y3, y4, y5, y6 = (Polynomial.variable(v) for v in "3456")
@@ -78,16 +114,15 @@ def test_rayleigh_difference_k4_closed_form():
 
 
 def test_central_term_validates_g():
-    ctx = PairContext(named("K4"), "1", "2")
+    k4 = named("K4")
     with pytest.raises(ValueError, match="differ"):
-        central_term(ctx, "1")
+        central_term(k4, "1", "2", "1")
     with pytest.raises(ValueError, match="ground set"):
-        central_term(ctx, "9")
+        central_term(k4, "1", "2", "9")
 
 
-def _central_term_reference(ctx, g):
+def _central_term_reference(m, e, f, g):
     """Theta by the paper's formula: eight minors, four Polynomial products."""
-    m, e, f = ctx.matroid, ctx.e, ctx.f
     return (
         minor_polynomial(m, (e,), (f, g)) * minor_polynomial(m, (f, g), (e,))
         + minor_polynomial(m, (f,), (e, g)) * minor_polynomial(m, (e, g), (f,))
@@ -100,7 +135,7 @@ def _triples(m):
     for e, f in combinations(m.elements, 2):
         for g in m.elements:
             if g not in (e, f):
-                yield PairContext(m, e, f), g
+                yield m, e, f, g
 
 
 def test_central_term_matches_the_minor_formula():
@@ -111,8 +146,8 @@ def test_central_term_matches_the_minor_formula():
     inputs += [uniform(1, 4), uniform(2, 5), uniform(4, 7), named("K4")]
     triples = [t for m in inputs for t in _triples(m)]
     assert len(triples) == 2334
-    for ctx, g in triples:
-        assert central_term(ctx, g) == _central_term_reference(ctx, g), (ctx, g)
+    for triple in triples:
+        assert central_term(*triple) == _central_term_reference(*triple), triple
 
 
 def test_central_term_builds_no_minor(monkeypatch):
@@ -126,25 +161,25 @@ def test_central_term_builds_no_minor(monkeypatch):
     monkeypatch.setattr(Matroid, "minor", counted_minor)
     doubled = with_parallel_copy(named("fig3.V"), "1", "7")
     for m in (named("K4"), doubled):
-        for ctx, g in _triples(m):
-            central_term(ctx, g)
+        for triple in _triples(m):
+            central_term(*triple)
     assert minors == []
-    _central_term_reference(PairContext(doubled, "1", "7"), "2")
+    _central_term_reference(doubled, "1", "7", "2")
     assert len(minors) == 8  # the counter sees the reference's minors
 
 
 def test_decomposition_examples():
     k4 = named("K4")
     for e, f, g in [("1", "2", "3"), ("2", "3", "5"), ("1", "4", "6")]:
-        assert decomposition_check(PairContext(k4, e, f), g)
+        assert decomposition_check(k4, e, f, g)
     m = uniform(3, 5)
-    assert decomposition_check(PairContext(m, "1", "2"), "5")
+    assert decomposition_check(m, "1", "2", "5")
 
 
 def test_lemma31_injection_on_a_line():
     # {2,3,5} is a dependent triple (a line) of the wheel
     m = named("K4")
-    records = lemma31_injection(PairContext(m, "2", "3"), "5")
+    records = lemma31_injection(m, "2", "3", "5")
     assert len(records) == 6
     outputs = set()
     for r in records:
@@ -164,9 +199,9 @@ def test_lemma31_injection_on_a_line():
 def test_lemma31_requires_dependent_triple():
     m = named("K4")
     with pytest.raises(ValueError, match="dependent"):
-        lemma31_injection(PairContext(m, "1", "2"), "3")
+        lemma31_injection(m, "1", "2", "3")
     with pytest.raises(ValueError, match="distinct"):
-        lemma31_injection(PairContext(m, "1", "2"), "1")
+        lemma31_injection(m, "1", "2", "1")
 
 
 def test_lemma31_detects_parallel_degeneracy():
@@ -174,15 +209,15 @@ def test_lemma31_detects_parallel_degeneracy():
     # the run must fail loudly instead of recording a bad pair
     m = with_parallel_copy(uniform(3, 4), "1", "p")
     with pytest.raises(RuntimeError, match="non-basis"):
-        lemma31_injection(PairContext(m, "2", "p"), "1")
+        lemma31_injection(m, "2", "p", "1")
 
 
 def test_theta_dominance_on_dependent_triples():
     m = named("K4")
-    assert theta_dominance_check(PairContext(m, "2", "3"), "5")
-    assert theta_dominance_check(PairContext(m, "2", "5"), "3")
+    assert theta_dominance_check(m, "2", "3", "5")
+    assert theta_dominance_check(m, "2", "5", "3")
     with pytest.raises(ValueError, match="dependent"):
-        theta_dominance_check(PairContext(m, "1", "2"), "3")
+        theta_dominance_check(m, "1", "2", "3")
 
 
 def test_closed_pair_filter():
@@ -256,6 +291,14 @@ def test_sampler_pair_selection():
     assert empty.checks == 0 and empty.violations == ()
 
 
+def test_sampler_refuses_a_negative_count():
+    m = named("K4")
+    with pytest.raises(ValueError, match=r"^samples must be nonnegative, got -5$"):
+        negative_correlation_sample(m, samples=-5)
+    none = negative_correlation_sample(m, samples=0)
+    assert (none.samples, none.checks, none.cross_checks) == (0, 0, 0)
+
+
 # SHA-256 over the repr of these SampleResults, taken while the sampler still
 # tested every basis against e and f at every sample.  S8 has violations, so
 # their points are pinned too.
@@ -292,7 +335,7 @@ def test_difference_matches_pointwise_values():
     m = named("fig3.VII")
     e, f = "1", "2"
     point = {el: Fraction(i + 2, 3) for i, el in enumerate(m.elements)}
-    delta_val = rayleigh_difference(PairContext(m, e, f)).evaluate(point)
+    delta_val = rayleigh_difference(m, e, f).evaluate(point)
     m_e = minor_polynomial(m, (e,), ()).evaluate(point)
     m_f = minor_polynomial(m, (f,), ()).evaluate(point)
     m_ef = minor_polynomial(m, (e, f), ()).evaluate(point)
@@ -304,6 +347,6 @@ def test_theta_can_go_negative_on_independent_triples():
     # the central term of the wheel at the pair {1,2} with g=3 is -2 y4 y5 y6:
     # dependence of {e,f,g} is genuinely needed for nonnegativity
     m = named("K4")
-    theta = central_term(PairContext(m, "1", "2"), "3")
+    theta = central_term(m, "1", "2", "3")
     assert theta == parse_polynomial("-2 * y_4 y_5 y_6")
     assert not dominates(theta, Polynomial.zero())
