@@ -39,7 +39,7 @@ class EnumerationResult(NamedTuple):
     count: int
 
 
-_UNIFORM_RE = re.compile(r"U_(\d+)_(\d+)")
+_UNIFORM_RE = re.compile(r"U_(0|[1-9][0-9]*)_(0|[1-9][0-9]*)")  # no leading zeros
 
 # The shipped instances: name -> (n, lines, note) on the points "1".."n",
 # each line written as the string of its single-digit point labels.

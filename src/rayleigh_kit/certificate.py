@@ -57,10 +57,11 @@ from .poly import (
     shape_text,
 )
 from .rayleigh import (
+    _DELTA,
     _pair_positions,
+    _products,
+    _split,
     _triple_positions,
-    basis_split,
-    delta_from_split,
     rayleigh_difference,
 )
 
@@ -256,11 +257,6 @@ def _closure_chain(m: Matroid, e: int, f: int) -> Optional[int]:
     return m.closure_mask(pair) & ~pair
 
 
-def _labels(m: Matroid, mask: int) -> tuple[str, ...]:
-    """The elements of a bitmask, in ground-set order."""
-    return tuple(el for i, el in enumerate(m.elements) if mask >> i & 1)
-
-
 def lemma33_reduce(m: Matroid, e: str, f: str) -> ReductionResult:
     """Delete third elements from the closure of {e,f} until the pair is closed.
 
@@ -275,7 +271,7 @@ def lemma33_reduce(m: Matroid, e: str, f: str) -> ReductionResult:
     chain_mask = _closure_chain(m, *_pair_positions(m, e, f))
     if chain_mask is None:
         return ReductionResult(m, (), True)
-    chain = _labels(m, chain_mask)
+    chain = m._labels(chain_mask)
     return ReductionResult(m.delete(chain) if chain else m, chain, False)
 
 
@@ -457,11 +453,11 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
         mode, closed = "reduced-ansatz", True
         squares = _squares(m, ie, jf, chain)
     four_p = _four_p_terms(squares)
-    split = basis_split(m, ie, jf, chain)
-    red_terms = delta_from_split(*split)
+    split = _split(m, (ie, jf), chain)
+    red_terms = _products(split, _DELTA)
     gap = _gap(red_terms, four_p)
     if chain:
-        _check_identity(delta_from_split(*split), four_p, gap)
+        _check_identity(_products(split, _DELTA), four_p, gap)
         delta_orig = None  # the report builds Delta_M when it is read
     else:
         # Nothing is deleted, so the reduced Delta is Delta_M itself.
@@ -479,7 +475,7 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
         pair=(e, f),
         mode=mode,
         reduced_pair_closed=closed,
-        reduction_chain=_labels(m, chain),
+        reduction_chain=m._labels(chain),
         verdict=verdict,
         delta_input=delta_orig,
         unreduced_dominance=unreduced,
@@ -563,25 +559,33 @@ _TABLE_ROWS = {
 }
 
 
-class RowCheck(NamedTuple):
+class RowReport(NamedTuple):
+    """One table row's results: its monomial's coefficients in M_e^f*M_f^e,
+    M_{ef}*M^{ef} and P on its own instance, and the scanned monomials
+    classified to it, counted, with the Ansatz coefficients observed."""
+
     row: TableRow
     positive: int
     negative: int
-    delta: int
     p_value: Fraction
-    ok: bool
-
-
-class RowUsage(NamedTuple):
-    label: str
     occurrences: int
     p_observed: tuple[Fraction, ...]
+
+    @property
+    def delta(self) -> int:
+        return self.positive - self.negative
+
+    @property
+    def ok(self) -> bool:
+        """The row's own instance gives the row's values."""
+        row = self.row
+        return (self.positive, self.negative, self.delta) == (
+            row.positive, row.negative, row.delta) and self.p_value in row.p_allowed
 
 
 class TableReport(NamedTuple):
     family: str
-    checks: tuple[RowCheck, ...]
-    scan_rows: tuple[RowUsage, ...]
+    rows: tuple[RowReport, ...]
     scan_occurrences: int
     unmatched: tuple[str, ...]
     mismatches: tuple[str, ...]
@@ -615,14 +619,21 @@ def _pinned_key(
 
 
 def _pair_terms(m: Matroid, e: int, f: int) -> tuple[dict[int, int], ...]:
-    """(M_e^f * M_f^e, M_{ef} * M^{ef}, 4P) as packed terms, for the pair at
-    positions e, f."""
-    only_e, only_f, both, neither = basis_split(m, e, f)
+    """(M_e^f * M_f^e, -M_{ef} * M^{ef}, 4P) as packed terms, for the pair
+    at positions e, f: each product of the `_DELTA` table on its own, read
+    off the pair's `_split`, then 4P."""
+    split = _split(m, (e, f))
     return (
-        add_products({}, only_e, only_f),
-        add_products({}, both, neither),
+        *(_products(split, (product,)) for product in _DELTA),
         _four_p_terms(_squares(m, e, f)),
     )
+
+
+def _coefficients(terms: tuple[dict[int, int], ...], key: int) -> tuple[int, int, Fraction]:
+    """The coefficients of the packed monomial `key` in M_e^f * M_f^e, in
+    M_{ef} * M^{ef} and in P, from the terms of `_pair_terms`."""
+    positive, negative, four_p = terms
+    return positive.get(key, 0), -negative.get(key, 0), Fraction(four_p.get(key, 0), 4)
 
 
 def _shape_supports(others: list[int], family: str):
@@ -673,7 +684,7 @@ def table_coefficients(shape_family: str) -> TableReport:
         raise ValueError(f"unknown shape family {shape_family!r}")
     rows = _TABLE_ROWS[shape_family]
 
-    checks = []
+    own: dict[str, tuple[int, int, Fraction]] = {}  # label -> on its own instance
     rows_by_key: dict[tuple, TableRow] = {}
     for row in rows:
         inst = named(row.instance)
@@ -682,18 +693,8 @@ def table_coefficients(shape_family: str) -> TableReport:
         support = sorted(others, key=lambda x: x != row.g)  # a squared g first
         positions = tuple(index[x] for x in support)
         e, f = index[row.pair[0]], index[row.pair[1]]
-        positive, negative, four_p = _pair_terms(inst, e, f)
-        mono = pack_shape(row.family, positions)
-        cpos, cneg = positive.get(mono, 0), negative.get(mono, 0)
-        pval = Fraction(four_p.get(mono, 0), 4)
-        ok = (
-            cpos == row.positive
-            and cneg == row.negative
-            and cpos - cneg == row.delta
-            and pval in row.p_allowed
-        )
-        checks.append(
-            RowCheck(row, cpos, cneg, cpos - cneg, pval, ok)
+        own[row.label] = _coefficients(
+            _pair_terms(inst, e, f), pack_shape(row.family, positions)
         )
         key = _pinned_key(line_masks(inst), inst.n, e, f, positions, row.family)
         if key in rows_by_key:
@@ -713,7 +714,7 @@ def table_coefficients(shape_family: str) -> TableReport:
             if m.closure_mask(ef) != ef:
                 continue  # {e,f} is not closed: it spans a line
             pair = f"{mname} pair {{{m.elements[ie]},{m.elements[jf]}}}"
-            positive, negative, four_p = _pair_terms(m, ie, jf)
+            terms = _pair_terms(m, ie, jf)
             others = [i for i in range(m.n) if i not in (ie, jf)]
             for support in _shape_supports(others, shape_family):
                 occurrences += 1
@@ -724,9 +725,9 @@ def table_coefficients(shape_family: str) -> TableReport:
                     unmatched.append(_where(pair, m, support, shape_family))
                     continue
                 usage[row.label] += 1
-                key = pack_shape(shape_family, support)
-                cpos, cneg = positive.get(key, 0), negative.get(key, 0)
-                pval = Fraction(four_p.get(key, 0), 4)
+                cpos, cneg, pval = _coefficients(
+                    terms, pack_shape(shape_family, support)
+                )
                 observed[row.label].add(pval)
                 if (cpos, cneg) != (row.positive, row.negative):
                     mismatches.append(
@@ -750,19 +751,20 @@ def table_coefficients(shape_family: str) -> TableReport:
                     f"row {row.label}: ansatz value {value} never observed"
                 )
 
+    reports = tuple(
+        RowReport(row, *own[row.label], usage[row.label],
+                  tuple(sorted(observed[row.label])))
+        for row in rows
+    )
     all_match = (
-        all(c.ok for c in checks)
+        all(r.ok for r in reports)
         and not unmatched
         and not mismatches
         and not uncovered
     )
     return TableReport(
         family=shape_family,
-        checks=tuple(checks),
-        scan_rows=tuple(
-            RowUsage(row.label, usage[row.label], tuple(sorted(observed[row.label])))
-            for row in rows
-        ),
+        rows=reports,
         scan_occurrences=occurrences,
         unmatched=tuple(unmatched),
         mismatches=tuple(mismatches),

@@ -319,34 +319,34 @@ def cmd_tables(args: argparse.Namespace) -> int:
                         "shape": shape_text(rep.family),
                         "rows": [
                             {
-                                "label": chk.row.label,
-                                "instance": chk.row.instance,
+                                "label": r.row.label,
+                                "instance": r.row.instance,
                                 "expected": {
-                                    "positive": chk.row.positive,
-                                    "negative": chk.row.negative,
-                                    "delta": chk.row.delta,
-                                    "ansatz_allowed": [str(v) for v in chk.row.p_allowed],
-                                    "note": chk.row.note,
+                                    "positive": r.row.positive,
+                                    "negative": r.row.negative,
+                                    "delta": r.row.delta,
+                                    "ansatz_allowed": [str(v) for v in r.row.p_allowed],
+                                    "note": r.row.note,
                                 },
                                 "computed": {
-                                    "positive": chk.positive,
-                                    "negative": chk.negative,
-                                    "delta": chk.delta,
-                                    "ansatz": str(chk.p_value),
+                                    "positive": r.positive,
+                                    "negative": r.negative,
+                                    "delta": r.delta,
+                                    "ansatz": str(r.p_value),
                                 },
-                                "match": chk.ok,
+                                "match": r.ok,
                             }
-                            for chk in rep.checks
+                            for r in rep.rows
                         ],
                         "scan": {
                             "occurrences": rep.scan_occurrences,
                             "rows": [
                                 {
-                                    "label": usage.label,
-                                    "occurrences": usage.occurrences,
-                                    "ansatz_observed": [str(v) for v in usage.p_observed],
+                                    "label": r.row.label,
+                                    "occurrences": r.occurrences,
+                                    "ansatz_observed": [str(v) for v in r.p_observed],
                                 }
-                                for usage in rep.scan_rows
+                                for r in rep.rows
                             ],
                             "unmatched": list(rep.unmatched),
                             "mismatches": list(rep.mismatches),
@@ -367,14 +367,14 @@ def cmd_tables(args: argparse.Namespace) -> int:
                 f"{'ansatz allowed':<16} {'ansatz':<8} result"
             )
             print(header)
-            for chk in rep.checks:
-                expected = f"{chk.row.positive}-{chk.row.negative}={chk.row.delta}"
-                computed = f"{chk.positive}-{chk.negative}={chk.delta}"
-                allowed = ",".join(str(v) for v in chk.row.p_allowed)
-                result = "MATCH" if chk.ok else "MISMATCH"
+            for r in rep.rows:
+                expected = f"{r.row.positive}-{r.row.negative}={r.row.delta}"
+                computed = f"{r.positive}-{r.negative}={r.delta}"
+                allowed = ",".join(str(v) for v in r.row.p_allowed)
+                result = "MATCH" if r.ok else "MISMATCH"
                 print(
-                    f"  {chk.row.label:<12} {expected:<10} {computed:<10} "
-                    f"{allowed:<16} {str(chk.p_value):<8} {result}"
+                    f"  {r.row.label:<12} {expected:<10} {computed:<10} "
+                    f"{allowed:<16} {str(r.p_value):<8} {result}"
                 )
             scan_state = (
                 "complete"

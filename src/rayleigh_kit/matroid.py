@@ -37,8 +37,7 @@ class Matroid:
     """A matroid given by ground set, rank, and basis family."""
 
     __slots__ = (
-        "elements", "rank", "_masks", "_index", "_bases_cache", "_flats", "_share_masks",
-        "_packed",
+        "elements", "rank", "_masks", "_index", "_flats", "_share_masks", "_packed",
     )
 
     def __init__(self, elements: Iterable[str], rank: int, basis_masks: Iterable[int]):
@@ -61,7 +60,6 @@ class Matroid:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "_masks", masks)
         object.__setattr__(self, "_index", {e: i for i, e in enumerate(elements)})
-        object.__setattr__(self, "_bases_cache", None)
         object.__setattr__(self, "_flats", {})
         object.__setattr__(self, "_share_masks", None)
         object.__setattr__(self, "_packed", None)
@@ -110,11 +108,8 @@ class Matroid:
 
     @property
     def bases(self) -> frozenset[frozenset[str]]:
-        cached = self._bases_cache
-        if cached is None:
-            cached = frozenset(self._unmask(b) for b in self._masks)
-            object.__setattr__(self, "_bases_cache", cached)
-        return cached
+        """The bases as label sets, built on each read."""
+        return frozenset(map(self._unmask, self._masks))
 
     def _mask(self, subset: Iterable[str]) -> int:
         mask = 0
@@ -125,10 +120,12 @@ class Matroid:
                 raise ValueError(f"element {el!r} not in ground set") from None
         return mask
 
+    def _labels(self, mask: int) -> tuple[str, ...]:
+        """The elements of a bitmask over the positions, in ground-set order."""
+        return tuple(el for i, el in enumerate(self.elements) if mask >> i & 1)
+
     def _unmask(self, mask: int) -> frozenset[str]:
-        return frozenset(
-            self.elements[i] for i in range(len(self.elements)) if mask >> i & 1
-        )
+        return frozenset(self._labels(mask))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matroid):

@@ -25,13 +25,13 @@ from math import prod
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .matroid import Matroid
-from .poly import Coeff, Polynomial, add_products, dominates, from_packed, pack_mask
+from .poly import Coeff, Polynomial, add_products, from_packed, pack_mask
 
 
 @lru_cache(maxsize=65536)
 def generating_polynomial(m: Matroid) -> Polynomial:
     """Sum of y^B over the bases B; 0 for an empty family, 1 for rank 0."""
-    return from_packed(dict.fromkeys(map(pack_mask, m.basis_masks), 1), m.elements)
+    return from_packed(dict.fromkeys(m._packed_bases(), 1), m.elements)
 
 
 def minor_polynomial(m: Matroid, contract: Iterable[str], delete: Iterable[str]) -> Polynomial:
@@ -69,13 +69,16 @@ def _split(m: Matroid, members: Sequence[int], deleted: int = 0) -> list[list[in
     """The bases of m that miss `deleted`, packed less `members`, by how they
     meet `members`.
 
-    `members` are ground-set positions and `deleted` a bitmask of positions.
-    Entry s holds the bases that contain exactly the members whose bit is set
-    in s (bit i for members[i]); contracting those members and deleting the
-    others leaves exactly these bases, so entry s is that minor's packed
-    generating polynomial.  A dependent subset lies in no basis, so its entry
-    is empty, as the minor is.  A basis less the members is its memoised
-    packed monomial with the members' fields cleared.
+    `members` are ground-set positions and `deleted` a bitmask of positions
+    outside them.  Entry s holds the bases that meet the members in exactly
+    subset s (bit i of s for members[i]); contracting those members and
+    deleting the others leaves exactly these bases, so entry s is that
+    minor's packed generating polynomial: for members (e, f), entries 1, 2, 3
+    and 0 are M_e^f, M_f^e, M_ef and M^ef.  A dependent subset lies in no
+    basis, so its entry is empty, as the minor is.  With `deleted`, the bases
+    are those of ``m.delete`` of that set, kept on m's own positions.  A
+    basis less the members is its memoised packed monomial with the members'
+    fields cleared.
     """
     groups: dict[int, list[int]] = {0: []}
     whole = 0
@@ -91,43 +94,34 @@ def _split(m: Matroid, members: Sequence[int], deleted: int = 0) -> list[list[in
     return list(groups.values())
 
 
-def basis_split(
-    m: Matroid, e: int, f: int, deleted: int = 0
-) -> tuple[list[int], ...]:
-    """The bases of m less {e,f}, packed, by how they meet {e,f}.
-
-    `e` and `f` are ground-set positions.  Returns (only e, only f, both,
-    neither): the packed terms of M_e^f, M_f^e, M_ef and M^ef.  A dependent
-    {e,f} lies in no basis, so `both` is then empty, as M_ef is (contracting
-    a dependent set leaves no basis).  With `deleted`, a bitmask of positions
-    outside {e,f}, only the bases that miss it count: those are the bases of
-    ``m.delete`` of that set, kept on m's own positions.
-    """
-    neither, only_e, only_f, both = _split(m, (e, f), deleted)
-    return only_e, only_f, both, neither
+# The signed products of Delta (a split on e, f) and of Theta (a split on
+# e, f, g), as (s, t, sign) over the entries: sign * (entry s) * (entry t).
+_DELTA = ((1, 2, 1), (3, 0, -1))
+_THETA = ((1, 6, 1), (2, 5, 1), (4, 3, -1), (7, 0, -1))
 
 
-def delta_from_split(
-    only_e: list[int], only_f: list[int], both: list[int], neither: list[int]
+def _products(
+    groups: list[list[int]], formula: Sequence[tuple[int, int, int]]
 ) -> dict[int, int]:
-    """M_e^f * M_f^e - M_ef * M^ef from the four lists of `basis_split`, as
-    a new dict of packed terms; some may be 0."""
-    return add_products(add_products({}, only_e, only_f), both, neither, -1)
+    """The sum of `formula`'s signed products over a split, as a new dict
+    of packed terms; some may be 0."""
+    terms: dict[int, int] = {}
+    for s, t, sign in formula:
+        add_products(terms, groups[s], groups[t], sign)
+    return terms
 
 
 def rayleigh_difference(m: Matroid, e: str, f: str) -> Polynomial:
     """Delta M{e,f} = M_e^f * M_f^e - M_ef * M^ef.
 
-    Computed straight from the bases: the pair's labels become positions
-    once, `basis_split` groups the packed bases and `delta_from_split`
-    multiplies them, each product of two packed bases one integer addition.
-    Packed monomials hold a 4-bit exponent per ground-set position, and no
-    exponent in the certificate's loops exceeds 4 (here they stay <= 2), so
-    4 bits are enough.  The result becomes a `Polynomial` once, with its
-    variables in label order.
+    Computed straight from the bases: `_split` groups the packed bases by
+    how they meet {e,f} and `_products` multiplies the groups as `_DELTA`
+    says, each product of two packed bases one integer addition (exponents
+    here stay <= 2, well inside a 4-bit field).  The result becomes a
+    `Polynomial` once, with its variables in label order.
     """
-    split = basis_split(m, *_pair_positions(m, e, f))
-    return from_packed(delta_from_split(*split), m.elements)
+    split = _split(m, _pair_positions(m, e, f))
+    return from_packed(_products(split, _DELTA), m.elements)
 
 
 def central_term(m: Matroid, e: str, f: str, g: str) -> Polynomial:
@@ -136,17 +130,12 @@ def central_term(m: Matroid, e: str, f: str, g: str) -> Polynomial:
     Theta M{e,f|g} = M_e^fg M_fg^e + M_f^eg M_eg^f
                    - M_g^ef M_ef^g - M_efg M^efg
 
-    Read off the same packed basis split as Delta (`_split` on {e,f,g}): each
-    minor is the group of bases meeting {e,f,g} in its contracted set, and
-    each product pairs a group with its complement.
+    Read off the split on {e,f,g} as the `_THETA` table says: each minor is
+    the group of bases meeting {e,f,g} in its contracted set, and each
+    product pairs a group with its complement.
     """
-    # Entry s of the split: bit 1 is e, bit 2 is f, bit 4 is g.
-    groups = _split(m, _triple_positions(m, e, f, g))
-    terms = add_products({}, groups[1], groups[6])
-    add_products(terms, groups[2], groups[5])
-    add_products(terms, groups[4], groups[3], -1)
-    add_products(terms, groups[7], groups[0], -1)
-    return from_packed(terms, m.elements)
+    split = _split(m, _triple_positions(m, e, f, g))
+    return from_packed(_products(split, _THETA), m.elements)
 
 
 def decomposition_check(m: Matroid, e: str, f: str, g: str) -> bool:
@@ -239,10 +228,10 @@ def theta_dominance_check(m: Matroid, e: str, f: str, g: str) -> bool:
     Guaranteed whenever {e,f,g} is dependent (that is the content of the
     injection); this is the test harness for that claim.
     """
-    _triple_positions(m, e, f, g)
+    positions = _triple_positions(m, e, f, g)
     if m.is_independent((e, f, g)):
         raise ValueError("precondition: {e,f,g} must be dependent")
-    return dominates(central_term(m, e, f, g), Polynomial.zero())
+    return min(_products(_split(m, positions), _THETA).values(), default=0) >= 0
 
 
 def closed_pair_filter(m: Matroid, e: str, f: str) -> bool:
@@ -258,7 +247,9 @@ def negative_correlation_check(
     """Exact pointwise check of M_ef * M <= M_f * M_e at positive weights.
 
     Cross-multiplied so no division happens.  Raises on an element outside
-    m's ground set, on e == f, on nonpositive weights and on degenerate pairs
+    m's ground set, on e == f, on a weight that is not an `int` or a
+    `Fraction` (floats compare inexactly, NaN passes no comparison, and a
+    `bool` is no weight), on nonpositive weights and on degenerate pairs
     (M_e or M vanishing at the point).
     """
     _pair_positions(m, e, f)
@@ -266,6 +257,8 @@ def negative_correlation_check(
         w = point.get(el)
         if w is None:
             raise ValueError(f"missing weight for element {el!r}")
+        if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
+            raise ValueError(f"weight for element {el!r} must be an int or a Fraction")
         if w <= 0:
             raise ValueError(f"weight for element {el!r} must be positive")
     m_e = minor_polynomial(m, (e,), ()).evaluate(point)

@@ -63,9 +63,9 @@ def test_criterion_2_table_reproduction(capsys):
     with contextlib.redirect_stdout(io.StringIO()) as buf:
         code = main(["tables"])
     reports = {fam: table_coefficients(fam) for fam in ("GGHH", "GGHI", "GHIJ")}
-    ghij = {c.row.label: c for c in reports["GHIJ"].checks}
-    gghi = {c.row.label: c for c in reports["GGHI"].checks}
-    gghh_usage = {u.label: u for u in reports["GGHH"].scan_rows}
+    ghij = {r.row.label: r for r in reports["GHIJ"].rows}
+    gghi = {r.row.label: r for r in reports["GGHI"].rows}
+    gghh_usage = {r.row.label: r for r in reports["GGHH"].rows}
     ok = (
         code == 0
         and all(r.all_match for r in reports.values())

@@ -109,6 +109,15 @@ def test_uniform_constructor_and_guards():
         uniform(2, 20)
 
 
+def test_uniform_names_are_canonical():
+    # One name per uniform matroid: a leading zero would cache a second copy.
+    assert named("U_0_0") == uniform(0, 0)
+    assert instance("U_10_10").matroid == uniform(10, 10)
+    for name in ("U_01_4", "U_1_04", "U_00_0", "U_+1_4", "U_1_4 "):
+        with pytest.raises(KeyError, match="unknown instance"):
+            instance(name)
+
+
 def test_named_instances_are_valid_simple_rank3():
     for name in catalog_names():
         m = named(name)

@@ -40,9 +40,10 @@ from rayleigh_kit.poly import (
     shape_text,
 )
 from rayleigh_kit.rayleigh import (
-    basis_split,
+    _DELTA,
+    _products,
+    _split,
     closed_pair_filter,
-    delta_from_split,
     lemma31_injection,
     minor_polynomial,
     rayleigh_difference,
@@ -392,7 +393,7 @@ def _unreduced_dominance_reference(m, e, f):
     """Delta >> P on m itself, before any reduction: the full second ansatz."""
     ie, jf = m.elements.index(e), m.elements.index(f)
     four_p = certificate._four_p_terms(_squares(m, ie, jf))
-    gap = certificate._gap(delta_from_split(*basis_split(m, ie, jf)), four_p)
+    gap = certificate._gap(_products(_split(m, (ie, jf)), _DELTA), four_p)
     return all(coeff >= 0 for coeff in gap.values())
 
 
@@ -550,7 +551,7 @@ def test_certify_work_per_pair(monkeypatch):
     # packed bases are built once per matroid.
     splits = []
     built = {"_shares": {}, "_packed_bases": {}}
-    real_split = rayleigh._split
+    real_split = certificate._split
 
     def counted_split(m, members, *args, **kwargs):
         splits.append(tuple(members))
@@ -566,6 +567,8 @@ def test_certify_work_per_pair(monkeypatch):
 
         return method
 
+    # certify reads its own binding, rayleigh_difference the module's.
+    monkeypatch.setattr(certificate, "_split", counted_split)
     monkeypatch.setattr(rayleigh, "_split", counted_split)
     for name in built:
         monkeypatch.setattr(Matroid, name, recorded(name))
@@ -654,19 +657,19 @@ def test_table_families_all_match():
         assert report.mismatches == ()
         assert report.uncovered == ()
         assert report.scan_occurrences > 0
-        assert all(check.ok for check in report.checks)
+        assert all(r.ok for r in report.rows)
 
 
 def test_table_spot_values():
-    gghh = {c.row.label: c for c in table_coefficients("GGHH").checks}
+    gghh = {r.row.label: r for r in table_coefficients("GGHH").rows}
     assert gghh["I{1,2}"].delta == 0
     assert gghh["II{1,2}"].positive == 1 and gghh["II{1,2}"].delta == 1
 
-    gghi = {c.row.label: c for c in table_coefficients("GGHI").checks}
+    gghi = {r.row.label: r for r in table_coefficients("GGHI").rows}
     row = gghi["III{1,3},2"]
     assert (row.positive, row.negative, row.delta) == (2, 1, 1)
 
-    ghij = {c.row.label: c for c in table_coefficients("GHIJ").checks}
+    ghij = {r.row.label: r for r in table_coefficients("GHIJ").rows}
     row = ghij["V{4,5}"]
     assert (row.positive, row.negative, row.delta) == (4, 3, 1)
     assert row.p_value == Fraction(-1, 2)
@@ -677,7 +680,7 @@ def test_table_scan_coverage():
     # the catalog sweep touches every row and realizes every listed
     # Ansatz coefficient, including all three values of the GGHH note-A row
     report = table_coefficients("GGHH")
-    usage = {u.label: u for u in report.scan_rows}
+    usage = {r.row.label: r for r in report.rows}
     assert all(u.occurrences > 0 for u in usage.values())
     note_a = usage["II{1,2}"]
     assert set(note_a.p_observed) == {Fraction(1, 2), Fraction(3, 4), Fraction(1)}
@@ -763,7 +766,7 @@ def test_table_mismatch_fails_the_tables_command(monkeypatch, capsys):
     monkeypatch.setitem(certificate._TABLE_ROWS, "GGHH", (first, wrong))
     report = table_coefficients("GGHH")
     assert not report.all_match
-    assert [c.ok for c in report.checks] == [True, False]
+    assert [r.ok for r in report.rows] == [True, False]
     assert report.mismatches
     assert all(line.endswith("expected II{1,2} 2-0, got 1-0")
                for line in report.mismatches)
@@ -771,6 +774,14 @@ def test_table_mismatch_fails_the_tables_command(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "classification INCOMPLETE" in out
     assert out.rstrip("\n").rsplit("\n", 1)[-1] == "tables: MISMATCHES FOUND"
+    assert main(["tables", "--family", "GGHH", "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    (family,) = doc["families"]
+    assert [r["match"] for r in family["rows"]] == [True, False]
+    assert family["rows"][1]["expected"]["positive"] == 2
+    assert family["rows"][1]["computed"]["positive"] == 1
+    assert family["scan"]["mismatches"] == list(report.mismatches)
+    assert family["all_match"] is False and doc["all_match"] is False
 
 
 def test_table_rejects_unknown_family():

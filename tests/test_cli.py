@@ -165,6 +165,10 @@ def test_unknown_catalog_name_exits_two(capsys):
     code, _, err = run(capsys, "verify", "fig9.XX")
     assert code == 2
     assert "error:" in err
+    for name in ("U_01_4", "U_1_04"):
+        code, out, err = run(capsys, "verify", name)
+        assert (code, out) == (2, "")
+        assert f"{name!r} is neither a file nor a catalog name" in err
 
 
 def test_malformed_json_exits_two(capsys, tmp_path):

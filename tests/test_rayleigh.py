@@ -256,6 +256,22 @@ def test_negative_correlation_check_errors():
         negative_correlation_check(m, "1", "9", ones)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.5, True])
+def test_negative_correlation_check_takes_only_exact_weights(bad):
+    # NaN passes no comparison, so it would slip past the positivity check
+    # and report a violation that does not exist; floats compare inexactly.
+    m = named("K4")
+    with pytest.raises(ValueError, match="must be an int or a Fraction"):
+        negative_correlation_check(m, "1", "2", dict.fromkeys(m.elements, bad))
+    point = {el: Fraction(i + 1, 3) for i, el in enumerate(m.elements)}
+    point["4"] = bad
+    with pytest.raises(ValueError, match="'4' must be an int or a Fraction"):
+        negative_correlation_check(m, "1", "2", point)
+    assert negative_correlation_check(m, "1", "2", {el: 2 for el in m.elements})
+    assert negative_correlation_check(
+        m, "1", "2", dict.fromkeys(m.elements, Fraction(1, 3)))
+
+
 def test_dyadic_points_stay_in_range():
     rng = random.Random(123)
     for _ in range(20):
