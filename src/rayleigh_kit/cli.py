@@ -52,11 +52,13 @@ def _load_matroid(token: str) -> tuple[Matroid, tuple[str, ...]]:
 
         try:
             m = named(token)
-        except (KeyError, ValueError) as exc:
+        except KeyError as exc:
             raise CliError(
                 f"{token!r} is neither a file nor a catalog name "
                 f"(catalog: {', '.join(catalog_names())}, or U_r_m)"
             ) from exc
+        except ValueError as exc:  # a U_r_m name that names no uniform matroid
+            raise CliError(f"cannot build {token!r}: {exc}") from exc
     loops = m.loops()
     if loops:
         # Loops never lie in a basis, so removing them changes no check.

@@ -84,7 +84,7 @@ class Matroid:
             mask = 0
             for el in basis:
                 if el not in index:
-                    raise ValueError(f"basis element {el!r} not in ground set")
+                    raise ValueError(f"basis element {el!r} not in the ground set")
                 bit = 1 << index[el]
                 if mask & bit:
                     raise ValueError(f"repeated element {el!r} in a basis")
@@ -117,7 +117,7 @@ class Matroid:
             try:
                 mask |= 1 << self._index[el]
             except KeyError:
-                raise ValueError(f"element {el!r} not in ground set") from None
+                raise ValueError(f"element {el!r} not in the ground set") from None
         return mask
 
     def _labels(self, mask: int) -> tuple[str, ...]:
@@ -403,7 +403,7 @@ class SimplifyResult(NamedTuple):
 def with_parallel_copy(m: Matroid, x: str, new_id: str) -> Matroid:
     """Extend m by a new element parallel to x (appended to the ground set)."""
     if x not in m._index:
-        raise ValueError(f"element {x!r} not in ground set")
+        raise ValueError(f"element {x!r} not in the ground set")
     if new_id in m._index:
         raise ValueError(f"element {new_id!r} already present")
     elements = m.elements + (new_id,)

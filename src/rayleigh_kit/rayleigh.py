@@ -313,16 +313,13 @@ def negative_correlation_sample(
 ) -> SampleResult:
     """Check negative correlation at `samples` seeded random weight vectors.
 
-    For each sampled point the inequality is evaluated for every requested
-    pair (default: all unordered pairs) by exact integer arithmetic on the
-    scaled basis weights: with T_x the sum of basis weights over bases
-    whose intersection with {e,f} is x,
-
-        M_e M_f - M_ef M  =  T_e T_f - T_ef T_0   (at the point),
-
-    which is also the value of Delta M{e,f} there.  Each pair's bases are
-    split once, before sampling, into the index groups behind T_e, T_f,
-    T_ef and T_0; a sample then weighs each basis once and sums the groups.
+    For each sampled point the inequality M_ef * M <= M_e * M_f is evaluated
+    for every requested pair (default: all unordered pairs) by exact integer
+    arithmetic on the scaled basis weights: M_x is the sum of the weights of
+    the bases holding every element of x, and M the sum of all of them.
+    Before sampling, the indices of the bases holding each needed bitmask
+    ({e}, {f} and {e,f}) are listed once, so pairs sharing an element share
+    its list; a sample then weighs each basis once and sums each list once.
     Every `_CROSS_CHECK_EVERY`-th sample one pair is re-verified through the
     polynomial-evaluation path as an independent guard.  A negative
     `samples` raises ValueError; 0 checks nothing.
@@ -340,47 +337,43 @@ def negative_correlation_sample(
     masks = m.basis_masks
     nelems = len(m.elements)
     supports = [[i for i in range(nelems) if b >> i & 1] for b in masks]
-    splits = []  # per pair: indices of bases with only e, only f, both, neither
+    holders: dict[int, list[int]] = {}  # bitmask -> indices of the bases holding it
+    keys = []  # per pair: the bitmasks of {e}, {f} and {e,f}
     for ie, jf in positions:
-        ebit, fbit = 1 << ie, 1 << jf
-        groups: dict[int, list[int]] = {ebit: [], fbit: [], ebit | fbit: [], 0: []}
-        for i, b in enumerate(masks):
-            groups[b & (ebit | fbit)].append(i)
-        splits.append(tuple(groups.values()))
+        trio = (1 << ie, 1 << jf, 1 << ie | 1 << jf)
+        for x in trio:
+            if x not in holders:
+                holders[x] = [i for i, b in enumerate(masks) if b & x == x]
+        keys.append(trio)
 
     violations = []
     cross_checks = 0
-    checks = 0
     for s in range(samples):
         scaled = [_draw_scaled_weight(rng) for _ in range(nelems)]
         weights = [prod([scaled[i] for i in support]) for support in supports]
-        weight = weights.__getitem__
+        total = sum(weights)
+        held = {x: sum(map(weights.__getitem__, idx)) for x, idx in holders.items()}
 
-        point = None
-        for p_idx, ((e, f), split) in enumerate(zip(pairs, splits)):
-            only_e, only_f, both, neither = split
-            ok = (sum(map(weight, only_e)) * sum(map(weight, only_f))
-                  >= sum(map(weight, both)) * sum(map(weight, neither)))
-            checks += 1
-            cross_check = (
-                s % _CROSS_CHECK_EVERY == 0
-                and p_idx == (s // _CROSS_CHECK_EVERY) % len(pairs)
+        oks = [held[xef] * total <= held[xe] * held[xf] for xe, xf, xef in keys]
+        cross_check = s % _CROSS_CHECK_EVERY == 0
+        if cross_check or not all(oks):
+            point = {
+                el: Fraction(w, 1 << _SCALE_SHIFT) for el, w in zip(m.elements, scaled)
+            }
+            violations.extend(
+                Violation(pair, s, dict(point)) for pair, ok in zip(pairs, oks) if not ok
             )
-            if point is None and (cross_check or not ok):
-                point = {
-                    el: Fraction(w, 1 << _SCALE_SHIFT)
-                    for el, w in zip(m.elements, scaled)
-                }
-            if not ok:
-                violations.append(Violation((e, f), s, dict(point)))
-            if cross_check:
-                try:
-                    exact = negative_correlation_check(m, e, f, point)
-                except ValueError:
-                    exact = ok  # degenerate pair (loop): trivially equal sides
-                if exact != ok:
-                    raise RuntimeError(
-                        f"sampler disagrees with exact evaluation at pair ({e}, {f})"
-                    )
-                cross_checks += 1
+        if cross_check:
+            c = (s // _CROSS_CHECK_EVERY) % len(pairs)
+            e, f = pairs[c]
+            try:
+                exact = negative_correlation_check(m, e, f, point)
+            except ValueError:
+                exact = oks[c]  # degenerate pair (loop): trivially equal sides
+            if exact != oks[c]:
+                raise RuntimeError(
+                    f"sampler disagrees with exact evaluation at pair ({e}, {f})"
+                )
+            cross_checks += 1
+    checks = len(pairs) * samples
     return SampleResult(tuple(pairs), samples, checks, tuple(violations), cross_checks)

@@ -171,6 +171,16 @@ def test_unknown_catalog_name_exits_two(capsys):
         assert f"{name!r} is neither a file nor a catalog name" in err
 
 
+def test_out_of_range_uniform_name_says_why(capsys):
+    # The name is in U_r_m form, so the reason is the range, not the catalog.
+    for name, reason in (("U_3_17", "uniform matroids are capped at 16 elements"),
+                         ("U_5_3", "no uniform matroid of rank 5 on 3 elements")):
+        code, out, err = run(capsys, "verify", name)
+        assert (code, out) == (2, "")
+        assert reason in err
+        assert "neither a file nor a catalog name" not in err
+
+
 def test_malformed_json_exits_two(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

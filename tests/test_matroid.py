@@ -153,6 +153,16 @@ def test_rank_and_closure():
     assert m.is_independent(("1", "2", "3"))
 
 
+def test_unknown_elements_say_not_in_the_ground_set():
+    m = named("K4")
+    with pytest.raises(ValueError, match=r"^element '9' not in the ground set$"):
+        m.closure(["9"])
+    with pytest.raises(ValueError, match=r"^basis element '9' not in the ground set$"):
+        Matroid.from_bases(["1", "2"], [("1", "9")])
+    with pytest.raises(ValueError, match=r"^element '9' not in the ground set$"):
+        with_parallel_copy(m, "9", "x")
+
+
 def test_loops_and_parallel():
     m = Matroid.from_bases(["1", "2", "3"], [("1",), ("2",)])
     assert m.loops() == ("3",)

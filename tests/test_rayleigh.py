@@ -307,6 +307,49 @@ def test_sampler_pair_selection():
     assert empty.checks == 0 and empty.violations == ()
 
 
+def test_sampler_shares_lists_between_pairs():
+    # A pair listed twice or in both orders, and a pair sharing an element,
+    # read the same per-bitmask basis lists: each listing of {4,8} violates
+    # at exactly the samples where it does alone.
+    m = s8()
+    alone = negative_correlation_sample(m, pairs=[("4", "8")], samples=300, seed=4)
+    expected = [v.sample_index for v in alone.violations]
+    assert len(expected) == 39
+    pairs = [("4", "8"), ("8", "4"), ("4", "8"), ("4", "5")]
+    r = negative_correlation_sample(m, pairs=pairs, samples=300, seed=4)
+    assert r.checks == 1200
+
+    def indices(pair):
+        return [v.sample_index for v in r.violations if v.pair == pair]
+
+    assert indices(("4", "8")) == [s for s in expected for _ in range(2)]  # listed twice
+    assert indices(("8", "4")) == expected
+    assert indices(("4", "5")) == []
+
+
+def test_sampler_cross_checks_one_pair_per_hundred_samples(monkeypatch):
+    # Sample s = 100k re-checks pair k (cyclically) at that sample's point;
+    # a disagreement with the exact path raises.
+    import rayleigh_kit.rayleigh as rayleigh
+
+    seen = []
+
+    def recorded(m, e, f, point):
+        seen.append((e, f, point))
+        return True
+
+    monkeypatch.setattr(rayleigh, "negative_correlation_check", recorded)
+    m = named("K4")
+    pairs = [("1", "2"), ("3", "4"), ("5", "6")]
+    r = negative_correlation_sample(m, pairs=pairs, samples=401, seed=3)
+    assert r.cross_checks == 5
+    assert [(e, f) for e, f, _ in seen] == pairs + pairs[:2]
+    assert all(sorted(point) == sorted(m.elements) for _, _, point in seen)
+    monkeypatch.setattr(rayleigh, "negative_correlation_check", lambda *args: False)
+    with pytest.raises(RuntimeError, match=r"disagrees .* pair \(1, 2\)"):
+        negative_correlation_sample(m, pairs=pairs, samples=1)
+
+
 def test_sampler_refuses_a_negative_count():
     m = named("K4")
     with pytest.raises(ValueError, match=r"^samples must be nonnegative, got -5$"):
