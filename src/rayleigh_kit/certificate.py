@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from operator import countOf, or_
 from typing import NamedTuple, Optional
 
@@ -62,6 +62,7 @@ from .rayleigh import (
     _products,
     _split,
     _triple_positions,
+    closed_pair_filter,
     rayleigh_difference,
 )
 
@@ -279,21 +280,7 @@ def lemma33_reduce(m: Matroid, e: str, f: str) -> ReductionResult:
 # Certification.
 
 
-class _ReportFields(NamedTuple):
-    pair: tuple[str, str]
-    mode: str  # "rank-le-2" | "product" | "reduced-ansatz"
-    reduced_pair_closed: bool
-    reduction_chain: tuple[str, ...]
-    verdict: bool
-    delta_input: Optional[Polynomial]  # Delta_M when certify built it, else None
-    unreduced_dominance: Optional[bool]
-    matroid: Matroid
-    four_p: dict[int, int]
-    gap: dict[int, int]
-    roots: tuple[tuple[int, dict[int, int]], ...]
-
-
-class CertificateReport(_ReportFields):
+class CertificateReport(NamedTuple):
     """Outcome of certifying one pair.
 
     `delta`, `P` and `residual` refer to the certified (reduced) matroid;
@@ -305,27 +292,28 @@ class CertificateReport(_ReportFields):
     chain it is False, and without one the input is the reduced matroid, so
     it is `verdict`.  The lemma and its proof are in `certify`'s docstring.
 
-    The report keeps what `certify` decided on, as packed terms over the
+    The fields are what `certify` decided on, as packed terms over the
     positions of the input `matroid` (see `poly.pack_mask`): `four_p` is
     4P, `gap` is 4*delta - 4P, and `roots` pairs the position of each
-    square's a with its root.  `P`, `residual` and `delta` are built from
-    them as `Polynomial`s when first read, once each (`delta` by
-    `rayleigh_difference` on `lemma33_reduce`'s matroid, built on that read).
-    `unreduced_dominance` is computed by `certify`, and so is
-    `delta_original` for a pair without a reduction chain, which `certify`
-    checks against the reduced Delta; `delta_input` holds it then, and is
-    None otherwise.  With a chain no check reads Delta_M, so
-    `delta_original` is built by `rayleigh_difference` on the input matroid
-    when first read, once; the JSON report and the `certificate` command
-    read it, `verify`'s text output does not.
-
-    The report is read-only.  The class has no ``__slots__``, so the cached
-    fields live in the instance ``__dict__``, which `cached_property` writes
-    directly; `__setattr__` refuses every other assignment.
+    square's a with its root.  `delta_input` is Delta_M for a pair without
+    a reduction chain, which `certify` checks against the reduced Delta,
+    and None otherwise.  Every other attribute is computed from the fields
+    on each read: `verdict`, `reduced_pair_closed` and
+    `unreduced_dominance`, and the `Polynomial`s `P`, `residual`, `delta`
+    (by `rayleigh_difference` on `lemma33_reduce`'s matroid) and
+    `delta_original` (by `rayleigh_difference` on the input matroid when
+    `delta_input` is None).  The JSON report reads each once; `verify`'s
+    text output reads none of the `Polynomial`s.
     """
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: the report is read-only")
+    pair: tuple[str, str]
+    mode: str  # "rank-le-2" | "product" | "reduced-ansatz"
+    reduction_chain: tuple[str, ...]
+    delta_input: Optional[Polynomial]  # Delta_M when certify built it, else None
+    matroid: Matroid
+    four_p: dict[int, int]
+    gap: dict[int, int]
+    roots: tuple[tuple[int, dict[int, int]], ...]
 
     _SHOWN = ("pair", "mode", "reduced_pair_closed", "reduction_chain",
               "verdict", "delta_original", "unreduced_dominance")
@@ -334,17 +322,33 @@ class CertificateReport(_ReportFields):
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._SHOWN)
         return f"CertificateReport({shown})"
 
-    @cached_property
+    @property
+    def verdict(self) -> bool:
+        return min(self.gap.values(), default=0) >= 0
+
+    @property
+    def reduced_pair_closed(self) -> bool:
+        if self.mode != "rank-le-2":
+            return self.mode == "reduced-ansatz"
+        return closed_pair_filter(self.matroid, *self.pair)
+
+    @property
+    def unreduced_dominance(self) -> Optional[bool]:
+        if self.mode != "reduced-ansatz":
+            return None
+        return not self.reduction_chain and self.verdict  # see certify
+
+    @property
     def delta_original(self) -> Polynomial:
         if self.delta_input is not None:
             return self.delta_input
         return rayleigh_difference(self.matroid, *self.pair)
 
-    @cached_property
+    @property
     def P(self) -> Polynomial:
         return from_packed(self.four_p, self.matroid.elements) * Fraction(1, 4)
 
-    @cached_property
+    @property
     def residual(self) -> Polynomial:
         quarter = {
             key: coeff >> 2 if coeff & 3 == 0 else Fraction(coeff, 4)
@@ -352,7 +356,7 @@ class CertificateReport(_ReportFields):
         }
         return from_packed(quarter, self.matroid.elements)
 
-    @cached_property
+    @property
     def delta(self) -> Polynomial:
         if self.mode != "reduced-ansatz":
             return self.delta_original
@@ -446,11 +450,9 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
         # Rank <= 2: Delta itself is >> 0.  Dependent pair: no basis contains
         # both e and f, so Delta = M_e^f * M_f^e >> 0.  Either way P = 0.
         mode = "product" if m.rank == 3 else "rank-le-2"
-        pair = 1 << ie | 1 << jf
-        closed = m.rank < 3 and m.closure_mask(pair) == pair
         chain, squares = 0, []
     else:
-        mode, closed = "reduced-ansatz", True
+        mode = "reduced-ansatz"
         squares = _squares(m, ie, jf, chain)
     four_p = _four_p_terms(squares)
     split = _split(m, (ie, jf), chain)
@@ -465,20 +467,13 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
         delta_orig = rayleigh_difference(m, e, f)
         if from_packed(red_terms, m.elements) != delta_orig:
             raise RuntimeError(_IDENTITY_VIOLATED)
-    verdict = min(gap.values(), default=0) >= 0
-    unreduced = None
-    if mode == "reduced-ansatz":
-        if m.is_simple(chain):
-            _check_closed_pair_structure(m, ie, jf, red_terms, four_p, squares)
-        unreduced = not chain and verdict  # the lemma in the docstring
+    if mode == "reduced-ansatz" and m.is_simple(chain):
+        _check_closed_pair_structure(m, ie, jf, red_terms, four_p, squares)
     return CertificateReport(
         pair=(e, f),
         mode=mode,
-        reduced_pair_closed=closed,
         reduction_chain=m._labels(chain),
-        verdict=verdict,
         delta_input=delta_orig,
-        unreduced_dominance=unreduced,
         matroid=m,
         four_p=four_p,
         gap=gap,
@@ -504,57 +499,56 @@ _F = Fraction
 
 
 class TableRow(NamedTuple):
-    family: str
-    label: str
+    """One expected row; its family is its key in `_TABLE_ROWS`."""
+
     instance: str
     pair: tuple[str, str]
     g: Optional[str]
     positive: int
     negative: int
-    delta: int
     p_allowed: tuple[Fraction, ...]
     note: str
 
+    @property
+    def label(self) -> str:
+        roman = self.instance.rsplit(".", 1)[-1]
+        e, f = self.pair
+        return f"{roman}{{{e},{f}}}" + (f",{self.g}" if self.g is not None else "")
 
-def _row(family, instance, pair, g, positive, negative, delta, p_allowed, note):
-    roman = instance.rsplit(".", 1)[-1]
-    label = f"{roman}{{{pair[0]},{pair[1]}}}" + (f",{g}" if g is not None else "")
-    return TableRow(
-        family, label, instance, pair, g, positive, negative, delta,
-        tuple(p_allowed), note,
-    )
+    @property
+    def delta(self) -> int:
+        return self.positive - self.negative
 
 
 _TABLE_ROWS = {
     GGHH: (
-        _row(GGHH, "fig1.I", ("1", "2"), None, 0, 0, 0, (_F(0),), ""),
-        _row(GGHH, "fig1.II", ("1", "2"), None, 1, 0, 1,
-             (_F(1, 2), _F(3, 4), _F(1)), "A"),
+        TableRow("fig1.I", ("1", "2"), None, 0, 0, (_F(0),), ""),
+        TableRow("fig1.II", ("1", "2"), None, 1, 0, (_F(1, 2), _F(3, 4), _F(1)), "A"),
     ),
     GGHI: (
-        _row(GGHI, "fig2.I", ("1", "2"), "3", 0, 0, 0, (_F(0),), ""),
-        _row(GGHI, "fig2.II", ("1", "2"), "3", 1, 1, 0, (_F(0),), ""),
-        _row(GGHI, "fig2.II", ("1", "2"), "5", 1, 1, 0, (_F(0),), ""),
-        _row(GGHI, "fig2.III", ("1", "2"), "3", 2, 0, 2, (_F(1, 2),), "B"),
-        _row(GGHI, "fig2.III", ("1", "3"), "2", 2, 1, 1, (_F(1, 2), _F(1)), "C"),
-        _row(GGHI, "fig2.III", ("1", "3"), "4", 1, 1, 0, (_F(0),), ""),
-        _row(GGHI, "fig2.IV", ("1", "2"), "3", 2, 1, 1, (_F(1, 2),), "B"),
+        TableRow("fig2.I", ("1", "2"), "3", 0, 0, (_F(0),), ""),
+        TableRow("fig2.II", ("1", "2"), "3", 1, 1, (_F(0),), ""),
+        TableRow("fig2.II", ("1", "2"), "5", 1, 1, (_F(0),), ""),
+        TableRow("fig2.III", ("1", "2"), "3", 2, 0, (_F(1, 2),), "B"),
+        TableRow("fig2.III", ("1", "3"), "2", 2, 1, (_F(1, 2), _F(1)), "C"),
+        TableRow("fig2.III", ("1", "3"), "4", 1, 1, (_F(0),), ""),
+        TableRow("fig2.IV", ("1", "2"), "3", 2, 1, (_F(1, 2),), "B"),
     ),
     GHIJ: (
-        _row(GHIJ, "fig3.I", ("1", "2"), None, 0, 0, 0, (_F(0),), ""),
-        _row(GHIJ, "fig3.II", ("1", "2"), None, 3, 3, 0, (_F(0),), ""),
-        _row(GHIJ, "fig3.III", ("1", "2"), None, 6, 0, 6, (_F(0),), ""),
-        _row(GHIJ, "fig3.III", ("1", "3"), None, 3, 3, 0, (_F(0),), ""),
-        _row(GHIJ, "fig3.IV", ("1", "2"), None, 2, 4, -2, (_F(-2),), "D"),
-        _row(GHIJ, "fig3.V", ("1", "4"), None, 3, 4, -1, (_F(-1),), "E"),
-        _row(GHIJ, "fig3.V", ("4", "5"), None, 4, 3, 1, (_F(-1, 2),), "F"),
-        _row(GHIJ, "fig3.VI", ("1", "2"), None, 4, 4, 0, (_F(-1, 2),), "G"),
-        _row(GHIJ, "fig3.VI", ("1", "3"), None, 5, 3, 2, (_F(0),), ""),
-        _row(GHIJ, "fig3.VI", ("3", "6"), None, 4, 4, 0, (_F(0),), ""),
-        _row(GHIJ, "fig3.VII", ("1", "2"), None, 5, 4, 1, (_F(0), _F(1)), "H"),
-        _row(GHIJ, "fig3.VIII", ("1", "2"), None, 6, 3, 3, (_F(0),), ""),
-        _row(GHIJ, "fig3.VIII", ("1", "4"), None, 5, 4, 1, (_F(0),), ""),
-        _row(GHIJ, "fig3.IX", ("1", "2"), None, 6, 4, 2, (_F(0),), ""),
+        TableRow("fig3.I", ("1", "2"), None, 0, 0, (_F(0),), ""),
+        TableRow("fig3.II", ("1", "2"), None, 3, 3, (_F(0),), ""),
+        TableRow("fig3.III", ("1", "2"), None, 6, 0, (_F(0),), ""),
+        TableRow("fig3.III", ("1", "3"), None, 3, 3, (_F(0),), ""),
+        TableRow("fig3.IV", ("1", "2"), None, 2, 4, (_F(-2),), "D"),
+        TableRow("fig3.V", ("1", "4"), None, 3, 4, (_F(-1),), "E"),
+        TableRow("fig3.V", ("4", "5"), None, 4, 3, (_F(-1, 2),), "F"),
+        TableRow("fig3.VI", ("1", "2"), None, 4, 4, (_F(-1, 2),), "G"),
+        TableRow("fig3.VI", ("1", "3"), None, 5, 3, (_F(0),), ""),
+        TableRow("fig3.VI", ("3", "6"), None, 4, 4, (_F(0),), ""),
+        TableRow("fig3.VII", ("1", "2"), None, 5, 4, (_F(0), _F(1)), "H"),
+        TableRow("fig3.VIII", ("1", "2"), None, 6, 3, (_F(0),), ""),
+        TableRow("fig3.VIII", ("1", "4"), None, 5, 4, (_F(0),), ""),
+        TableRow("fig3.IX", ("1", "2"), None, 6, 4, (_F(0),), ""),
     ),
 }
 
@@ -579,18 +573,26 @@ class RowReport(NamedTuple):
     def ok(self) -> bool:
         """The row's own instance gives the row's values."""
         row = self.row
-        return (self.positive, self.negative, self.delta) == (
-            row.positive, row.negative, row.delta) and self.p_value in row.p_allowed
+        return (self.positive, self.negative) == (
+            row.positive, row.negative) and self.p_value in row.p_allowed
 
 
 class TableReport(NamedTuple):
     family: str
     rows: tuple[RowReport, ...]
-    scan_occurrences: int
     unmatched: tuple[str, ...]
     mismatches: tuple[str, ...]
     uncovered: tuple[str, ...]
-    all_match: bool
+
+    @property
+    def scan_occurrences(self) -> int:
+        """Every scanned monomial: those classified to a row, then the rest."""
+        return sum(r.occurrences for r in self.rows) + len(self.unmatched)
+
+    @property
+    def all_match(self) -> bool:
+        return all(r.ok for r in self.rows) and not (
+            self.unmatched or self.mismatches or self.uncovered)
 
 
 def _pinned_key(
@@ -694,9 +696,9 @@ def table_coefficients(shape_family: str) -> TableReport:
         positions = tuple(index[x] for x in support)
         e, f = index[row.pair[0]], index[row.pair[1]]
         own[row.label] = _coefficients(
-            _pair_terms(inst, e, f), pack_shape(row.family, positions)
+            _pair_terms(inst, e, f), pack_shape(shape_family, positions)
         )
-        key = _pinned_key(line_masks(inst), inst.n, e, f, positions, row.family)
+        key = _pinned_key(line_masks(inst), inst.n, e, f, positions, shape_family)
         if key in rows_by_key:
             raise RuntimeError(f"ambiguous table rows: {rows_by_key[key].label} "
                                f"and {row.label} share a canonical form")
@@ -706,7 +708,6 @@ def table_coefficients(shape_family: str) -> TableReport:
     observed: dict[str, set[Fraction]] = {row.label: set() for row in rows}
     unmatched: list[str] = []
     mismatches: list[str] = []
-    occurrences = 0
     for mname, m in _scan_matroids():
         lines = line_masks(m)
         for ie, jf in itertools.combinations(range(m.n), 2):
@@ -717,7 +718,6 @@ def table_coefficients(shape_family: str) -> TableReport:
             terms = _pair_terms(m, ie, jf)
             others = [i for i in range(m.n) if i not in (ie, jf)]
             for support in _shape_supports(others, shape_family):
-                occurrences += 1
                 row = rows_by_key.get(
                     _pinned_key(lines, m.n, ie, jf, support, shape_family)
                 )
@@ -751,23 +751,14 @@ def table_coefficients(shape_family: str) -> TableReport:
                     f"row {row.label}: ansatz value {value} never observed"
                 )
 
-    reports = tuple(
-        RowReport(row, *own[row.label], usage[row.label],
-                  tuple(sorted(observed[row.label])))
-        for row in rows
-    )
-    all_match = (
-        all(r.ok for r in reports)
-        and not unmatched
-        and not mismatches
-        and not uncovered
-    )
     return TableReport(
         family=shape_family,
-        rows=reports,
-        scan_occurrences=occurrences,
+        rows=tuple(
+            RowReport(row, *own[row.label], usage[row.label],
+                      tuple(sorted(observed[row.label])))
+            for row in rows
+        ),
         unmatched=tuple(unmatched),
         mismatches=tuple(mismatches),
         uncovered=tuple(uncovered),
-        all_match=all_match,
     )

@@ -522,7 +522,7 @@ def _add_common(
         )
     sub.add_argument(
         "--format", choices=("text", "json"), default="text",
-        help="output format (default text)",
+        help="output format (default %(default)s)",
     )
     sub.add_argument("--out", metavar="DIR", help="output directory")
 
@@ -562,7 +562,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, pairs=False)
     p.set_defaults(func=cmd_tables)
 
-    p = sub.add_parser("enumerate", help="write all simple rank-3 classes on n points")
+    p = sub.add_parser(
+        "enumerate", help="write all simple rank-3 classes on n points",
+        description="Write all simple rank-3 classes on n points into DIR; "
+                    "--out DIR is required (without it enumerate exits 2).",
+    )
     p.add_argument("n", type=int, help="ground set size (3..10)")
     _add_common(p, pairs=False)
     p.set_defaults(func=cmd_enumerate)

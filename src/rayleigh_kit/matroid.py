@@ -359,23 +359,24 @@ class Matroid:
         holders[i] is the set of basis indices whose basis contains element
         i, so the bases meeting a cut are the OR of its elements' holders,
         and the bases B2 failing for (B1, x) are the zero bits of that OR.
+        The cut of (B1, x) is {y : F + y is a basis} for F = B1 - x, so it
+        depends on F alone: one pass over the bases builds every F's OR.
         """
         masks = self._masks
-        bases = set(masks)
         everything = (1 << len(masks)) - 1
         holders = [
             sum(1 << k for k, b in enumerate(masks) if b >> i & 1) for i in range(self.n)
         ]
+        meets: dict[int, int] = {}  # F -> the bases meeting F's cut
+        for b in masks:
+            for i in range(self.n):
+                if b >> i & 1:
+                    meets[b ^ 1 << i] = meets.get(b ^ 1 << i, 0) | holders[i]
         for b1 in masks:
-            outside = [j for j in range(self.n) if not b1 >> j & 1]
             misses = []  # (x's label, the bases missing x's cut)
             for i, el in enumerate(self.elements):
                 if b1 >> i & 1:
-                    rest = b1 ^ 1 << i
-                    meet = holders[i]
-                    for j in outside:
-                        if rest | 1 << j in bases:
-                            meet |= holders[j]
+                    meet = meets[b1 ^ 1 << i]
                     if meet != everything:
                         misses.append((el, everything & ~meet))
             failing = 0

@@ -18,7 +18,7 @@ import pytest
 
 import rayleigh_kit
 from rayleigh_kit.catalog import uniform
-from rayleigh_kit.cli import main
+from rayleigh_kit.cli import build_parser, main
 from rayleigh_kit.matroid import Matroid, dumps_matroid, loads_matroid
 from rayleigh_kit.rayleigh import rayleigh_difference
 
@@ -270,6 +270,23 @@ def test_enumerate_requires_out(capsys):
     code, _, err = run(capsys, "enumerate", "5")
     assert code == 2
     assert "requires --out" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "K4"], ["delta", "K4"], ["certificate", "K4"], ["tables"],
+     ["enumerate", "5"], ["sample", "K4"]],
+    ids=lambda argv: argv[0],
+)
+def test_help_names_the_format_default(capsys, argv):
+    default = build_parser().parse_args(argv).format
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert f"output format (default {default})" in out
+    if argv[0] == "enumerate":
+        assert "--out DIR is required" in out
 
 
 def test_sample_text_deterministic(capsys):
