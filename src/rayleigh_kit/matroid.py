@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, islice, repeat
+from operator import or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 
@@ -359,29 +360,27 @@ class Matroid:
         holders[i] is the set of basis indices whose basis contains element
         i, so the bases meeting a cut are the OR of its elements' holders,
         and the bases B2 failing for (B1, x) are the zero bits of that OR.
-        The cut of (B1, x) is {y : F + y is a basis} for F = B1 - x, so it
-        depends on F alone: one pass over the bases builds every F's OR.
+        The cut of (B1, x) is {y : F + y is a basis} for F = B1 - x, so the
+        bases missing it are built on F's first need and kept (0 if valid).
         """
         masks = self._masks
+        bases = set(masks)
         everything = (1 << len(masks)) - 1
         holders = [
             sum(1 << k for k, b in enumerate(masks) if b >> i & 1) for i in range(self.n)
         ]
-        meets: dict[int, int] = {}  # F -> the bases meeting F's cut
-        for b in masks:
-            for i in range(self.n):
-                if b >> i & 1:
-                    meets[b ^ 1 << i] = meets.get(b ^ 1 << i, 0) | holders[i]
+        missed: dict[int, int] = {}  # F -> the bases missing F's cut
         for b1 in masks:
             misses = []  # (x's label, the bases missing x's cut)
             for i, el in enumerate(self.elements):
                 if b1 >> i & 1:
-                    meet = meets[b1 ^ 1 << i]
-                    if meet != everything:
-                        misses.append((el, everything & ~meet))
-            failing = 0
-            for _, miss in misses:
-                failing |= miss
+                    rest = b1 ^ 1 << i
+                    if rest not in missed:
+                        cut = [holders[j] for j in range(self.n) if rest | 1 << j in bases]
+                        missed[rest] = everything & ~reduce(or_, cut)
+                    if missed[rest]:
+                        misses.append((el, missed[rest]))
+            failing = reduce(or_, (miss for _, miss in misses), 0)
             while failing:
                 low = failing & -failing
                 failing ^= low

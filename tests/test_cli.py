@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from importlib import import_module
@@ -446,6 +447,34 @@ def test_oversized_bases_exit_two_quickly(capsys, tmp_path):
     start = time.perf_counter()
     assert len(loads_matroid(text).basis_masks) == 3432
     assert time.perf_counter() - start < 1
+
+
+def test_broken_bases_file_keeps_no_cut_per_basis(capsys, tmp_path):
+    # each cut is built on its first need and only its missing bases are
+    # kept, so a broken family stops at the third failure having held a few
+    # bit sets of |B| bits, not one per F = B1 - x (about 30 MB here)
+    rng = random.Random(5000)
+    elements = [str(i) for i in range(40)]
+    bases = set()
+    while len(bases) < 5000:
+        bases.add(tuple(sorted(rng.sample(elements, 10), key=int)))
+    bases = sorted(bases)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"elements": elements, "rank": 10, "bases": bases}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", str(path))
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert out == ""
+    assert err.count("exchange fails") == 3
+    m = Matroid.from_bases(elements, bases, rank=10)
+    tracemalloc.start()
+    try:
+        assert len(list(islice(m._exchange_failures(), 3))) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 @pytest.mark.parametrize("argv", [
