@@ -183,7 +183,9 @@ def _check_identity(
     reduction chain, `certify` passes a second product of its basis split.
     Without one it passes the dict the gap was cut from, which catches a
     corrupted gap, and compares that dict with `delta_original`, which
-    `rayleigh_difference` computed from a split of its own.
+    `rayleigh_difference` computed from a split of its own.  Both sides of
+    that comparison are `from_packed` results over m's labels, so it compares
+    packed keys and coefficients exactly and decodes no monomial.
     """
     total = dict(four_p)
     get = total.get
@@ -302,8 +304,11 @@ class CertificateReport(NamedTuple):
     `unreduced_dominance`, and the `Polynomial`s `P`, `residual`, `delta`
     (by `rayleigh_difference` on `lemma33_reduce`'s matroid) and
     `delta_original` (by `rayleigh_difference` on the input matroid when
-    `delta_input` is None).  The JSON report reads each once; `verify`'s
-    text output reads none of the `Polynomial`s.
+    `delta_input` is None).  Each `Polynomial` comes from `from_packed` and
+    decodes its monomials only when it is rendered or evaluated, so
+    `delta_input` is decoded only if a report reads it that way.  The JSON
+    report reads each once; `verify`'s text output reads none of the
+    `Polynomial`s, so it decodes no monomial.
     """
 
     pair: tuple[str, str]
@@ -412,8 +417,11 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
     splits its bases twice: the reduced Delta is Delta_M there, so the dict
     the gap was cut from must equal `delta_original`, which
     `rayleigh_difference` computes from a split of its own.  Only that
-    `delta_original` is a `Polynomial` on return; the report builds its
-    other fields when they are read.
+    `delta_original` is a `Polynomial` on return, and it is still packed:
+    both sides of the comparison are `from_packed` results over m's labels,
+    which compare their packed terms exactly, so certify decodes no monomial
+    on any pair.  The report builds its other fields when they are read,
+    and decodes a `Polynomial` only when it renders or evaluates one.
 
     `unreduced_dominance` (Delta >> P on m itself, before the reduction) is
     `not chain and verdict`, by this lemma: if m is loopless of rank 3,

@@ -524,7 +524,13 @@ def _add_common(
         "--format", choices=("text", "json"), default="text",
         help="output format (default %(default)s)",
     )
-    sub.add_argument("--out", metavar="DIR", help="output directory")
+    command = sub.prog.rsplit(" ", 1)[-1]
+    sub.add_argument(
+        "--out", metavar="DIR",
+        help="write the class files into DIR (required)" if command == "enumerate"
+        else f"also write a copy of the report to DIR/{command}.json "
+             f"(--format json) or DIR/{command}.txt (--format text)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -366,9 +366,12 @@ class Matroid:
         masks = self._masks
         bases = set(masks)
         everything = (1 << len(masks)) - 1
-        holders = [
-            sum(1 << k for k, b in enumerate(masks) if b >> i & 1) for i in range(self.n)
-        ]
+        # `bits` holds one n-character row per basis, last basis first, each
+        # written from position n-1 down to 0: the column of position i,
+        # read as a binary number, has bit k set iff basis k holds i.
+        n = self.n
+        bits = "".join(format(b, f"0{n}b") for b in reversed(masks))
+        holders = [int(bits[n - 1 - i :: n] or "0", 2) for i in range(n)]
         missed: dict[int, int] = {}  # F -> the bases missing F's cut
         for b1 in masks:
             misses = []  # (x's label, the bases missing x's cut)

@@ -54,9 +54,14 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 class Polynomial:
-    """An immutable sparse polynomial with exact rational coefficients."""
+    """An immutable sparse polynomial with exact rational coefficients.
 
-    __slots__ = ("_terms",)
+    `_packed` is None, or the (packed terms, label tuple) that `from_packed`
+    was given; then `_terms`, the monomial map, is decoded from them on its
+    first read and kept.
+    """
+
+    __slots__ = ("_terms", "_packed")
 
     def __init__(self, terms: Mapping[Monomial, Coeff] | None = None):
         clean: dict[Monomial, Coeff] = {}
@@ -66,13 +71,18 @@ class Polynomial:
                 if c:
                     clean[mono] = c
         object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_packed", None)
 
-    @classmethod
-    def _from_clean(cls, terms: dict[Monomial, Coeff]) -> "Polynomial":
-        """Wrap terms that are already normalised: no zero, no integral Fraction."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "_terms", terms)
-        return poly
+    def __getattr__(self, name):
+        # Reached only for a slot that is unset: `_terms` of a packed
+        # polynomial that nothing has read yet.
+        if name != "_terms":
+            raise AttributeError(name)
+        packed, labels = self._packed
+        table = _monomial_table(labels)
+        terms = {table[key]: coeff for key, coeff in packed.items()}
+        object.__setattr__(self, "_terms", terms)
+        return terms
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -108,9 +118,11 @@ class Polynomial:
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not len(self)
 
     def __len__(self) -> int:
+        if self._packed is not None:
+            return len(self._packed[0])
         return len(self._terms)
 
     def coefficient(self, exponents: Mapping[str, int]) -> Coeff:
@@ -128,6 +140,9 @@ class Polynomial:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
+            mine, theirs = self._packed, other._packed
+            if mine is not None and theirs is not None and mine[1] == theirs[1]:
+                return mine[0] == theirs[0]  # one decode table: keys match iff monomials do
             return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
             return self == Polynomial.constant(other)
@@ -221,7 +236,8 @@ def _term_sort_key(mono: Monomial):
 # loops only form products of two bases (exponents <= 2) and squares of
 # quadratics with exponents <= 2 (exponents <= 4), so a field never carries
 # into the next one.  `Polynomial` is the boundary type: `from_packed` turns
-# packed terms into one for text, JSON and the public API.
+# packed terms into one for text, JSON and the public API, which decodes its
+# monomials only when they are read.
 
 PACKED_BITS = 4
 
@@ -313,13 +329,17 @@ def from_packed(terms: Mapping[int, Coeff], labels: Iterable[str]) -> Polynomial
 
     Variables are listed by label, which need not be ground-set order
     (in ``U_3_10`` the label "10" sorts before "2").  Coefficients must be
-    ints or Fractions that are not integral; zero terms are dropped.  Each
-    key is decoded once per label tuple, through a bounded table.
+    ints or Fractions that are not integral; zero terms are dropped.  The
+    result keeps the nonzero packed terms and the label tuple, and decodes
+    no monomial until one is read: its length and its equality with another
+    such polynomial over the same label tuple are read off the packed keys.
+    A decode goes through the bounded table of the label tuple, which
+    decodes each key once.
     """
-    table = _monomial_table(tuple(labels))
-    return Polynomial._from_clean(
-        {table[key]: coeff for key, coeff in terms.items() if coeff}
-    )
+    poly = object.__new__(Polynomial)
+    packed = {key: coeff for key, coeff in terms.items() if coeff}
+    object.__setattr__(poly, "_packed", (packed, tuple(labels)))
+    return poly
 
 
 # ---------------------------------------------------------------------------

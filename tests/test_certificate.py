@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from rayleigh_kit import certificate, rayleigh
+from rayleigh_kit import certificate, poly, rayleigh
 from rayleigh_kit.catalog import enumerate_simple_rank3, named, uniform
 from rayleigh_kit.certificate import (
     _check_closed_pair_structure,
@@ -640,23 +640,57 @@ def test_delta_original_of_a_chained_pair_is_built_when_read(monkeypatch):
         rep.delta_original = None
 
 
+def _packed_off_by_one(m, e, f):
+    """Delta_M as `from_packed` gives it, with one coefficient raised by 1."""
+    terms = _products(_split(m, (m.elements.index(e), m.elements.index(f))), _DELTA)
+    key = next(key for key, coeff in terms.items() if coeff)
+    terms[key] += 1
+    return from_packed(terms, m.elements)
+
+
 def test_a_corrupted_delta_original_is_caught(monkeypatch):
     # Without a chain the reduced Delta is Delta_M, and certify checks it
-    # against delta_original.
+    # against delta_original.  A decoded Polynomial is compared monomial by
+    # monomial, a packed one over the same labels key by key.
     real_difference = certificate.rayleigh_difference
-
-    def corrupted_difference(m, e, f):
-        return real_difference(m, e, f) + Polynomial.constant(1)
-
-    monkeypatch.setattr(certificate, "rayleigh_difference", corrupted_difference)
+    corruptions = [
+        lambda m, e, f: real_difference(m, e, f) + Polynomial.constant(1),
+        _packed_off_by_one,
+    ]
     cases = [
         (named("K4"), "1", "2"),  # reduced-ansatz, closed pair
         (with_parallel_copy(uniform(3, 4), "1", "p"), "1", "p"),  # product
         (uniform(2, 4), "1", "2"),  # rank-le-2
     ]
-    for m, e, f in cases:
-        with pytest.raises(RuntimeError, match=r"delta != P \+ residual"):
-            certify(m, e, f)
+    for corrupted_difference in corruptions:
+        monkeypatch.setattr(certificate, "rayleigh_difference", corrupted_difference)
+        for m, e, f in cases:
+            with pytest.raises(RuntimeError, match=r"delta != P \+ residual"):
+                certify(m, e, f)
+
+
+def test_certify_decodes_no_monomial(monkeypatch):
+    # certify compares packed terms only, and every Polynomial it returns is
+    # still packed; a monomial is decoded when a report is rendered.
+    decoded = []
+    real_missing = poly._MonomialTable.__missing__
+
+    def counted_missing(self, key):
+        decoded.append(key)
+        return real_missing(self, key)
+
+    monkeypatch.setattr(poly._MonomialTable, "__missing__", counted_missing)
+    poly._monomial_table.cache_clear()  # a warm table would decode unseen
+    inputs = [named("K4"), named("bowtie7"), enumerate_simple_rank3(8).classes[-1]]
+    reports = [certify(m, e, f)
+               for m in inputs for e, f in combinations(m.elements, 2)]
+    assert {bool(rep.reduction_chain) for rep in reports} == {False, True}
+    assert decoded == []
+    closed = next(rep for rep in reports if not rep.reduction_chain)
+    assert len(closed.delta_original) and closed.delta_original == closed.delta
+    assert decoded == []
+    format_polynomial(closed.delta_original)
+    assert len(decoded) == len(closed.delta_original)
 
 
 def test_report_serialization():

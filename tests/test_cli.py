@@ -288,6 +288,11 @@ def test_help_names_the_format_default(capsys, argv):
     assert f"output format (default {default})" in out
     if argv[0] == "enumerate":
         assert "--out DIR is required" in out
+        assert "write the class files into DIR (required)" in out
+    else:
+        # the copy main() writes: DIR/<command>.json or DIR/<command>.txt
+        assert (f"also write a copy of the report to DIR/{argv[0]}.json (--format json) "
+                f"or DIR/{argv[0]}.txt (--format text)") in out
 
 
 def test_sample_text_deterministic(capsys):

@@ -277,6 +277,53 @@ def test_from_packed_decode_table_matches_the_reference_decoder():
         check(terms, labels)
 
 
+_SIX = ("1", "2", "10", "a", "b", "c")  # "10" sorts between "1" and "2"
+_six_packed_terms = st.dictionaries(
+    st.lists(st.integers(0, 4), min_size=6, max_size=6).map(
+        lambda exps: sum(x << PACKED_BITS * i for i, x in enumerate(exps))),
+    st.sampled_from([0, 1, -1, 2, -3, Fraction(1, 4), Fraction(-3, 2)]),
+    max_size=12,
+)
+
+
+def _relabelled(terms, before, after):
+    """The packed terms whose fields move from the positions of `before` to
+    those of `after`, so each term keeps its monomial."""
+    field = (1 << PACKED_BITS) - 1
+    moves = [(PACKED_BITS * i, PACKED_BITS * after.index(label))
+             for i, label in enumerate(before)]
+    return {sum((key >> old & field) << new for old, new in moves): coeff
+            for key, coeff in terms.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_six_packed_terms, _six_packed_terms,
+       st.permutations(_SIX), st.permutations(_SIX))
+def test_packed_polynomials_agree_with_the_reference_decoder(a, b, order1, order2):
+    order1, order2 = tuple(order1), tuple(order2)
+    changed = dict(a)
+    if a:
+        key = min(a)
+        changed[key] = a[key] + 1  # one coefficient off, maybe to 0
+    inputs = [(terms, labels) for terms in (a, b, changed) for labels in (order1, order2)]
+    inputs.append((_relabelled(a, order1, order2), order2))  # a over order1 again
+    point = {label: Fraction(i + 2, 3) for i, label in enumerate(_SIX)}
+    for terms, labels in inputs:
+        got, want = from_packed(terms, labels), _reference_from_packed(terms, labels)
+        assert len(got) == len(want)  # read off the packed terms
+        assert got.is_zero == want.is_zero
+        assert list(got.terms()) == list(want.terms())  # decodes got
+        assert got.evaluate(point) == want.evaluate(point)
+        assert format_polynomial(got) == format_polynomial(want)
+    # Each comparison on fresh results, so both sides are still packed: over
+    # one label tuple it compares packed keys, over two it decodes.
+    for (t1, l1), (t2, l2) in itertools.product(inputs, repeat=2):
+        want = _reference_from_packed(t1, l1) == _reference_from_packed(t2, l2)
+        assert (from_packed(t1, l1) == from_packed(t2, l2)) is want
+        assert (from_packed(t1, l1) != from_packed(t2, l2)) is not want
+        assert (from_packed(t1, l1) == _reference_from_packed(t2, l2)) is want
+
+
 def test_is_packed_shape():
     # a packed key is a shape iff it lies in packed_shapes: every exponent
     # vector with fields 0..15 at positions 0, 1, 6 and 9
