@@ -304,11 +304,10 @@ class CertificateReport(NamedTuple):
     `unreduced_dominance`, and the `Polynomial`s `P`, `residual`, `delta`
     (by `rayleigh_difference` on `lemma33_reduce`'s matroid) and
     `delta_original` (by `rayleigh_difference` on the input matroid when
-    `delta_input` is None).  Each `Polynomial` comes from `from_packed` and
-    decodes its monomials only when it is rendered or evaluated, so
-    `delta_input` is decoded only if a report reads it that way.  The JSON
-    report reads each once; `verify`'s text output reads none of the
-    `Polynomial`s, so it decodes no monomial.
+    `delta_input` is None).  `delta_input` comes from `from_packed` and
+    stays packed until it is rendered or evaluated.  The JSON report reads
+    each once; `verify`'s text output reads none of the `Polynomial`s, so
+    it decodes no monomial.
     """
 
     pair: tuple[str, str]
