@@ -59,6 +59,7 @@ from .poly import (
 from .rayleigh import (
     _DELTA,
     _pair_positions,
+    _product_keys,
     _products,
     _split,
     _triple_positions,
@@ -122,7 +123,8 @@ def _square(m: Matroid, e: int, f: int, a: int, deleted: int = 0) -> _Square:
     u = keep & ~(cl_ae | cl_af)
     y_a = pack_mask(1 << a)
     root = {y_a + y: 1 for y in packed_variables(u)}
-    add_products(root, packed_variables(l_ae), packed_variables(l_af), -1)
+    if l_ae and l_af:
+        add_products(root, packed_variables(l_ae), packed_variables(l_af), -1)
     return _Square(a, l_ae, l_af, u, root)
 
 
@@ -171,29 +173,38 @@ _IDENTITY_VIOLATED = "internal invariant violated: delta != P + residual"
 
 
 def _check_identity(
-    delta: dict[int, int], four_p: dict[int, int], gap: dict[int, int]
+    split: list[list[int]], four_p: dict[int, int], gap: dict[int, int]
 ) -> None:
-    """4*Delta == 4P + gap in integers, that is Delta == P + residual.
+    """4*Delta == 4P + gap in integers, that is Delta == P + residual, with
+    Delta the `_DELTA` products of a basis split, compared as multisets.
 
-    Against a `delta` computed afresh, not the dict `gap` was cut from, the
-    identity does not hold by construction, and it catches a corrupted Delta
-    dict or gap term.  It cannot catch a wrong `four_p` (the gap is cut from
-    it) or a wrong chain mask (both Delta dicts use it); only the tests that
-    compare reports with the minor-based Delta do.  For a pair with a
-    reduction chain, `certify` passes a second product of its basis split.
-    Without one it passes the dict the gap was cut from, which catches a
-    corrupted gap, and compares that dict with `delta_original`, which
-    `rayleigh_difference` computed from a split of its own.  Both sides of
-    that comparison are `from_packed` results over m's labels, so it compares
-    packed keys and coefficients exactly and decodes no monomial.
+    Delta is M_e^f*M_f^e - M_ef*M^ef, so it is the positive product keys of
+    the split (one copy per pair of bases) less the negative ones.  Each
+    total coefficient c of 4P + gap must be divisible by 4, and its key
+    joins the other side |c|/4 times: the positive keys when c < 0, the
+    negative ones when c > 0.  The identity holds iff the two sides are then
+    equal as sorted lists.  The keys are listed by `_product_keys`, not
+    counted in a dict, so the check shares no kernel with the Delta the gap
+    was cut from: a fault in `add_products` shows here.  It cannot catch a
+    wrong `four_p` (the gap is cut from it) or a wrong chain mask (the split
+    uses it); only the tests that compare reports with the minor-based Delta
+    do.
     """
-    total = dict(four_p)
+    positive, negative = _product_keys(split, _DELTA)
+    total = dict(gap)
     get = total.get
-    for key, coeff in gap.items():
+    for key, coeff in four_p.items():
         total[key] = get(key, 0) + coeff
-    for key, coeff in delta.items():
-        total[key] = get(key, 0) - 4 * coeff
-    if any(total.values()):
+    for key, coeff in total.items():
+        if coeff & 3:
+            raise RuntimeError(_IDENTITY_VIOLATED)
+        if coeff > 0:
+            negative += [key] * (coeff >> 2)
+        elif coeff:
+            positive += [key] * (-coeff >> 2)
+    positive.sort()
+    negative.sort()
+    if positive != negative:
         raise RuntimeError(_IDENTITY_VIOLATED)
 
 
@@ -298,8 +309,8 @@ class CertificateReport(NamedTuple):
     positions of the input `matroid` (see `poly.pack_mask`): `four_p` is
     4P, `gap` is 4*delta - 4P, and `roots` pairs the position of each
     square's a with its root.  `delta_input` is Delta_M for a pair without
-    a reduction chain, which `certify` checks against the reduced Delta,
-    and None otherwise.  Every other attribute is computed from the fields
+    a reduction chain, whose packed terms `certify` cut the gap from, and
+    None otherwise.  Every other attribute is computed from the fields
     on each read: `verdict`, `reduced_pair_closed` and
     `unreduced_dominance`, and the `Polynomial`s `P`, `residual`, `delta`
     (by `rayleigh_difference` on `lemma33_reduce`'s matroid) and
@@ -406,21 +417,23 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
     exponent exceeds 4 and a 4-bit field is enough.  No reduced `Matroid` is
     built: the chain is read off m's memoised closure of {e,f}, the reduced
     squares come from m's flats less the chain, and the reduced Delta from
-    the bases of m that avoid it.  On every call the identity
-    4*Delta = 4P + (4*Delta - 4P) is checked in integers against a Delta
-    that is not the dict the gap was cut from.  A pair with a reduction
-    chain splits its bases once, for the reduced Delta, and multiplies the
-    split out twice: the fresh Delta is the second product.  It does not
-    build Delta_M, which no check reads; the report builds `delta_original`
-    when it is read.  Every other pair (closed, product and rank <= 2)
-    splits its bases twice: the reduced Delta is Delta_M there, so the dict
-    the gap was cut from must equal `delta_original`, which
-    `rayleigh_difference` computes from a split of its own.  Only that
-    `delta_original` is a `Polynomial` on return, and it is still packed:
-    both sides of the comparison are `from_packed` results over m's labels,
-    which compare their packed terms exactly, so certify decodes no monomial
-    on any pair.  The report builds its other fields when they are read,
-    and decodes a `Polynomial` only when it renders or evaluates one.
+    the bases of m that avoid it.  Delta is built as a dict once per pair,
+    and the gap is cut from it.  On every call the identity
+    4*Delta = 4P + (4*Delta - 4P) is then checked in integers against the
+    product keys of certify's own basis split, compared as sorted multisets
+    (`_check_identity`), which share no kernel with that dict.  A pair with
+    a reduction chain splits its bases once and multiplies the split out
+    once, as a dict, for the reduced Delta; it does not build Delta_M, which
+    no check reads, and the report builds `delta_original` when it is read.
+    Every other pair (closed, product and rank <= 2) has the reduced Delta
+    equal to Delta_M: its gap is cut from the packed terms of
+    `delta_original`, which `rayleigh_difference` builds from a split of its
+    own, and certify's split feeds only the multiset check.  A
+    `delta_original` that is not packed over m's labels is an invariant
+    violation.  It is the one `Polynomial` on return, and it is still
+    packed, so certify decodes no monomial on any pair.  The report builds
+    its other fields when they are read, and decodes a `Polynomial` only
+    when it renders or evaluates one.
 
     `unreduced_dominance` (Delta >> P on m itself, before the reduction) is
     `not chain and verdict`, by this lemma: if m is loopless of rank 3,
@@ -463,17 +476,18 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
         squares = _squares(m, ie, jf, chain)
     four_p = _four_p_terms(squares)
     split = _split(m, (ie, jf), chain)
-    red_terms = _products(split, _DELTA)
-    gap = _gap(red_terms, four_p)
     if chain:
-        _check_identity(_products(split, _DELTA), four_p, gap)
+        red_terms = _products(split, _DELTA)
         delta_orig = None  # the report builds Delta_M when it is read
     else:
         # Nothing is deleted, so the reduced Delta is Delta_M itself.
-        _check_identity(red_terms, four_p, gap)
         delta_orig = rayleigh_difference(m, e, f)
-        if from_packed(red_terms, m.elements) != delta_orig:
+        packed = delta_orig._packed
+        if packed is None or packed[1] != m.elements:
             raise RuntimeError(_IDENTITY_VIOLATED)
+        red_terms = packed[0]
+    gap = _gap(red_terms, four_p)
+    _check_identity(split, four_p, gap)
     if mode == "reduced-ansatz" and m.is_simple(chain):
         _check_closed_pair_structure(m, ie, jf, red_terms, four_p, squares)
     return CertificateReport(

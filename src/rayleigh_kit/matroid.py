@@ -38,7 +38,8 @@ class Matroid:
     """A matroid given by ground set, rank, and basis family."""
 
     __slots__ = (
-        "elements", "rank", "_masks", "_index", "_flats", "_share_masks", "_packed",
+        "elements", "rank", "_masks", "_index", "_flats", "_pairs_filled",
+        "_share_masks", "_packed",
     )
 
     def __init__(self, elements: Iterable[str], rank: int, basis_masks: Iterable[int]):
@@ -62,11 +63,16 @@ class Matroid:
         object.__setattr__(self, "_masks", masks)
         object.__setattr__(self, "_index", {e: i for i, e in enumerate(elements)})
         object.__setattr__(self, "_flats", {})
+        object.__setattr__(self, "_pairs_filled", False)
         object.__setattr__(self, "_share_masks", None)
         object.__setattr__(self, "_packed", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matroid is immutable")
+
+    def __reduce__(self):
+        # Rebuilt from its bases; the memoised flats and tables start empty.
+        return Matroid, (self.elements, self.rank, self._masks)
 
     # -- construction -----------------------------------------------------
 
@@ -168,9 +174,17 @@ class Matroid:
         when some basis B meets X in r elements and contains x (extend a
         maximal independent subset of X + x to a basis).  So cl(X) is
         everything not in B - X for such a B: one pass over the bases.
+
+        On a rank-3 matroid the first query of a 2-element mask fills the
+        flat of every pair that some basis holds, in one pass over the bases
+        (`_fill_pair_flats`); other masks, and pairs that no basis holds,
+        take the pass above.
         """
         flat = self._flats.get(mask)
         if flat is None:
+            if self.rank == 3 and mask.bit_count() == 2 and not self._pairs_filled:
+                self._fill_pair_flats()
+                return self.closure_mask(mask)
             r = self._rank_of_mask(mask)
             spanned = 0
             for b in self._masks:
@@ -179,6 +193,27 @@ class Matroid:
             flat = ((1 << len(self.elements)) - 1) & ~(spanned & ~mask)
             self._flats[mask] = flat
         return flat
+
+    def _fill_pair_flats(self) -> None:
+        """Memoise the closure of every pair held by a basis of this rank-3
+        matroid.  Such a pair has rank 2, and the bases meeting it in 2
+        elements are those holding it, so its flat is everything outside the
+        third elements of those bases: each basis ORs its third element into
+        the span of each of its 3 pairs."""
+        spans: dict[int, int] = {}
+        get = spans.get
+        for b in self._masks:
+            low = b & -b
+            mid = (b ^ low) & -(b ^ low)
+            high = b ^ low ^ mid
+            spans[b ^ high] = get(b ^ high, 0) | high
+            spans[b ^ mid] = get(b ^ mid, 0) | mid
+            spans[b ^ low] = get(b ^ low, 0) | low
+        full = (1 << len(self.elements)) - 1
+        flats = self._flats
+        for pair, span in spans.items():
+            flats[pair] = full & ~span
+        object.__setattr__(self, "_pairs_filled", True)
 
     def is_dependent(self, subset: Iterable[str]) -> bool:
         mask = self._mask(subset)
@@ -606,7 +641,10 @@ def canonical_form(
     the ascending tuple of its relabelled masks.  `cells` is an ordered
     partition of range(n) (default: one cell): the points of the first cell
     take the first positions, those of the second the next ones, and so on.
-    Returns the minimal image, the form.
+    Returns the minimal image, the form.  For a family of at most one mask
+    it is read off without a search: in each cell the mask's points take the
+    cell's lowest positions (cells fill disjoint ranges of positions, so no
+    other choice gives a smaller integer).
 
     With `beat`, an ascending image of the same family (for instance the
     family itself), the search stops at the first relabelling whose image is
@@ -650,6 +688,16 @@ def canonical_form(
     cells = [range(n)] if cells is None else [list(c) for c in cells]
     if sorted(p for cell in cells for p in cell) != list(range(n)):
         raise ValueError("cells must partition range(n)")
+    if beat is None and size <= 1:
+        # At most one mask: its points take the lowest positions of each
+        # cell, which gives the least image; the empty mask stays 0.
+        form = start = 0
+        for mask in family:
+            for cell in cells:
+                count = sum(mask >> p & 1 for p in cell)
+                form |= ((1 << count) - 1) << start
+                start += len(cell)
+        return (form,) if family else ()
     slots: list[int] = []  # slots[j]: bitmask of the points allowed at position j
     cell_of = [0] * n
     for cell in cells:

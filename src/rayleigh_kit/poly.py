@@ -87,6 +87,13 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        # Copies and pickles rebuild through a constructor, as the slots
+        # cannot be assigned; a packed polynomial stays packed.
+        if self._packed is not None:
+            return from_packed, self._packed
+        return Polynomial, (self._terms,)
+
     # -- constructors ----------------------------------------------------
 
     @classmethod

@@ -111,6 +111,20 @@ def _products(
     return terms
 
 
+def _product_keys(
+    groups: list[list[int]], formula: Sequence[tuple[int, int, int]]
+) -> tuple[list[int], list[int]]:
+    """The keys of `formula`'s products over a split, one per pair of packed
+    terms, as (the positive products, the negative ones): the sum of the
+    first list less the sum of the second is `_products`'s result.  Listed
+    without `add_products`, so a check against them does not share its
+    kernel."""
+    sides: tuple[list[int], list[int]] = ([], [])
+    for s, t, sign in formula:
+        sides[sign < 0].extend([x + y for x in groups[s] for y in groups[t]])
+    return sides
+
+
 def rayleigh_difference(m: Matroid, e: str, f: str) -> Polynomial:
     """Delta M{e,f} = M_e^f * M_f^e - M_ef * M^ef.
 

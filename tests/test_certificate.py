@@ -1,7 +1,9 @@
 """The sum-of-squares certificate: Ansatz, reduction, certification, tables."""
 
+import copy
 import hashlib
 import json
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -570,12 +572,20 @@ def test_certify_builds_no_minor_until_delta_is_read(monkeypatch):
 
 
 def test_certify_work_per_pair(monkeypatch):
-    # A pair with a reduction chain splits its bases once, for the reduced
-    # Delta and its identity check, and builds no delta_original; every other
-    # pair splits them twice (that split, and delta_original's, which the
-    # reduced Delta is checked against).  The parallel structure and the
-    # packed bases are built once per matroid.
+    # Every pair multiplies one split out as a dict: the Delta its gap is cut
+    # from.  A pair with a reduction chain splits its bases once, for that
+    # Delta and the multiset identity check, and builds no delta_original;
+    # every other pair splits them twice: delta_original's split, whose
+    # product the gap is cut from, and certify's own, which feeds only the
+    # identity check.  The parallel structure and the packed bases are built
+    # once per matroid.
     splits = []
+    products = []
+    real_products = certificate._products
+
+    def counted_products(split, formula):
+        products.append(formula)
+        return real_products(split, formula)
     built = {"_shares": {}, "_packed_bases": {}}
     real_split = certificate._split
 
@@ -596,16 +606,20 @@ def test_certify_work_per_pair(monkeypatch):
     # certify reads its own binding, rayleigh_difference the module's.
     monkeypatch.setattr(certificate, "_split", counted_split)
     monkeypatch.setattr(rayleigh, "_split", counted_split)
+    monkeypatch.setattr(certificate, "_products", counted_products)
+    monkeypatch.setattr(rayleigh, "_products", counted_products)
     for name in built:
         monkeypatch.setattr(Matroid, name, recorded(name))
     inputs = list(enumerate_simple_rank3(7).classes) + _one_doubled(5)
     for m in inputs:
         for e, f in combinations(m.elements, 2):
             splits.clear()
+            products.clear()
             rep = certify(m, e, f)
             ie, jf = m.elements.index(e), m.elements.index(f)
             expected = 1 if rep.reduction_chain else 2
             assert splits == [(ie, jf)] * expected, (m, e, f)
+            assert products == [_DELTA], (m, e, f)
     for per_matroid in built.values():
         assert len(per_matroid) == len(inputs)
         for results in per_matroid.values():
@@ -691,6 +705,38 @@ def test_certify_decodes_no_monomial(monkeypatch):
     assert decoded == []
     format_polynomial(closed.delta_original)
     assert len(decoded) == len(closed.delta_original)
+
+
+def test_a_consistent_kernel_fault_is_caught(monkeypatch):
+    # The gap is cut from a Delta dict that `add_products` builds, and the
+    # identity is checked against product keys listed without it: a fault in
+    # the kernel that every Delta dict shares must still show.
+    chained = next(
+        (m, e, f) for m in enumerate_simple_rank3(7).classes
+        for e, f in combinations(m.elements, 2)
+        if (rep := certify(m, e, f)).reduction_chain and len(rep.delta)
+    )
+
+    def doubled_products(acc, xs, ys, sign=1):  # counts every product twice
+        return poly.add_products(acc, xs, ys, 2 * sign)
+
+    monkeypatch.setattr(rayleigh, "add_products", doubled_products)
+    for m, e, f in [(named("K4"), "1", "2"), chained]:
+        with pytest.raises(RuntimeError, match=r"delta != P \+ residual"):
+            certify(m, e, f)
+
+
+def test_reports_survive_copy_and_pickle():
+    inputs = [named("K4"), named("fig1.I"), with_parallel_copy(uniform(3, 4), "1", "p")]
+    reports = [certify(m, e, f) for m in inputs for e, f in combinations(m.elements, 2)]
+    assert {rep.mode for rep in reports} == {"reduced-ansatz", "product"}
+    assert any(rep.reduction_chain for rep in reports)
+    for rep in reports:
+        for twin in (copy.deepcopy(rep), pickle.loads(pickle.dumps(rep))):
+            if rep.delta_input is not None:  # a packed Polynomial stays packed
+                assert twin.delta_input._packed == rep.delta_input._packed
+            assert twin.matroid == rep.matroid
+            assert twin.to_json_dict() == rep.to_json_dict()
 
 
 def test_report_serialization():

@@ -199,6 +199,38 @@ def test_closure_and_parallel_classes_match_rank_definition():
         assert m.is_simple() == (not loops and all(len(c) == 1 for c in classes))
 
 
+def _general_closure(m, mask):
+    """The one-pass closure over the bases, for any mask: the reference of
+    the pair-flat fill."""
+    r = m._rank_of_mask(mask)
+    spanned = 0
+    for b in m.basis_masks:
+        if (b & mask).bit_count() == r:
+            spanned |= b
+    return ((1 << m.n) - 1) & ~(spanned & ~mask)
+
+
+def test_pair_flats_match_the_general_closure():
+    # On a rank-3 matroid the first pair query fills the flat of every pair
+    # that some basis holds; the pairs no basis holds (a parallel pair, a
+    # pair with a loop) take the general pass when they are queried.
+    small = [Matroid(m.elements, 3, m.basis_masks)  # copies with no flat known
+             for n in range(3, 8) for m in enumerate_simple_rank3(n).classes]
+    doubled = [with_parallel_copy(m, x, "p") for m in small for x in m.elements]
+    k4 = named("K4")
+    looped = Matroid(k4.elements + ("l",), 3, k4.basis_masks)
+    unheld = 0
+    for m in small + doubled + [looped]:
+        pairs = [1 << i | 1 << j for i, j in itertools.combinations(range(m.n), 2)]
+        held = {pair for pair in pairs if any(b & pair == pair for b in m.basis_masks)}
+        m.closure_mask(pairs[-1])
+        assert held <= m._flats.keys(), m  # the first query filled every held pair
+        for pair in pairs:
+            assert m.closure_mask(pair) == _general_closure(m, pair), (m, pair)
+        unheld += len(pairs) - len(held)
+    assert unheld == len(doubled) + 6  # one parallel pair each, the loop's 6
+
+
 def test_with_parallel_copy():
     m = with_parallel_copy(u24(), "1", "1p")
     assert m.rank == 2
@@ -575,6 +607,48 @@ def test_canonical_form_matches_brute_force():
         else:
             assert beaten < candidate
             assert beaten in images
+
+
+def _ordered_partitions(points):
+    """Every ordered partition of the list `points` into non-empty cells."""
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for cells in _ordered_partitions(rest):
+        for i in range(len(cells)):  # first joins an existing cell
+            yield cells[:i] + [[first] + cells[i]] + cells[i + 1:]
+        for i in range(len(cells) + 1):  # first makes a cell of its own
+            yield cells[:i] + [[first]] + cells[i:]
+
+
+def test_canonical_form_of_at_most_one_mask_matches_brute_force():
+    # Without `beat`, a family of at most one mask has a closed form.  Every
+    # such family on n <= 6 points, the empty mask included, under every
+    # ordered partition into cells; the oracle tries each cell-respecting
+    # relabelling and keeps each mask's least image.
+    partitions = 0
+    for n in range(7):
+        for cells in _ordered_partitions(list(range(n))):
+            partitions += 1
+            starts = itertools.accumulate((len(c) for c in cells), initial=0)
+            least = [1 << n] * (1 << n)  # above every image
+            for perms in itertools.product(
+                *(itertools.permutations(range(s, s + len(c)))
+                  for s, c in zip(starts, cells))
+            ):
+                labelling = [0] * n
+                for cell, perm in zip(cells, perms):
+                    for p, position in zip(cell, perm):
+                        labelling[p] = position
+                image = [0]  # image[mask], built one point p at a time
+                for position in labelling:
+                    image += [x | 1 << position for x in image]
+                least = list(map(min, least, image))
+            assert canonical_form([], n, cells) == ()
+            for mask in range(1 << n):
+                assert canonical_form([mask], n, cells) == (least[mask],), (mask, cells)
+    assert partitions == 1 + 1 + 3 + 13 + 75 + 541 + 4683  # the Fubini numbers
 
 
 def _reference_canonical_form(masks, n, cells=None, *, beat=None):
