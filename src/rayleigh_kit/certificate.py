@@ -45,7 +45,6 @@ from .poly import (
     PACKED_BITS,
     Polynomial,
     _SHAPE_EXPONENTS,
-    add_products,
     add_square,
     format_packed,
     format_polynomial,
@@ -53,7 +52,6 @@ from .poly import (
     pack_mask,
     pack_shape,
     packed_shapes,
-    packed_variables,
     shape_text,
 )
 from .rayleigh import (
@@ -109,33 +107,52 @@ class _Square(NamedTuple):
     root: dict[int, int]
 
 
-def _square(m: Matroid, e: int, f: int, a: int, deleted: int = 0) -> _Square:
-    """The square for the element at position a, with e, f positions too.
-
-    With `deleted`, a bitmask of positions outside {a,e,f}, the square of
-    m with those positions deleted, on m's own positions: deletion
-    restricts the rank function, so cl_{M\\X}(A) = cl_M(A) - X.
-    """
-    ae, af = 1 << a | 1 << e, 1 << a | 1 << f
-    keep = ((1 << m.n) - 1) & ~deleted
-    cl_ae, cl_af = m.closure_mask(ae) & keep, m.closure_mask(af) & keep
-    l_ae, l_af = cl_ae & ~ae, cl_af & ~af
-    u = keep & ~(cl_ae | cl_af)
-    y_a = pack_mask(1 << a)
-    root = {y_a + y: 1 for y in packed_variables(u)}
-    if l_ae and l_af:
-        add_products(root, packed_variables(l_ae), packed_variables(l_af), -1)
-    return _Square(a, l_ae, l_af, u, root)
-
-
 def _squares(m: Matroid, e: int, f: int, deleted: int = 0) -> list[_Square]:
     """The squares for every position a outside the positions e, f and the
-    `deleted` bitmask, in ground-set order."""
-    return [
-        _square(m, e, f, a, deleted)
-        for a in range(m.n)
-        if a not in (e, f) and not deleted >> a & 1
-    ]
+    `deleted` bitmask, in ground-set order.
+
+    With `deleted`, the squares of m with those positions deleted, on m's
+    own positions: deletion restricts the rank function, so
+    cl_{M\\X}(A) = cl_M(A) - X.  Each root is read off the bits of its
+    masks against one table of the packed variables y_i.
+    """
+    n = m.n
+    ys = {1 << i: 1 << PACKED_BITS * i for i in range(n)}  # bit -> packed y_i
+    keep = ((1 << n) - 1) & ~deleted
+    closure = m.closure_mask
+    squares = []
+    rest = keep & ~(1 << e | 1 << f)
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        ae, af = bit | 1 << e, bit | 1 << f
+        cl_ae, cl_af = closure(ae) & keep, closure(af) & keep
+        l_ae, l_af = cl_ae & ~ae, cl_af & ~af
+        u = keep & ~(cl_ae | cl_af)
+        y_a = ys[bit]
+        root = {}
+        x = u
+        while x:
+            low = x & -x
+            root[y_a + ys[low]] = 1
+            x ^= low
+        if l_ae and l_af:  # -C(a)*D(a); L(a,e) and L(a,f) share a's parallels
+            cs = []
+            x = l_ae
+            while x:
+                low = x & -x
+                cs.append(ys[low])
+                x ^= low
+            get = root.get
+            x = l_af
+            while x:
+                low = x & -x
+                d = ys[low]
+                for c in cs:
+                    root[c + d] = get(c + d, 0) - 1
+                x ^= low
+        squares.append(_Square(bit.bit_length() - 1, l_ae, l_af, u, root))
+    return squares
 
 
 def _four_p_terms(squares: list[_Square]) -> dict[int, int]:
@@ -149,7 +166,8 @@ def _four_p_terms(squares: list[_Square]) -> dict[int, int]:
 def ansatz_parts(m: Matroid, e: str, f: str, a: str) -> AnsatzParts:
     """Compute L(a,e), L(a,f), U(a) and the polynomials B, C, D, T for one a."""
     _require_rank3(m)
-    square = _square(m, *_triple_positions(m, e, f, a))
+    ie, jf, ia = _triple_positions(m, e, f, a)
+    square = next(sq for sq in _squares(m, ie, jf) if sq.a == ia)
     l_ae, l_af, u_a = (m._unmask(mask) for mask in square[1:4])
     return AnsatzParts(
         a, l_ae, l_af, u_a,
@@ -218,27 +236,31 @@ def _check_closed_pair_structure(
     Every monomial of Delta and of 4P (packed terms) is degree-4 in
     variables outside {e,f} with exponents <= 2, and each square's index
     sets partition cleanly.  Violations indicate a bug, hence RuntimeError.
-    The nonzero monomials of Delta are checked first, then those of 4P:
-    each set against the packed shapes for m's size, and the OR of its keys
-    against the e and f fields.
+    All keys of Delta and 4P are tested at once: against the packed shapes
+    for m's size, and their OR against the e and f fields.  Only when that
+    fails are the keys walked to name the violation, zero terms ignored:
+    the nonzero monomials of Delta first, then those of 4P, each set
+    against the shapes and then its OR against the fields.
     """
     pair = pack_mask(1 << e | 1 << f) * ((1 << PACKED_BITS) - 1)  # e and f fields
     shapes = packed_shapes(m.n)
-    for label, terms in (("delta", delta), ("ansatz", four_p)):
-        keys = {key for key, coeff in terms.items() if coeff}
-        if not keys <= shapes:
-            mono = next(from_packed({min(keys - shapes): 1}, m.elements).terms())[0]
-            raise RuntimeError(
-                f"internal invariant violated: {label} monomial {mono} "
-                f"is not of shape {' or '.join(map(shape_text, _SHAPE_EXPONENTS))}"
-            )
-        if reduce(or_, keys, 0) & pair:
-            raise RuntimeError(
-                f"internal invariant violated: {label} mentions e or f"
-            )
-    for square in squares:
-        l_ae, l_af, u = square.l_ae, square.l_af, square.u
-        if (l_ae | l_af | u) & (1 << square.a | 1 << e | 1 << f):
+    fields = reduce(or_, four_p, reduce(or_, delta, 0))
+    if not (shapes.issuperset(delta) and shapes.issuperset(four_p)) or fields & pair:
+        for label, terms in (("delta", delta), ("ansatz", four_p)):
+            keys = {key for key, coeff in terms.items() if coeff}
+            if not keys <= shapes:
+                mono = next(from_packed({min(keys - shapes): 1}, m.elements).terms())[0]
+                raise RuntimeError(
+                    f"internal invariant violated: {label} monomial {mono} "
+                    f"is not of shape {' or '.join(map(shape_text, _SHAPE_EXPONENTS))}"
+                )
+            if reduce(or_, keys, 0) & pair:
+                raise RuntimeError(
+                    f"internal invariant violated: {label} mentions e or f"
+                )
+    ef = 1 << e | 1 << f
+    for a, l_ae, l_af, u, _ in squares:
+        if (l_ae | l_af | u) & (1 << a | ef):
             raise RuntimeError(
                 "internal invariant violated: index sets must exclude a, e, f"
             )
@@ -317,8 +339,10 @@ class CertificateReport(NamedTuple):
     `delta_original` (by `rayleigh_difference` on the input matroid when
     `delta_input` is None).  `delta_input` comes from `from_packed` and
     stays packed until it is rendered or evaluated.  The JSON report reads
-    each once; `verify`'s text output reads none of the `Polynomial`s, so
-    it decodes no monomial.
+    each at most once, and without a reduction chain prints the text of
+    `delta_original` as `delta` too, since the two are equal there;
+    `verify`'s text output reads none of the `Polynomial`s, so it decodes
+    no monomial.
     """
 
     pair: tuple[str, str]
@@ -380,6 +404,8 @@ class CertificateReport(NamedTuple):
 
     def to_json_dict(self) -> dict:
         labels = self.matroid.elements
+        original = format_polynomial(self.delta_original)
+        delta = format_polynomial(self.delta) if self.reduction_chain else original
         return {
             "schema": REPORT_SCHEMA,
             "kind": "certificate",
@@ -387,7 +413,7 @@ class CertificateReport(NamedTuple):
             "mode": self.mode,
             "reduced_pair_closed": self.reduced_pair_closed,
             "reduction_chain": list(self.reduction_chain),
-            "delta": format_polynomial(self.delta),
+            "delta": delta,
             "ansatz": format_packed(self.four_p, labels, 4),
             "residual": format_packed(self.gap, labels, 4),
             "residual_terms": len(self.gap) - countOf(self.gap.values(), 0),
@@ -395,7 +421,7 @@ class CertificateReport(NamedTuple):
             "squares": [
                 [labels[a], format_packed(root, labels)] for a, root in self.roots
             ],
-            "delta_original": format_polynomial(self.delta_original),
+            "delta_original": original,
             "unreduced_dominance": self.unreduced_dominance,
         }
 
@@ -411,10 +437,10 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
     comparison is done on 4*Delta vs 4*P so that it runs in integers.
 
     Everything is decided and checked on packed terms: a monomial is one int
-    with a 4-bit exponent per ground-set position of m (`poly.pack_mask`),
+    with a 3-bit exponent per ground-set position of m (`poly.pack_mask`),
     so a product of monomials is an integer addition.  Delta multiplies two
     bases (exponents <= 2) and 4P squares roots with exponents <= 2, so no
-    exponent exceeds 4 and a 4-bit field is enough.  No reduced `Matroid` is
+    exponent exceeds 4 and a 3-bit field is enough.  No reduced `Matroid` is
     built: the chain is read off m's memoised closure of {e,f}, the reduced
     squares come from m's flats less the chain, and the reduced Delta from
     the bases of m that avoid it.  Delta is built as a dict once per pair,
@@ -461,7 +487,7 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
     ie, jf = _pair_positions(m, e, f)
     if m.rank > 3:
         raise ValueError("certificate Ansatz undefined above rank 3")
-    if m.loops():
+    if 0 in m._shares():  # a loop shares a basis with nothing
         raise ValueError(
             f"certify requires a loopless matroid (loops: {sorted(m.loops())})"
         )

@@ -238,15 +238,17 @@ def _term_sort_key(mono: Monomial):
 # Packed monomials.
 #
 # The certificate's hot loops write a monomial over a matroid's ground set as
-# one int holding a 4-bit exponent per ground-set position: position i sits at
-# bits 4i..4i+3.  Multiplying two monomials is then adding two ints.  Those
+# one int holding a 3-bit exponent per ground-set position: position i sits at
+# bits 3i..3i+2.  Multiplying two monomials is then adding two ints.  Those
 # loops only form products of two bases (exponents <= 2) and squares of
-# quadratics with exponents <= 2 (exponents <= 4), so a field never carries
-# into the next one.  `Polynomial` is the boundary type: `from_packed` turns
-# packed terms into one for text, JSON and the public API, which decodes its
-# monomials only when they are read.
+# quadratics with exponents <= 2 (exponents <= 4), so a field, which holds
+# up to 7, never carries into the next one.  Three bits rather than four keep
+# a key over n <= 10 positions within 30 bits, one digit of a CPython int,
+# which sorts and hashes faster than a longer one.  `Polynomial` is the
+# boundary type: `from_packed` turns packed terms into one for text, JSON and
+# the public API, which decodes its monomials only when they are read.
 
-PACKED_BITS = 4
+PACKED_BITS = 3
 
 # _SPREAD[byte]: the byte's eight bits moved to the low bits of eight fields.
 _SPREAD = tuple(
@@ -275,16 +277,6 @@ def packed_shapes(n: int) -> frozenset[int]:
     return frozenset(p + q for p, q in combinations_with_replacement(pairs, 2))
 
 
-def packed_variables(mask: int) -> list[int]:
-    """The packed monomials y_i for i in a ground-set bitmask, in position order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(1 << PACKED_BITS * (low.bit_length() - 1))
-        mask ^= low
-    return out
-
-
 def add_products(
     acc: dict[int, int], xs: Iterable[int], ys: Iterable[int], sign: int = 1
 ) -> dict[int, int]:
@@ -300,11 +292,12 @@ def add_products(
 
 def add_square(acc: dict[int, int], terms: Mapping[int, int]) -> dict[int, int]:
     """acc += (sum of the packed terms)^2; returns acc."""
-    items = list(terms.items())
-    for i, (k1, c1) in enumerate(items):
-        acc[2 * k1] = acc.get(2 * k1, 0) + c1 * c1
-        for k2, c2 in items[i + 1 :]:
-            acc[k1 + k2] = acc.get(k1 + k2, 0) + 2 * c1 * c2
+    get = acc.get
+    items = terms.items()
+    for key, coeff in items:
+        acc[2 * key] = get(2 * key, 0) + coeff * coeff
+    for (k1, c1), (k2, c2) in combinations(items, 2):
+        acc[k1 + k2] = get(k1 + k2, 0) + 2 * c1 * c2
     return acc
 
 

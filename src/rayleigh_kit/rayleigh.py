@@ -131,7 +131,7 @@ def rayleigh_difference(m: Matroid, e: str, f: str) -> Polynomial:
     Computed straight from the bases: `_split` groups the packed bases by
     how they meet {e,f} and `_products` multiplies the groups as `_DELTA`
     says, each product of two packed bases one integer addition (exponents
-    here stay <= 2, well inside a 4-bit field).  The result becomes a
+    here stay <= 2, well inside a 3-bit field).  The result becomes a
     `Polynomial` once, with its variables in label order.
     """
     split = _split(m, _pair_positions(m, e, f))

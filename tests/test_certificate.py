@@ -6,9 +6,12 @@ import json
 import pickle
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rayleigh_kit import certificate, poly, rayleigh
 from rayleigh_kit.catalog import enumerate_simple_rank3, named, uniform
@@ -58,23 +61,26 @@ def _reference_delta(m, e, f):
             - minor_polynomial(m, (e, f), ()) * minor_polynomial(m, (), (e, f)))
 
 
-def _reference_four_p(m, e, f):
-    """4P = sum (y_a*B_a - C_a*D_a)^2, flats from the rank function."""
-    def flat(*subset):
-        r = m.rank_of(subset)
-        return {x for x in m.elements if m.rank_of(subset + (x,)) == r}
+@lru_cache(maxsize=1 << 12)
+def _reference_flat(m, subset):
+    """cl(subset) from the rank function."""
+    r = m.rank_of(subset)
+    return frozenset(x for x in m.elements if m.rank_of(subset + (x,)) == r)
 
-    total = Polynomial.zero()
+
+def _reference_roots(m, e, f):
+    """y_a*B_a - C_a*D_a for each a outside {e,f}, by label, with flats from
+    the rank function."""
+    roots = {}
     for a in m.elements:
         if a in (e, f):
             continue
-        cl_ae, cl_af = flat(a, e), flat(a, f)
+        cl_ae, cl_af = _reference_flat(m, (a, e)), _reference_flat(m, (a, f))
         b_a = Polynomial.sum_of_variables(set(m.elements) - cl_ae - cl_af)
         c_a = Polynomial.sum_of_variables(cl_ae - {a, e})
         d_a = Polynomial.sum_of_variables(cl_af - {a, f})
-        root = Polynomial.variable(a) * b_a - c_a * d_a
-        total = total + root * root
-    return total
+        roots[a] = Polynomial.variable(a) * b_a - c_a * d_a
+    return roots
 
 
 def _kernel_four_p(m, e, f):
@@ -85,8 +91,7 @@ def _kernel_four_p(m, e, f):
 
 def test_packed_kernel_matches_the_polynomial_reference():
     census = [m for n in range(3, 8) for m in enumerate_simple_rank3(n).classes]
-    copies = [with_parallel_copy(m, x, "p")
-              for m in census if m.n <= 6 for x in m.elements]
+    copies = [with_parallel_copy(m, x, "p") for m in census for x in m.elements]
     k4 = named("K4")  # ids 1..6 become 9..4: reverse lexical order
     k4_reversed = Matroid([str(10 - int(x)) for x in k4.elements], 3, k4.basis_masks)
     rank3 = census + copies + [named("U_3_10"), k4_reversed]
@@ -95,7 +100,12 @@ def test_packed_kernel_matches_the_polynomial_reference():
         for e, f in combinations(m.elements, 2):
             assert rayleigh_difference(m, e, f) == _reference_delta(m, e, f)
             if m.rank == 3:
-                assert _kernel_four_p(m, e, f) == _reference_four_p(m, e, f)
+                squares = _squares(m, m.elements.index(e), m.elements.index(f))
+                roots = _reference_roots(m, e, f)
+                assert {m.elements[sq.a]: from_packed(sq.root, m.elements)
+                        for sq in squares} == roots
+                four_p = from_packed(certificate._four_p_terms(squares), m.elements)
+                assert four_p == sum((r * r for r in roots.values()), Polynomial.zero())
 
 
 def test_closed_pair_structure_check_on_packed_terms():
@@ -126,6 +136,58 @@ def test_closed_pair_structure_check_on_packed_terms():
     ]:
         with pytest.raises(RuntimeError, match=message):
             _check_closed_pair_structure(m, e, f, good, good, [square])
+
+
+def _reference_structure_walk(m, e, f, delta, four_p):
+    """The message `_check_closed_pair_structure` gives for these terms, or
+    None, from a walk over the nonzero keys alone: Delta's, then 4P's, each
+    set against the packed shapes and then its OR against the e and f
+    fields."""
+    pair = pack_mask(1 << e | 1 << f) * ((1 << poly.PACKED_BITS) - 1)
+    shapes = poly.packed_shapes(m.n)
+    names = " or ".join(map(shape_text, poly._SHAPE_EXPONENTS))
+    for label, terms in (("delta", delta), ("ansatz", four_p)):
+        keys = {key for key, coeff in terms.items() if coeff}
+        if not keys <= shapes:
+            mono = next(from_packed({min(keys - shapes): 1}, m.elements).terms())[0]
+            return (f"internal invariant violated: {label} monomial {mono} "
+                    f"is not of shape {names}")
+        if any(key & pair for key in keys):
+            return f"internal invariant violated: {label} mentions e or f"
+    return None
+
+
+@st.composite
+def _pair_terms_cases(draw):
+    """4..10 positions, a pair e, f, and Delta and 4P as packed terms with
+    exponents 0..4 and zero coefficients: shapes that avoid e and f, other
+    shapes, and any exponent vector."""
+    n = draw(st.integers(4, 10))
+    e, f = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    pair = pack_mask(1 << e | 1 << f) * ((1 << poly.PACKED_BITS) - 1)
+    shapes = sorted(poly.packed_shapes(n))
+    keys = st.one_of(
+        st.sampled_from([key for key in shapes if not key & pair]),
+        st.sampled_from(shapes),
+        st.lists(st.integers(0, 4), min_size=n, max_size=n).map(
+            lambda exps: sum(x << poly.PACKED_BITS * i for i, x in enumerate(exps))),
+    )
+    terms = st.dictionaries(keys, st.integers(-2, 2), max_size=8)
+    return n, e, f, draw(terms), draw(terms)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_pair_terms_cases())
+def test_one_pass_structure_check_matches_the_key_walk(case):
+    n, e, f, delta, four_p = case
+    m = uniform(3, n)
+    want = _reference_structure_walk(m, e, f, delta, four_p)
+    try:
+        _check_closed_pair_structure(m, e, f, delta, four_p, [])
+    except RuntimeError as exc:
+        assert str(exc) == want
+    else:
+        assert want is None
 
 
 def test_ansatz_parts_general_position():
@@ -663,9 +725,10 @@ def _packed_off_by_one(m, e, f):
 
 
 def test_a_corrupted_delta_original_is_caught(monkeypatch):
-    # Without a chain the reduced Delta is Delta_M, and certify checks it
-    # against delta_original.  A decoded Polynomial is compared monomial by
-    # monomial, a packed one over the same labels key by key.
+    # Without a chain the reduced Delta is Delta_M, and certify cuts the gap
+    # from delta_original's packed terms.  A decoded Polynomial is not packed
+    # over m's labels, so it is rejected; a packed one with a coefficient off
+    # by one fails the multiset identity against certify's own split.
     real_difference = certificate.rayleigh_difference
     corruptions = [
         lambda m, e, f: real_difference(m, e, f) + Polynomial.constant(1),
@@ -681,6 +744,27 @@ def test_a_corrupted_delta_original_is_caught(monkeypatch):
         for m, e, f in cases:
             with pytest.raises(RuntimeError, match=r"delta != P \+ residual"):
                 certify(m, e, f)
+
+
+def test_a_chain_free_json_report_builds_no_second_delta(monkeypatch):
+    # Without a reduction chain Delta is Delta_M, so the JSON report prints
+    # the text of delta_original as "delta" too and calls no
+    # rayleigh_difference of its own.
+    calls = []
+    real_difference = certificate.rayleigh_difference
+
+    def counted_difference(m, e, f):
+        calls.append((e, f))
+        return real_difference(m, e, f)
+
+    monkeypatch.setattr(certificate, "rayleigh_difference", counted_difference)
+    k4 = named("K4")
+    rep = certify(k4, "1", "2")
+    assert rep.reduction_chain == () and calls == [("1", "2")]
+    doc = rep.to_json_dict()
+    assert calls == [("1", "2")]
+    assert doc["delta"] == doc["delta_original"] == format_polynomial(
+        real_difference(k4, "1", "2"))
 
 
 def test_certify_decodes_no_monomial(monkeypatch):
