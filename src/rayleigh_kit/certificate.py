@@ -45,6 +45,7 @@ from .poly import (
     PACKED_BITS,
     Polynomial,
     _SHAPE_EXPONENTS,
+    add_products,
     add_square,
     format_packed,
     format_polynomial,
@@ -107,6 +108,11 @@ class _Square(NamedTuple):
     root: dict[int, int]
 
 
+# Bit i of a ground-set mask -> the packed variable y_i, for every position
+# a matroid can have.
+_PACKED_Y = {1 << i: 1 << PACKED_BITS * i for i in range(64)}
+
+
 def _squares(m: Matroid, e: int, f: int, deleted: int = 0) -> list[_Square]:
     """The squares for every position a outside the positions e, f and the
     `deleted` bitmask, in ground-set order.
@@ -114,11 +120,10 @@ def _squares(m: Matroid, e: int, f: int, deleted: int = 0) -> list[_Square]:
     With `deleted`, the squares of m with those positions deleted, on m's
     own positions: deletion restricts the rank function, so
     cl_{M\\X}(A) = cl_M(A) - X.  Each root is read off the bits of its
-    masks against one table of the packed variables y_i.
+    masks against `_PACKED_Y`.
     """
-    n = m.n
-    ys = {1 << i: 1 << PACKED_BITS * i for i in range(n)}  # bit -> packed y_i
-    keep = ((1 << n) - 1) & ~deleted
+    ys = _PACKED_Y
+    keep = ((1 << m.n) - 1) & ~deleted
     closure = m.closure_mask
     squares = []
     rest = keep & ~(1 << e | 1 << f)
@@ -202,11 +207,13 @@ def _check_identity(
     joins the other side |c|/4 times: the positive keys when c < 0, the
     negative ones when c > 0.  The identity holds iff the two sides are then
     equal as sorted lists.  The keys are listed by `_product_keys`, not
-    counted in a dict, so the check shares no kernel with the Delta the gap
-    was cut from: a fault in `add_products` shows here.  It cannot catch a
-    wrong `four_p` (the gap is cut from it) or a wrong chain mask (the split
-    uses it); only the tests that compare reports with the minor-based Delta
-    do.
+    counted in a dict, so the check shares no kernel with the products that
+    went into the gap: `add_products` with weight +-4 in `certify` for a
+    pair with a reduction chain, and with weight +-1 in
+    `rayleigh_difference`'s `_products` for every other pair.  A fault in
+    either shows here.  It cannot catch a wrong `four_p` (the gap is cut
+    from it) or a wrong chain mask (the split uses it); only the tests that
+    compare reports with the minor-based Delta do.
     """
     positive, negative = _product_keys(split, _DELTA)
     total = dict(gap)
@@ -227,7 +234,7 @@ def _check_identity(
 
 
 def _check_closed_pair_structure(
-    m: Matroid, e: int, f: int, delta: dict[int, int], four_p: dict[int, int],
+    m: Matroid, e: int, f: int, gap: dict[int, int], four_p: dict[int, int],
     squares: list[_Square],
 ) -> None:
     """Structural facts that hold when m is simple and the pair at positions
@@ -236,17 +243,19 @@ def _check_closed_pair_structure(
     Every monomial of Delta and of 4P (packed terms) is degree-4 in
     variables outside {e,f} with exponents <= 2, and each square's index
     sets partition cleanly.  Violations indicate a bug, hence RuntimeError.
-    All keys of Delta and 4P are tested at once: against the packed shapes
-    for m's size, and their OR against the e and f fields.  Only when that
-    fails are the keys walked to name the violation, zero terms ignored:
-    the nonzero monomials of Delta first, then those of 4P, each set
-    against the shapes and then its OR against the fields.
+    The keys of the gap 4*Delta - 4P are those of Delta and 4P together, so
+    they are tested once: against the packed shapes for m's size, and their
+    OR against the e and f fields.  Only when that fails is 4*Delta rebuilt
+    as gap + 4P and the keys walked to name the violation, zero terms
+    ignored: the nonzero monomials of Delta first, then those of 4P, each
+    set against the shapes and then its OR against the fields.
     """
     pair = pack_mask(1 << e | 1 << f) * ((1 << PACKED_BITS) - 1)  # e and f fields
     shapes = packed_shapes(m.n)
-    fields = reduce(or_, four_p, reduce(or_, delta, 0))
-    if not (shapes.issuperset(delta) and shapes.issuperset(four_p)) or fields & pair:
-        for label, terms in (("delta", delta), ("ansatz", four_p)):
+    if not shapes.issuperset(gap) or reduce(or_, gap, 0) & pair:
+        get = four_p.get
+        four_delta = {key: coeff + get(key, 0) for key, coeff in gap.items()}
+        for label, terms in (("delta", four_delta), ("ansatz", four_p)):
             keys = {key for key, coeff in terms.items() if coeff}
             if not keys <= shapes:
                 mono = next(from_packed({min(keys - shapes): 1}, m.elements).terms())[0]
@@ -341,8 +350,9 @@ class CertificateReport(NamedTuple):
     stays packed until it is rendered or evaluated.  The JSON report reads
     each at most once, and without a reduction chain prints the text of
     `delta_original` as `delta` too, since the two are equal there;
-    `verify`'s text output reads none of the `Polynomial`s, so it decodes
-    no monomial.
+    `text_fields`, which the text certificate prints, reads only `delta`
+    (`delta_original` without a chain), and `verify`'s text output reads
+    none of the `Polynomial`s, so it decodes no monomial.
     """
 
     pair: tuple[str, str]
@@ -402,10 +412,28 @@ class CertificateReport(NamedTuple):
         reduced = lemma33_reduce(self.matroid, *self.pair).matroid
         return rayleigh_difference(reduced, *self.pair)
 
-    def to_json_dict(self) -> dict:
+    def text_fields(self) -> dict:
+        """The rendered `delta`, `ansatz`, `residual` and `squares` of the
+        JSON report: what `certificate --format text` prints.  Without a
+        reduction chain `delta` is the text of `delta_original`, since the
+        two are equal there, so it builds no Delta of its own."""
         labels = self.matroid.elements
-        original = format_polynomial(self.delta_original)
-        delta = format_polynomial(self.delta) if self.reduction_chain else original
+        delta = self.delta if self.reduction_chain else self.delta_original
+        return {
+            "delta": format_polynomial(delta),
+            "ansatz": format_packed(self.four_p, labels, 4),
+            "residual": format_packed(self.gap, labels, 4),
+            "squares": [
+                [labels[a], format_packed(root, labels)] for a, root in self.roots
+            ],
+        }
+
+    def to_json_dict(self) -> dict:
+        text = self.text_fields()
+        if self.reduction_chain:
+            original = format_polynomial(self.delta_original)
+        else:
+            original = text["delta"]
         return {
             "schema": REPORT_SCHEMA,
             "kind": "certificate",
@@ -413,14 +441,12 @@ class CertificateReport(NamedTuple):
             "mode": self.mode,
             "reduced_pair_closed": self.reduced_pair_closed,
             "reduction_chain": list(self.reduction_chain),
-            "delta": delta,
-            "ansatz": format_packed(self.four_p, labels, 4),
-            "residual": format_packed(self.gap, labels, 4),
+            "delta": text["delta"],
+            "ansatz": text["ansatz"],
+            "residual": text["residual"],
             "residual_terms": len(self.gap) - countOf(self.gap.values(), 0),
             "verdict": self.verdict,
-            "squares": [
-                [labels[a], format_packed(root, labels)] for a, root in self.roots
-            ],
+            "squares": text["squares"],
             "delta_original": original,
             "unreduced_dominance": self.unreduced_dominance,
         }
@@ -443,23 +469,25 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
     exponent exceeds 4 and a 3-bit field is enough.  No reduced `Matroid` is
     built: the chain is read off m's memoised closure of {e,f}, the reduced
     squares come from m's flats less the chain, and the reduced Delta from
-    the bases of m that avoid it.  Delta is built as a dict once per pair,
-    and the gap is cut from it.  On every call the identity
-    4*Delta = 4P + (4*Delta - 4P) is then checked in integers against the
-    product keys of certify's own basis split, compared as sorted multisets
-    (`_check_identity`), which share no kernel with that dict.  A pair with
-    a reduction chain splits its bases once and multiplies the split out
-    once, as a dict, for the reduced Delta; it does not build Delta_M, which
-    no check reads, and the report builds `delta_original` when it is read.
-    Every other pair (closed, product and rank <= 2) has the reduced Delta
-    equal to Delta_M: its gap is cut from the packed terms of
-    `delta_original`, which `rayleigh_difference` builds from a split of its
-    own, and certify's split feeds only the multiset check.  A
-    `delta_original` that is not packed over m's labels is an invariant
-    violation.  It is the one `Polynomial` on return, and it is still
-    packed, so certify decodes no monomial on any pair.  The report builds
-    its other fields when they are read, and decodes a `Polynomial` only
-    when it renders or evaluates one.
+    the bases of m that avoid it.  A pair with a reduction chain splits its
+    bases once and builds no Delta dict: its gap starts as -4P, and
+    `add_products` adds the split's `_DELTA` products into it with weight
+    +-4.  It does not build Delta_M either, which no check reads, and the
+    report builds `delta_original` when it is read.  Every other pair
+    (closed, product and rank <= 2) has the reduced Delta equal to Delta_M:
+    its gap is cut from the packed terms of `delta_original`, which
+    `rayleigh_difference` builds from a split of its own, and certify's
+    split feeds only the identity check.  A `delta_original` that is not
+    packed over m's labels is an invariant violation.  On every call the
+    identity 4*Delta = 4P + (4*Delta - 4P) is then checked in integers
+    against the product keys of certify's own basis split, compared as
+    sorted multisets (`_check_identity`), which share no kernel with the
+    products in the gap: a fault in the weight +-4 accumulation, or in
+    `_products` on the other pairs, shows there.  `delta_original` is the
+    one `Polynomial` on return, and it is still packed, so certify decodes
+    no monomial on any pair.  The report builds its other fields when they
+    are read, and decodes a `Polynomial` only when it renders or evaluates
+    one.
 
     `unreduced_dominance` (Delta >> P on m itself, before the reduction) is
     `not chain and verdict`, by this lemma: if m is loopless of rank 3,
@@ -503,7 +531,11 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
     four_p = _four_p_terms(squares)
     split = _split(m, (ie, jf), chain)
     if chain:
-        red_terms = _products(split, _DELTA)
+        # The gap is seeded with -4P and takes the reduced Delta's products
+        # with weight +-4: no Delta dict is built.
+        gap = {key: -coeff for key, coeff in four_p.items()}
+        for s, t, sign in _DELTA:
+            add_products(gap, split[s], split[t], 4 * sign)
         delta_orig = None  # the report builds Delta_M when it is read
     else:
         # Nothing is deleted, so the reduced Delta is Delta_M itself.
@@ -511,15 +543,14 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
         packed = delta_orig._packed
         if packed is None or packed[1] != m.elements:
             raise RuntimeError(_IDENTITY_VIOLATED)
-        red_terms = packed[0]
-    gap = _gap(red_terms, four_p)
+        gap = _gap(packed[0], four_p)
     _check_identity(split, four_p, gap)
     if mode == "reduced-ansatz" and m.is_simple(chain):
-        _check_closed_pair_structure(m, ie, jf, red_terms, four_p, squares)
+        _check_closed_pair_structure(m, ie, jf, gap, four_p, squares)
     return CertificateReport(
         pair=(e, f),
         mode=mode,
-        reduction_chain=m._labels(chain),
+        reduction_chain=m._labels(chain) if chain else (),
         delta_input=delta_orig,
         matroid=m,
         four_p=four_p,

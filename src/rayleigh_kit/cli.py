@@ -283,7 +283,7 @@ def cmd_certificate(args: argparse.Namespace) -> int:
             print(f"pair {{{e},{f}}}: {verdict} (mode={rep.mode})")
             if rep.reduction_chain:
                 print(f"  deleted: {', '.join(rep.reduction_chain)}")
-            doc = rep.to_json_dict()
+            doc = rep.text_fields()
             print(f"  delta    = {doc['delta']}")
             print(f"  ansatz   = {doc['ansatz']}")
             print(f"  residual = {doc['residual']}")

@@ -45,18 +45,19 @@ def _pair_positions(m: Matroid, e: str, f: str) -> tuple[int, int]:
     This is the one place where a pair is checked against a matroid: every
     public pair question takes labels and turns them into positions here.
     """
+    index = m._index
     for el in (e, f):
-        if el not in m.elements:
+        if el not in index:
             raise ValueError(f"element {el!r} not in the ground set")
     if e == f:
         raise ValueError("pair elements must be distinct")
-    return m._index[e], m._index[f]
+    return index[e], index[f]
 
 
 def _triple_positions(m: Matroid, e: str, f: str, g: str) -> tuple[int, int, int]:
     """The positions of the pair e, f and of a third element g of m."""
     ie, jf = _pair_positions(m, e, f)
-    if g not in m.elements:
+    if g not in m._index:
         raise ValueError(f"element {g!r} not in the ground set")
     if g in (e, f):
         raise ValueError(

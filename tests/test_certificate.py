@@ -108,13 +108,20 @@ def test_packed_kernel_matches_the_polynomial_reference():
                 assert four_p == sum((r * r for r in roots.values()), Polynomial.zero())
 
 
+def _check_structure(m, e, f, delta, four_p, squares):
+    """`_check_closed_pair_structure` on the gap that certify cuts from
+    these Delta and 4P terms."""
+    gap = certificate._gap(delta, four_p)
+    _check_closed_pair_structure(m, e, f, gap, four_p, squares)
+
+
 def test_closed_pair_structure_check_on_packed_terms():
     m, e, f = named("K4"), 0, 1  # elements 1..6 sit at positions 0..5
     y = [pack_mask(1 << i) for i in range(6)]
     good = {2 * y[2] + 2 * y[3]: 1, y[2] + y[3] + y[4] + y[5]: -2}
     squares = _squares(m, e, f)
-    _check_closed_pair_structure(m, e, f, good, good, squares)
-    _check_closed_pair_structure(m, e, f, {3 * y[2]: 0}, good, squares)  # zero term
+    _check_structure(m, e, f, good, good, squares)
+    _check_structure(m, e, f, {3 * y[2]: 0}, good, squares)  # zero term
     bad_terms = [
         ({3 * y[2] + y[3]: 1}, good, r"delta monomial \(\('3', 3\), \('4', 1\)\) is not"),
         ({4 * y[2]: 1}, good, r"delta monomial \(\('3', 4\),\) is not"),
@@ -129,13 +136,13 @@ def test_closed_pair_structure_check_on_packed_terms():
     ]
     for delta, four_p, message in bad_terms:
         with pytest.raises(RuntimeError, match=message):
-            _check_closed_pair_structure(m, e, f, delta, four_p, squares)
+            _check_structure(m, e, f, delta, four_p, squares)
     for square, message in [
         (squares[0]._replace(u=squares[0].u | 1), "must exclude a, e, f"),
         (squares[0]._replace(l_af=squares[0].u), "overlap"),
     ]:
         with pytest.raises(RuntimeError, match=message):
-            _check_closed_pair_structure(m, e, f, good, good, [square])
+            _check_structure(m, e, f, good, good, [square])
 
 
 def _reference_structure_walk(m, e, f, delta, four_p):
@@ -179,11 +186,14 @@ def _pair_terms_cases(draw):
 @settings(max_examples=400, deadline=None)
 @given(_pair_terms_cases())
 def test_one_pass_structure_check_matches_the_key_walk(case):
+    # The check sees only the gap and 4P: the one-pass test of the gap's
+    # keys, and Delta rebuilt from them on failure, must name what a walk
+    # over Delta's and 4P's own keys names.
     n, e, f, delta, four_p = case
     m = uniform(3, n)
     want = _reference_structure_walk(m, e, f, delta, four_p)
     try:
-        _check_closed_pair_structure(m, e, f, delta, four_p, [])
+        _check_structure(m, e, f, delta, four_p, [])
     except RuntimeError as exc:
         assert str(exc) == want
     else:
@@ -587,10 +597,12 @@ def test_derived_views_follow_the_fields(pinned_reports):
 
 @pytest.mark.parametrize("corrupt", ["delta", "gap"])
 def test_identity_check_fires_inside_certify(monkeypatch, corrupt):
+    # A pair without a chain cuts its gap from a Delta with `_gap`; a chained
+    # pair adds its products into the gap with `add_products`, weight +-4.
+    # Packed key 0 is the constant monomial; the dicts may be empty.
     real_gap = certificate._gap
 
     def corrupted_gap(delta, four_p):
-        # Packed key 0 is the constant monomial; the dicts may be empty.
         if corrupt == "delta":  # the Delta the gap is cut from
             delta[0] = delta.get(0, 0) + 1
             return real_gap(delta, four_p)
@@ -598,7 +610,14 @@ def test_identity_check_fires_inside_certify(monkeypatch, corrupt):
         gap[0] = gap.get(0, 0) - 1
         return gap
 
+    def corrupted_products(gap, xs, ys, sign):
+        poly.add_products(gap, xs, ys, sign)
+        if sign > 0:  # once per pair: Delta (weight 4), or the gap, off by one
+            gap[0] = gap.get(0, 0) + (sign if corrupt == "delta" else -1)
+        return gap
+
     monkeypatch.setattr(certificate, "_gap", corrupted_gap)
+    monkeypatch.setattr(certificate, "add_products", corrupted_products)
     cases = [
         (named("K4"), "1", "2"),  # reduced-ansatz, closed pair
         (named("fig1.I"), "2", "3"),  # reduced-ansatz with a chain
@@ -634,20 +653,25 @@ def test_certify_builds_no_minor_until_delta_is_read(monkeypatch):
 
 
 def test_certify_work_per_pair(monkeypatch):
-    # Every pair multiplies one split out as a dict: the Delta its gap is cut
-    # from.  A pair with a reduction chain splits its bases once, for that
-    # Delta and the multiset identity check, and builds no delta_original;
-    # every other pair splits them twice: delta_original's split, whose
-    # product the gap is cut from, and certify's own, which feeds only the
-    # identity check.  The parallel structure and the packed bases are built
-    # once per matroid.
+    # Every pair multiplies one split out once.  A pair with a reduction
+    # chain splits its bases once, adds that split's two Delta products
+    # straight into the gap with weight +-4 and builds no Delta dict and no
+    # delta_original; every other pair splits them twice: delta_original's
+    # split, whose one `_products` dict the gap is cut from, and certify's
+    # own, which feeds only the identity check.  The parallel structure and
+    # the packed bases are built once per matroid.
     splits = []
     products = []
-    real_products = certificate._products
+    accumulated = []
+    real_products = rayleigh._products
 
     def counted_products(split, formula):
         products.append(formula)
         return real_products(split, formula)
+
+    def counted_add_products(acc, xs, ys, sign):
+        accumulated.append(sign)
+        return poly.add_products(acc, xs, ys, sign)
     built = {"_shares": {}, "_packed_bases": {}}
     real_split = certificate._split
 
@@ -670,6 +694,7 @@ def test_certify_work_per_pair(monkeypatch):
     monkeypatch.setattr(rayleigh, "_split", counted_split)
     monkeypatch.setattr(certificate, "_products", counted_products)
     monkeypatch.setattr(rayleigh, "_products", counted_products)
+    monkeypatch.setattr(certificate, "add_products", counted_add_products)
     for name in built:
         monkeypatch.setattr(Matroid, name, recorded(name))
     inputs = list(enumerate_simple_rank3(7).classes) + _one_doubled(5)
@@ -677,11 +702,13 @@ def test_certify_work_per_pair(monkeypatch):
         for e, f in combinations(m.elements, 2):
             splits.clear()
             products.clear()
+            accumulated.clear()
             rep = certify(m, e, f)
             ie, jf = m.elements.index(e), m.elements.index(f)
-            expected = 1 if rep.reduction_chain else 2
-            assert splits == [(ie, jf)] * expected, (m, e, f)
-            assert products == [_DELTA], (m, e, f)
+            chained = bool(rep.reduction_chain)
+            assert splits == [(ie, jf)] * (1 if chained else 2), (m, e, f)
+            assert products == ([] if chained else [_DELTA]), (m, e, f)
+            assert accumulated == ([4, -4] if chained else []), (m, e, f)
     for per_matroid in built.values():
         assert len(per_matroid) == len(inputs)
         for results in per_matroid.values():
@@ -767,6 +794,36 @@ def test_a_chain_free_json_report_builds_no_second_delta(monkeypatch):
         real_difference(k4, "1", "2"))
 
 
+def test_a_text_certificate_builds_one_delta_per_pair(monkeypatch, capsys):
+    # The text certificate prints delta, ansatz, residual and the squares.
+    # It reads the reduced Delta of a chained pair (one rayleigh_difference
+    # on the reduced matroid) and the delta_original certify built for every
+    # other pair, but no chained pair's Delta_M, which only the JSON report
+    # prints as delta_original.  bowtie7 has 21 pairs, 12 of them chained.
+    calls = []
+    real_difference = certificate.rayleigh_difference
+
+    def counted_difference(m, e, f):
+        calls.append((e, f))
+        return real_difference(m, e, f)
+
+    monkeypatch.setattr(certificate, "rayleigh_difference", counted_difference)
+    reports = [certify(named("bowtie7"), e, f)
+               for e, f in combinations(named("bowtie7").elements, 2)]
+    assert (len(reports), sum(bool(r.reduction_chain) for r in reports)) == (21, 12)
+    calls.clear()
+    assert main(["certificate", "bowtie7", "--format", "text"]) == 0
+    text = capsys.readouterr().out
+    assert len(calls) == 21
+    calls.clear()
+    docs = [rep.to_json_dict() for rep in reports]
+    assert len(calls) == 33 - 9  # certify's own 9 calls are not repeated
+    for rep, doc in zip(reports, docs):
+        fields = rep.text_fields()
+        assert fields == {key: doc[key] for key in fields}, rep.pair
+        assert f"  delta    = {doc['delta']}\n" in text
+
+
 def test_certify_decodes_no_monomial(monkeypatch):
     # certify compares packed terms only, and every Polynomial it returns is
     # still packed; a monomial is decoded when a report is rendered.
@@ -791,23 +848,48 @@ def test_certify_decodes_no_monomial(monkeypatch):
     assert len(decoded) == len(closed.delta_original)
 
 
-def test_a_consistent_kernel_fault_is_caught(monkeypatch):
-    # The gap is cut from a Delta dict that `add_products` builds, and the
-    # identity is checked against product keys listed without it: a fault in
-    # the kernel that every Delta dict shares must still show.
-    chained = next(
+@lru_cache(maxsize=None)
+def _chained_pair():
+    """A 7-point pair with a reduction chain and a nonzero reduced Delta."""
+    return next(
         (m, e, f) for m in enumerate_simple_rank3(7).classes
         for e, f in combinations(m.elements, 2)
         if (rep := certify(m, e, f)).reduction_chain and len(rep.delta)
     )
 
+
+def test_a_consistent_kernel_fault_is_caught(monkeypatch):
+    # Every gap holds products that `add_products` counted: through
+    # `rayleigh_difference` without a chain, and with weight +-4 in certify
+    # itself with one.  The identity is checked against product keys listed
+    # without it: a fault in the kernel that both paths share must show.
+    cases = [(named("K4"), "1", "2"), _chained_pair()]
+
     def doubled_products(acc, xs, ys, sign=1):  # counts every product twice
         return poly.add_products(acc, xs, ys, 2 * sign)
 
     monkeypatch.setattr(rayleigh, "add_products", doubled_products)
-    for m, e, f in [(named("K4"), "1", "2"), chained]:
+    monkeypatch.setattr(certificate, "add_products", doubled_products)
+    for m, e, f in cases:
         with pytest.raises(RuntimeError, match=r"delta != P \+ residual"):
             certify(m, e, f)
+
+
+@pytest.mark.parametrize("fault", ["doubled", "weight one"])
+def test_a_fault_in_the_chained_accumulation_is_caught(monkeypatch, fault):
+    # A chained pair adds its Delta products into the gap, seeded with -4P,
+    # with weight +-4.  Counting every product twice, or with weight +-1 (so
+    # the gap is Delta - 4P), breaks 4*Delta = 4P + gap.
+    m, e, f = _chained_pair()
+    assert certify(m, e, f).verdict
+
+    def faulty_products(acc, xs, ys, sign):
+        weight = 2 * sign if fault == "doubled" else sign // 4
+        return poly.add_products(acc, xs, ys, weight)
+
+    monkeypatch.setattr(certificate, "add_products", faulty_products)
+    with pytest.raises(RuntimeError, match=r"delta != P \+ residual"):
+        certify(m, e, f)
 
 
 def test_reports_survive_copy_and_pickle():
