@@ -183,15 +183,6 @@ def ansatz_parts(m: Matroid, e: str, f: str, a: str) -> AnsatzParts:
     )
 
 
-def _gap(delta: dict[int, int], four_p: dict[int, int]) -> dict[int, int]:
-    """4*Delta - 4P as packed terms: Delta >> P iff none is negative."""
-    gap = {key: 4 * coeff for key, coeff in delta.items()}
-    get = gap.get
-    for key, coeff in four_p.items():
-        gap[key] = get(key, 0) - coeff
-    return gap
-
-
 _IDENTITY_VIOLATED = "internal invariant violated: delta != P + residual"
 
 
@@ -208,12 +199,13 @@ def _check_identity(
     negative ones when c > 0.  The identity holds iff the two sides are then
     equal as sorted lists.  The keys are listed by `_product_keys`, not
     counted in a dict, so the check shares no kernel with the products that
-    went into the gap: `add_products` with weight +-4 in `certify` for a
-    pair with a reduction chain, and with weight +-1 in
-    `rayleigh_difference`'s `_products` for every other pair.  A fault in
-    either shows here.  It cannot catch a wrong `four_p` (the gap is cut
-    from it) or a wrong chain mask (the split uses it); only the tests that
-    compare reports with the minor-based Delta do.
+    went into the gap, which starts as -4P and adds 4*Delta from one of two
+    sources: `add_products` with weight +-4 in `certify` for a pair with a
+    reduction chain, and `rayleigh_difference`'s `_products` with weight
+    +-1, scaled by 4, for every other pair.  A fault in either shows here.
+    It cannot catch a wrong `four_p` (the gap is seeded with it) or a wrong
+    chain mask (the split uses it); only the tests that compare reports
+    with the minor-based Delta do.
     """
     positive, negative = _product_keys(split, _DELTA)
     total = dict(gap)
@@ -340,9 +332,9 @@ class CertificateReport(NamedTuple):
     positions of the input `matroid` (see `poly.pack_mask`): `four_p` is
     4P, `gap` is 4*delta - 4P, and `roots` pairs the position of each
     square's a with its root.  `delta_input` is Delta_M for a pair without
-    a reduction chain, whose packed terms `certify` cut the gap from, and
-    None otherwise.  Every other attribute is computed from the fields
-    on each read: `verdict`, `reduced_pair_closed` and
+    a reduction chain, the source of the 4*Delta that `certify` added to
+    the gap's -4P seed, and None otherwise.  Every other attribute is
+    computed from the fields on each read: `verdict`, `reduced_pair_closed` and
     `unreduced_dominance`, and the `Polynomial`s `P`, `residual`, `delta`
     (by `rayleigh_difference` on `lemma33_reduce`'s matroid) and
     `delta_original` (by `rayleigh_difference` on the input matroid when
@@ -469,13 +461,14 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
     exponent exceeds 4 and a 3-bit field is enough.  No reduced `Matroid` is
     built: the chain is read off m's memoised closure of {e,f}, the reduced
     squares come from m's flats less the chain, and the reduced Delta from
-    the bases of m that avoid it.  A pair with a reduction chain splits its
-    bases once and builds no Delta dict: its gap starts as -4P, and
-    `add_products` adds the split's `_DELTA` products into it with weight
-    +-4.  It does not build Delta_M either, which no check reads, and the
-    report builds `delta_original` when it is read.  Every other pair
+    the bases of m that avoid it.  Every gap is built by one recipe: it
+    starts as -4P and adds 4*Delta, which has two sources.  A pair with a
+    reduction chain splits its bases once and builds no Delta dict:
+    `add_products` adds the split's `_DELTA` products into the gap with
+    weight +-4.  It does not build Delta_M either, which no check reads, and
+    the report builds `delta_original` when it is read.  Every other pair
     (closed, product and rank <= 2) has the reduced Delta equal to Delta_M:
-    its gap is cut from the packed terms of `delta_original`, which
+    the gap adds 4 times the packed terms of `delta_original`, which
     `rayleigh_difference` builds from a split of its own, and certify's
     split feeds only the identity check.  A `delta_original` that is not
     packed over m's labels is an invariant violation.  On every call the
@@ -530,10 +523,8 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
         squares = _squares(m, ie, jf, chain)
     four_p = _four_p_terms(squares)
     split = _split(m, (ie, jf), chain)
+    gap = {key: -coeff for key, coeff in four_p.items()}  # then add 4*Delta
     if chain:
-        # The gap is seeded with -4P and takes the reduced Delta's products
-        # with weight +-4: no Delta dict is built.
-        gap = {key: -coeff for key, coeff in four_p.items()}
         for s, t, sign in _DELTA:
             add_products(gap, split[s], split[t], 4 * sign)
         delta_orig = None  # the report builds Delta_M when it is read
@@ -543,7 +534,9 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
         packed = delta_orig._packed
         if packed is None or packed[1] != m.elements:
             raise RuntimeError(_IDENTITY_VIOLATED)
-        gap = _gap(packed[0], four_p)
+        get = gap.get
+        for key, coeff in packed[0].items():
+            gap[key] = get(key, 0) + 4 * coeff
     _check_identity(split, four_p, gap)
     if mode == "reduced-ansatz" and m.is_simple(chain):
         _check_closed_pair_structure(m, ie, jf, gap, four_p, squares)

@@ -108,11 +108,19 @@ def test_packed_kernel_matches_the_polynomial_reference():
                 assert four_p == sum((r * r for r in roots.values()), Polynomial.zero())
 
 
+def _gap(delta, four_p):
+    """4*Delta - 4P as packed terms, built as certify builds it: -4P, then
+    4 times each term of Delta."""
+    gap = {key: -coeff for key, coeff in four_p.items()}
+    for key, coeff in delta.items():
+        gap[key] = gap.get(key, 0) + 4 * coeff
+    return gap
+
+
 def _check_structure(m, e, f, delta, four_p, squares):
-    """`_check_closed_pair_structure` on the gap that certify cuts from
-    these Delta and 4P terms."""
-    gap = certificate._gap(delta, four_p)
-    _check_closed_pair_structure(m, e, f, gap, four_p, squares)
+    """`_check_closed_pair_structure` on the gap certify builds from these
+    Delta and 4P terms."""
+    _check_closed_pair_structure(m, e, f, _gap(delta, four_p), four_p, squares)
 
 
 def test_closed_pair_structure_check_on_packed_terms():
@@ -466,7 +474,7 @@ def _unreduced_dominance_reference(m, e, f):
     """Delta >> P on m itself, before any reduction: the full second ansatz."""
     ie, jf = m.elements.index(e), m.elements.index(f)
     four_p = certificate._four_p_terms(_squares(m, ie, jf))
-    gap = certificate._gap(_products(_split(m, (ie, jf)), _DELTA), four_p)
+    gap = _gap(_products(_split(m, (ie, jf)), _DELTA), four_p)
     return all(coeff >= 0 for coeff in gap.values())
 
 
@@ -597,18 +605,20 @@ def test_derived_views_follow_the_fields(pinned_reports):
 
 @pytest.mark.parametrize("corrupt", ["delta", "gap"])
 def test_identity_check_fires_inside_certify(monkeypatch, corrupt):
-    # A pair without a chain cuts its gap from a Delta with `_gap`; a chained
-    # pair adds its products into the gap with `add_products`, weight +-4.
-    # Packed key 0 is the constant monomial; the dicts may be empty.
-    real_gap = certificate._gap
+    # Every gap starts as -4P.  A chained pair adds its products into it
+    # with `add_products`, weight +-4; a pair without a chain adds 4 times
+    # the packed terms of `rayleigh_difference`'s Delta, so its faults come
+    # through that Delta: an extra term, or a missing one.  Packed key 0 is
+    # the constant monomial; the dicts may be empty.
+    real_difference = certificate.rayleigh_difference
 
-    def corrupted_gap(delta, four_p):
-        if corrupt == "delta":  # the Delta the gap is cut from
-            delta[0] = delta.get(0, 0) + 1
-            return real_gap(delta, four_p)
-        gap = real_gap(delta, four_p)
-        gap[0] = gap.get(0, 0) - 1
-        return gap
+    def corrupted_difference(m, e, f):
+        terms = dict(real_difference(m, e, f)._packed[0])
+        if corrupt == "delta":
+            terms[0] = terms.get(0, 0) + 1
+        else:
+            del terms[next(key for key, coeff in terms.items() if coeff)]
+        return from_packed(terms, m.elements)
 
     def corrupted_products(gap, xs, ys, sign):
         poly.add_products(gap, xs, ys, sign)
@@ -616,7 +626,7 @@ def test_identity_check_fires_inside_certify(monkeypatch, corrupt):
             gap[0] = gap.get(0, 0) + (sign if corrupt == "delta" else -1)
         return gap
 
-    monkeypatch.setattr(certificate, "_gap", corrupted_gap)
+    monkeypatch.setattr(certificate, "rayleigh_difference", corrupted_difference)
     monkeypatch.setattr(certificate, "add_products", corrupted_products)
     cases = [
         (named("K4"), "1", "2"),  # reduced-ansatz, closed pair
@@ -1051,6 +1061,49 @@ def test_table_mismatch_fails_the_tables_command(monkeypatch, capsys):
     assert family["rows"][1]["computed"]["positive"] == 1
     assert family["scan"]["mismatches"] == list(report.mismatches)
     assert family["all_match"] is False and doc["all_match"] is False
+
+
+_GGHH_I, _GGHH_II = certificate._TABLE_ROWS["GGHH"]
+
+
+@pytest.mark.parametrize("rows, scan, field, count, line", [
+    # row II dropped: its monomials classify to no row
+    ((_GGHH_I,), None, "unmatched", 389,
+     "n=4 class 0 pair {1,2} monomial {'3': 2, '4': 2}"),
+    # row II allows only 1/2: its other observed values are mismatches
+    ((_GGHH_I, _GGHH_II._replace(p_allowed=(Fraction(1, 2),))), None,
+     "mismatches", 71,
+     "ansatz coefficient 3/4 not in ['1/2'] for II{1,2}"),
+    # row II allows a value 7 that the scan never gives
+    ((_GGHH_I, _GGHH_II._replace(p_allowed=(*_GGHH_II.p_allowed, Fraction(7)))),
+     None, "uncovered", 1, "row II{1,2}: ansatz value 7 never observed"),
+    # nothing scanned: no row is hit and no allowed value seen
+    ((_GGHH_I, _GGHH_II), [], "uncovered", 6, "row I{1,2} never occurred in the scan"),
+])
+def test_table_scan_problems_fail_the_tables_command(
+    monkeypatch, capsys, rows, scan, field, count, line
+):
+    monkeypatch.setitem(certificate._TABLE_ROWS, "GGHH", rows)
+    if scan is not None:
+        monkeypatch.setattr(certificate, "_scan_matroids", lambda: scan)
+    report = table_coefficients("GGHH")
+    problems = getattr(report, field)
+    assert len(problems) == count
+    assert any(p.endswith(line) for p in problems), problems[:3]
+    assert not report.all_match
+    assert main(["tables", "--family", "GGHH"]) == 1
+    printed = [text.strip()[len("problem: "):]
+               for text in capsys.readouterr().out.splitlines()
+               if text.strip().startswith("problem: ")]
+    assert printed == list(report.unmatched + report.mismatches + report.uncovered)
+    assert len(printed) == count
+
+
+def test_ambiguous_table_rows_are_refused(monkeypatch):
+    monkeypatch.setitem(certificate._TABLE_ROWS, "GGHH", (_GGHH_I, _GGHH_I, _GGHH_II))
+    with pytest.raises(RuntimeError, match=r"^ambiguous table rows: I\{1,2\} and "
+                       r"I\{1,2\} share a canonical form$"):
+        table_coefficients("GGHH")
 
 
 def test_table_rejects_unknown_family():

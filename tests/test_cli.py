@@ -239,6 +239,12 @@ def test_certificate_json_default(capsys):
     assert doc["reports"][0]["ansatz"] == "+1/2 * y_3^2 y_4^2"
 
 
+def test_certificate_above_rank_three_exits_two(capsys):
+    code, out, err = run(capsys, "certificate", "U_4_6")
+    assert (code, out) == (2, "")
+    assert err == "error: certificate Ansatz undefined above rank 3\n"
+
+
 def test_tables_text_output(capsys):
     code, out, _ = run(capsys, "tables", "--family", "GHIJ")
     assert code == 0

@@ -60,6 +60,22 @@ def test_rejects_bad_element_ids():
             Matroid.from_bases([el], [(el,)])
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Matroid([""], 0, [0]), "element id must be a nonempty string, got ''"),
+    (lambda: Matroid(["1"], -1, []), "rank must be nonnegative"),
+    (lambda: Matroid(["1", "2"], 1, [0b100]), "basis mask outside ground set"),
+    (lambda: Matroid.from_bases(["1", "2"], [("1", "1")]),
+     "repeated element '1' in a basis"),
+    (lambda: Matroid.from_bases(["1", "2"], []),
+     "rank required for an empty basis family"),
+    (lambda: with_parallel_copy(u24(), "1", "2"), "element '2' already present"),
+])
+def test_rejects_malformed_construction(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_validate_accepts_uniform():
     assert u24().validate() == []
 

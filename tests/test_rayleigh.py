@@ -350,6 +350,18 @@ def test_sampler_cross_checks_one_pair_per_hundred_samples(monkeypatch):
         negative_correlation_sample(m, pairs=pairs, samples=1)
 
 
+def test_sampler_cross_check_keeps_its_own_verdict_on_a_loop_pair():
+    # M_e vanishes for a loop e, so the exact path refuses the pair and the
+    # cross-check falls back to the sampler's own verdict.  The CLI deletes
+    # loops first; only the library reaches this.
+    k4 = named("K4")
+    m = Matroid(k4.elements + ("l",), 3, k4.basis_masks)
+    with pytest.raises(ValueError, match="degenerate weights"):
+        negative_correlation_check(m, "l", "1", {x: Fraction(1) for x in m.elements})
+    r = negative_correlation_sample(m, pairs=[("l", "1"), ("1", "2")], samples=1)
+    assert (r.cross_checks, r.checks, r.violations) == (1, 2, ())
+
+
 def test_sampler_refuses_a_negative_count():
     m = named("K4")
     with pytest.raises(ValueError, match=r"^samples must be nonnegative, got -5$"):
