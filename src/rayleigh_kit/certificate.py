@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import reduce
-from operator import countOf, or_
+from operator import countOf, itemgetter, or_
 from typing import NamedTuple, Optional
 
 from . import GGHH, GGHI, GHIJ, REPORT_SCHEMA
@@ -108,6 +108,11 @@ class _Square(NamedTuple):
     root: dict[int, int]
 
 
+# A NamedTuple's constructor is a Python function around this C call; hot
+# paths call it directly with the fields as one tuple, in field order.
+_new_record = tuple.__new__
+
+
 # Bit i of a ground-set mask -> the packed variable y_i, for every position
 # a matroid can have.
 _PACKED_Y = {1 << i: 1 << PACKED_BITS * i for i in range(64)}
@@ -156,7 +161,7 @@ def _squares(m: Matroid, e: int, f: int, deleted: int = 0) -> list[_Square]:
                 for c in cs:
                     root[c + d] = get(c + d, 0) - 1
                 x ^= low
-        squares.append(_Square(bit.bit_length() - 1, l_ae, l_af, u, root))
+        squares.append(_new_record(_Square, (bit.bit_length() - 1, l_ae, l_af, u, root)))
     return squares
 
 
@@ -444,6 +449,9 @@ class CertificateReport(NamedTuple):
         }
 
 
+_A_AND_ROOT = itemgetter(0, 4)  # a _Square's (a, root): one entry of `roots`
+
+
 def certify(m: Matroid, e: str, f: str) -> CertificateReport:
     """Certify that Delta{e,f} is nonnegative on the positive orthant.
 
@@ -481,6 +489,15 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
     no monomial on any pair.  The report builds its other fields when they
     are read, and decodes a `Polynomial` only when it renders or evaluates
     one.
+
+    What depends only on m is memoised on m, so a pair pays only for its
+    own terms: the share masks (loops, the chain's test), the pair flats
+    (chain and squares), the packed bases (split) and the simplicity
+    witnesses, which let `m.is_simple(chain)` decide whether the structure
+    checks run by testing only m's loops and elements with a parallel
+    partner.  The squares and the report are tuples built without a Python
+    constructor call per record, and the chain's labels are read off its
+    set bits.
 
     `unreduced_dominance` (Delta >> P on m itself, before the reduction) is
     `not chain and verdict`, by this lemma: if m is loopless of rank 3,
@@ -541,14 +558,8 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
     if mode == "reduced-ansatz" and m.is_simple(chain):
         _check_closed_pair_structure(m, ie, jf, gap, four_p, squares)
     return CertificateReport(
-        pair=(e, f),
-        mode=mode,
-        reduction_chain=m._labels(chain) if chain else (),
-        delta_input=delta_orig,
-        matroid=m,
-        four_p=four_p,
-        gap=gap,
-        roots=tuple((square.a, square.root) for square in squares),
+        (e, f), mode, m._labels(chain) if chain else (), delta_orig, m, four_p, gap,
+        tuple(map(_A_AND_ROOT, squares)),
     )
 
 

@@ -39,7 +39,7 @@ class Matroid:
 
     __slots__ = (
         "elements", "rank", "_masks", "_index", "_flats", "_pairs_filled",
-        "_share_masks", "_packed",
+        "_share_masks", "_witnesses", "_packed",
     )
 
     def __init__(self, elements: Iterable[str], rank: int, basis_masks: Iterable[int]):
@@ -65,13 +65,15 @@ class Matroid:
         object.__setattr__(self, "_flats", {})
         object.__setattr__(self, "_pairs_filled", False)
         object.__setattr__(self, "_share_masks", None)
+        object.__setattr__(self, "_witnesses", None)
         object.__setattr__(self, "_packed", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matroid is immutable")
 
     def __reduce__(self):
-        # Rebuilt from its bases; the memoised flats and tables start empty.
+        # Rebuilt from its bases; the memoised flats, tables and simplicity
+        # witnesses start empty.
         return Matroid, (self.elements, self.rank, self._masks)
 
     # -- construction -----------------------------------------------------
@@ -128,8 +130,15 @@ class Matroid:
         return mask
 
     def _labels(self, mask: int) -> tuple[str, ...]:
-        """The elements of a bitmask over the positions, in ground-set order."""
-        return tuple(el for i, el in enumerate(self.elements) if mask >> i & 1)
+        """The elements of a bitmask over the positions, in ground-set order:
+        one step per set bit, lowest first, whatever the ground set's size."""
+        elements = self.elements
+        labels = []
+        while mask:
+            low = mask & -mask
+            labels.append(elements[low.bit_length() - 1])
+            mask ^= low
+        return tuple(labels)
 
     def _unmask(self, mask: int) -> frozenset[str]:
         return frozenset(self._labels(mask))
@@ -345,17 +354,43 @@ class Matroid:
             classes.append(tuple(sorted(self.elements[j] for j in members)))
         return sorted(classes, key=lambda c: c[0])
 
+    def _simplicity_witnesses(self) -> tuple[tuple[int, int], ...]:
+        """(bit, missing) for each position whose share mask is not full,
+        memoised per matroid: `missing` holds the positions that share no
+        basis with it.  These are the loops (missing everything) and the
+        elements with a parallel partner; a simple matroid has none."""
+        cached = self._witnesses
+        if cached is None:
+            full = (1 << len(self.elements)) - 1
+            cached = tuple(
+                (1 << i, full & ~s) for i, s in enumerate(self._shares()) if s != full
+            )
+            object.__setattr__(self, "_witnesses", cached)
+        return cached
+
     def is_simple(self, deleted: int = 0) -> bool:
         """No loops and no parallel pairs: every element shares a basis with
         every element.  With `deleted`, a bitmask of positions, the answer
         for `delete` of them, which keeps the bases avoiding them: with one
         left, ranks in the rest are unchanged, so its loops and parallel
-        pairs are this matroid's outside `deleted`."""
+        pairs are this matroid's outside `deleted`.
+
+        A call scans the bases for one avoiding `deleted`, then tests only
+        the memoised `_simplicity_witnesses`: a kept witness is a fault
+        exactly when some position it misses is kept too.  On a simple
+        matroid there is nothing to test.  A mask with a bit outside the
+        ground set raises ValueError.
+        """
         full = (1 << len(self.elements)) - 1
+        if deleted & ~full:
+            raise ValueError(f"mask {deleted:#x} has bits outside the ground set")
         if 0 not in map(deleted.__and__, self._masks):  # no basis avoids them
             return deleted == full
-        shares = enumerate(self._shares())
-        return all(s | deleted == full for i, s in shares if not deleted >> i & 1)
+        keep = full ^ deleted
+        for bit, missing in self._simplicity_witnesses():
+            if bit & keep and missing & keep:
+                return False
+        return True
 
     def simplify(self) -> "SimplifyResult":
         """Delete loops, keep one representative per parallel class.

@@ -1,7 +1,9 @@
 """Matroid core: bases, minors, duality, geometry and JSON interchange."""
 
+import copy
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -256,31 +258,73 @@ def test_with_parallel_copy():
 
 
 def test_is_simple_after_a_deletion_matches_the_deleted_matroid():
-    # Every census class on n <= 6 points, and each with one element doubled;
-    # deleted: each chain cl{e,f} - {e,f} of an independent pair, and each
+    # Every census class on n <= 6 points, and each with one element doubled.
+    # Deleted: every mask on n <= 5 points (n <= 6 with the copy); from
+    # n = 6 on, each chain cl{e,f} - {e,f} of an independent pair and each
     # singleton (a coloop among them leaves a deletion with no bases).
-    inputs = []
+    inputs = []  # (matroid, whether every mask is deleted)
     for n in range(3, 7):
         for m in enumerate_simple_rank3(n).classes:
-            inputs.append(m)
-            inputs.extend(with_parallel_copy(m, x, "p") for x in m.elements)
+            inputs.append((m, n <= 5))
+            inputs.extend((with_parallel_copy(m, x, "p"), n <= 5) for x in m.elements)
+    k4 = named("K4")
+    looped = Matroid(k4.elements + ("l",), 3, k4.basis_masks)
+    inputs.append((looped, True))
     answers = set()
-    for m in inputs:
-        masks = {1 << i for i in range(m.n)}
-        for e, f in itertools.combinations(range(m.n), 2):
-            pair = 1 << e | 1 << f
-            if m.is_independent([m.elements[e], m.elements[f]]):
-                masks.add(m.closure_mask(pair) & ~pair)
+    everything = 0
+    for m, every_mask in inputs:
+        if every_mask:
+            masks = range(1 << m.n)
+            everything += 1
+        else:
+            masks = {1 << i for i in range(m.n)}
+            for e, f in itertools.combinations(range(m.n), 2):
+                pair = 1 << e | 1 << f
+                if m.is_independent([m.elements[e], m.elements[f]]):
+                    masks.add(m.closure_mask(pair) & ~pair)
         for mask in masks:
             deletion = m.delete(x for i, x in enumerate(m.elements) if mask >> i & 1)
             assert m.is_simple(mask) == deletion.is_simple(), (m, mask)
             answers.add((m.is_simple(mask), bool(deletion.basis_masks)))
-    assert answers == {(True, True), (False, True), (False, False)}
-    k4 = named("K4")
-    looped = Matroid(k4.elements + ("l",), 3, k4.basis_masks)
+    assert everything == 1 + sum(
+        1 + n for n in range(3, 6) for _ in enumerate_simple_rank3(n).classes)
+    # (True, False): everything deleted, which leaves the empty matroid.
+    assert answers == {(True, True), (False, True), (False, False), (True, False)}
     for mask, simple in ((0, False), (1 << 6, True)):
         deletion = looped.delete(["l"] if mask else [])
         assert looped.is_simple(mask) == deletion.is_simple() == simple
+    # The witnesses are memoised per matroid: a copy or an unpickled matroid
+    # starts without them and rebuilds equal ones of its own.
+    doubled = with_parallel_copy(k4, "1", "7")
+    for m in (k4, doubled, looped):
+        witnesses = m._simplicity_witnesses()
+        assert m._simplicity_witnesses() is witnesses
+        for clone in (copy.copy(m), pickle.loads(pickle.dumps(m))):
+            assert clone == m and clone._witnesses is None
+            assert [clone.is_simple(mask) for mask in range(1 << m.n)] == [
+                m.is_simple(mask) for mask in range(1 << m.n)]
+            assert clone._witnesses == witnesses
+    assert k4._simplicity_witnesses() == ()
+    assert doubled._simplicity_witnesses() == ((1, 1 << 6), (1 << 6, 1))
+
+
+def test_is_simple_rejects_a_mask_outside_the_ground_set():
+    k4 = named("K4")
+    for mask in (1 << 6, 1 << 6 | 1, -1):
+        with pytest.raises(ValueError, match="outside the ground set"):
+            k4.is_simple(mask)
+    assert k4.is_simple((1 << 6) - 1) is True  # everything deleted: empty, simple
+
+
+def test_labels_walk_the_mask_in_ground_set_order():
+    # U_3_10's label "10" sorts before "2", so ground-set order is not
+    # label order; reduction_chain, _unmask and the JSON output read this.
+    m = named("U_3_10")
+    assert "10" < "2" and m.elements.index("10") > m.elements.index("2")
+    for mask in range(1 << m.n):
+        scan = tuple(el for i, el in enumerate(m.elements) if mask >> i & 1)
+        assert m._labels(mask) == scan, mask
+        assert m._unmask(mask) == frozenset(scan)
 
 
 def test_minor_contract_delete():
