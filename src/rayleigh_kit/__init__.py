@@ -21,6 +21,13 @@ GGHH = "GGHH"
 GGHI = "GGHI"
 GHIJ = "GHIJ"
 
+
+def _reserved_in(text: str) -> bool:
+    """Whether text holds whitespace, `*`, `^` or `,`, which no element id may:
+    polynomial text splits on the first three, and `--pairs e,f` on `,`."""
+    return any(ch.isspace() or ch in "*^," for ch in text)
+
+
 _EXPORTS = {
     "matroid": (
         "Matroid", "from_geometry", "lines_of",

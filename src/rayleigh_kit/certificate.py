@@ -191,6 +191,24 @@ def ansatz_parts(m: Matroid, e: str, f: str, a: str) -> AnsatzParts:
 _IDENTITY_VIOLATED = "internal invariant violated: delta != P + residual"
 
 
+def _four_delta(gap: dict[int, int], four_p: dict[int, int]) -> dict[int, int]:
+    """4*Delta = gap + 4P as packed terms, over both key sets: the one place
+    where the two are summed.  A key whose sum is 0 stays, with value 0."""
+    total = dict(gap)
+    get = total.get
+    for key, coeff in four_p.items():
+        total[key] = get(key, 0) + coeff
+    return total
+
+
+def _quarter(terms: dict[int, int], labels: tuple[str, ...]) -> Polynomial:
+    """The packed terms divided by 4, as a `Polynomial` over these labels."""
+    return from_packed({
+        key: coeff >> 2 if coeff & 3 == 0 else Fraction(coeff, 4)
+        for key, coeff in terms.items()
+    }, labels)
+
+
 def _check_identity(
     split: list[list[int]], four_p: dict[int, int], gap: dict[int, int]
 ) -> None:
@@ -199,25 +217,22 @@ def _check_identity(
 
     Delta is M_e^f*M_f^e - M_ef*M^ef, so it is the positive product keys of
     the split (one copy per pair of bases) less the negative ones.  Each
-    total coefficient c of 4P + gap must be divisible by 4, and its key
-    joins the other side |c|/4 times: the positive keys when c < 0, the
-    negative ones when c > 0.  The identity holds iff the two sides are then
-    equal as sorted lists.  The keys are listed by `_product_keys`, not
-    counted in a dict, so the check shares no kernel with the products that
-    went into the gap, which starts as -4P and adds 4*Delta from one of two
-    sources: `add_products` with weight +-4 in `certify` for a pair with a
-    reduction chain, and `rayleigh_difference`'s `_products` with weight
-    +-1, scaled by 4, for every other pair.  A fault in either shows here.
-    It cannot catch a wrong `four_p` (the gap is seeded with it) or a wrong
-    chain mask (the split uses it); only the tests that compare reports
-    with the minor-based Delta do.
+    coefficient c of `_four_delta(gap, four_p)` must be divisible by 4, and
+    its key joins the other side |c|/4 times: the positive keys when c < 0,
+    the negative ones when c > 0.  The identity holds iff the two sides are
+    then equal as sorted lists.  That 4*Delta is the one the report renders
+    as `delta`.  The keys are listed by `_product_keys`, not counted in a
+    dict, so the check shares no kernel with the products that went into the
+    gap, which starts as -4P and adds 4*Delta from one of two sources:
+    `add_products` with weight +-4 in `certify` for a pair with a reduction
+    chain, and `rayleigh_difference`'s `_products` with weight +-1, scaled
+    by 4, for every other pair.  A fault in either shows here.  It cannot
+    catch a wrong `four_p` (the gap is seeded with it) or a wrong chain mask
+    (the split uses it); only the tests that compare reports with Delta of
+    the minor M\\X do.
     """
     positive, negative = _product_keys(split, _DELTA)
-    total = dict(gap)
-    get = total.get
-    for key, coeff in four_p.items():
-        total[key] = get(key, 0) + coeff
-    for key, coeff in total.items():
+    for key, coeff in _four_delta(gap, four_p).items():
         if coeff & 3:
             raise RuntimeError(_IDENTITY_VIOLATED)
         if coeff > 0:
@@ -250,9 +265,7 @@ def _check_closed_pair_structure(
     pair = pack_mask(1 << e | 1 << f) * ((1 << PACKED_BITS) - 1)  # e and f fields
     shapes = packed_shapes(m.n)
     if not shapes.issuperset(gap) or reduce(or_, gap, 0) & pair:
-        get = four_p.get
-        four_delta = {key: coeff + get(key, 0) for key, coeff in gap.items()}
-        for label, terms in (("delta", four_delta), ("ansatz", four_p)):
+        for label, terms in (("delta", _four_delta(gap, four_p)), ("ansatz", four_p)):
             keys = {key for key, coeff in terms.items() if coeff}
             if not keys <= shapes:
                 mono = next(from_packed({min(keys - shapes): 1}, m.elements).terms())[0]
@@ -324,38 +337,32 @@ def lemma33_reduce(m: Matroid, e: str, f: str) -> ReductionResult:
 class CertificateReport(NamedTuple):
     """Outcome of certifying one pair.
 
-    `delta`, `P` and `residual` refer to the certified (reduced) matroid;
-    `delta = P + residual` exactly, and `verdict` holds iff every residual
-    coefficient is nonnegative.  `delta_original` is the difference on the
-    input matroid before reduction, and `unreduced_dominance` reports whether
-    the dominance already held there (None outside the reduced-ansatz mode).
-    It is decided by a lemma, not by a second ansatz: with a non-empty
-    chain it is False, and without one the input is the reduced matroid, so
-    it is `verdict`.  The lemma and its proof are in `certify`'s docstring.
-
-    The fields are what `certify` decided on, as packed terms over the
+    The fields are the packed terms that `certify` checked, over the
     positions of the input `matroid` (see `poly.pack_mask`): `four_p` is
-    4P, `gap` is 4*delta - 4P, and `roots` pairs the position of each
-    square's a with its root.  `delta_input` is Delta_M for a pair without
-    a reduction chain, the source of the 4*Delta that `certify` added to
-    the gap's -4P seed, and None otherwise.  Every other attribute is
-    computed from the fields on each read: `verdict`, `reduced_pair_closed` and
-    `unreduced_dominance`, and the `Polynomial`s `P`, `residual`, `delta`
-    (by `rayleigh_difference` on `lemma33_reduce`'s matroid) and
-    `delta_original` (by `rayleigh_difference` on the input matroid when
-    `delta_input` is None).  `delta_input` comes from `from_packed` and
-    stays packed until it is rendered or evaluated.  The JSON report reads
-    each at most once, and without a reduction chain prints the text of
-    `delta_original` as `delta` too, since the two are equal there;
-    `text_fields`, which the text certificate prints, reads only `delta`
-    (`delta_original` without a chain), and `verify`'s text output reads
-    none of the `Polynomial`s, so it decodes no monomial.
+    4P, `gap` is 4*delta - 4P on the reduced matroid, and `roots` pairs the
+    position of each square's a with its root.  Every other attribute is
+    computed from the fields on each read, and none is cached:
+    - `verdict` holds iff no gap coefficient is negative;
+    - `P` is `four_p` / 4 and `residual` is `gap` / 4;
+    - `delta`, Delta of the reduced matroid, is (gap + 4P) / 4 by
+      `_four_delta`, the 4*Delta that `certify`'s identity check compared,
+      on a pair with a reduction chain, and `delta_original` on any other
+      pair, where the two are equal; so `delta = P + residual` exactly;
+    - `delta_original` is `rayleigh_difference` on the input matroid;
+    - `unreduced_dominance` says whether the dominance already held before
+      the reduction (None outside the reduced-ansatz mode).  It is decided
+      by a lemma, not by a second ansatz: with a non-empty chain it is
+      False, and without one the input is the reduced matroid, so it is
+      `verdict`.  The lemma and its proof are in `certify`'s docstring.
+    No read builds a `Matroid`.  `text_fields` renders `delta` from the
+    packed 4*Delta, so the text certificate builds no Delta; the JSON
+    report adds the text of `delta_original`, which it builds only on a
+    chained pair, since without a chain it is the `delta` text.
     """
 
     pair: tuple[str, str]
     mode: str  # "rank-le-2" | "product" | "reduced-ansatz"
     reduction_chain: tuple[str, ...]
-    delta_input: Optional[Polynomial]  # Delta_M when certify built it, else None
     matroid: Matroid
     four_p: dict[int, int]
     gap: dict[int, int]
@@ -386,8 +393,6 @@ class CertificateReport(NamedTuple):
 
     @property
     def delta_original(self) -> Polynomial:
-        if self.delta_input is not None:
-            return self.delta_input
         return rayleigh_difference(self.matroid, *self.pair)
 
     @property
@@ -396,28 +401,20 @@ class CertificateReport(NamedTuple):
 
     @property
     def residual(self) -> Polynomial:
-        quarter = {
-            key: coeff >> 2 if coeff & 3 == 0 else Fraction(coeff, 4)
-            for key, coeff in self.gap.items()
-        }
-        return from_packed(quarter, self.matroid.elements)
+        return _quarter(self.gap, self.matroid.elements)
 
     @property
     def delta(self) -> Polynomial:
-        if self.mode != "reduced-ansatz":
+        if not self.reduction_chain:
             return self.delta_original
-        reduced = lemma33_reduce(self.matroid, *self.pair).matroid
-        return rayleigh_difference(reduced, *self.pair)
+        return _quarter(_four_delta(self.gap, self.four_p), self.matroid.elements)
 
     def text_fields(self) -> dict:
         """The rendered `delta`, `ansatz`, `residual` and `squares` of the
-        JSON report: what `certificate --format text` prints.  Without a
-        reduction chain `delta` is the text of `delta_original`, since the
-        two are equal there, so it builds no Delta of its own."""
+        JSON report: what `certificate --format text` prints."""
         labels = self.matroid.elements
-        delta = self.delta if self.reduction_chain else self.delta_original
         return {
-            "delta": format_polynomial(delta),
+            "delta": format_packed(_four_delta(self.gap, self.four_p), labels, 4),
             "ansatz": format_packed(self.four_p, labels, 4),
             "residual": format_packed(self.gap, labels, 4),
             "squares": [
@@ -473,22 +470,19 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
     starts as -4P and adds 4*Delta, which has two sources.  A pair with a
     reduction chain splits its bases once and builds no Delta dict:
     `add_products` adds the split's `_DELTA` products into the gap with
-    weight +-4.  It does not build Delta_M either, which no check reads, and
-    the report builds `delta_original` when it is read.  Every other pair
-    (closed, product and rank <= 2) has the reduced Delta equal to Delta_M:
-    the gap adds 4 times the packed terms of `delta_original`, which
-    `rayleigh_difference` builds from a split of its own, and certify's
-    split feeds only the identity check.  A `delta_original` that is not
+    weight +-4.  Every other pair (closed, product and rank <= 2) has the
+    reduced Delta equal to Delta_M: the gap adds 4 times the packed terms of
+    `rayleigh_difference`'s Delta_M, built from a split of its own, and
+    certify's split feeds only the identity check.  A Delta_M that is not
     packed over m's labels is an invariant violation.  On every call the
     identity 4*Delta = 4P + (4*Delta - 4P) is then checked in integers
     against the product keys of certify's own basis split, compared as
     sorted multisets (`_check_identity`), which share no kernel with the
     products in the gap: a fault in the weight +-4 accumulation, or in
-    `_products` on the other pairs, shows there.  `delta_original` is the
-    one `Polynomial` on return, and it is still packed, so certify decodes
-    no monomial on any pair.  The report builds its other fields when they
-    are read, and decodes a `Polynomial` only when it renders or evaluates
-    one.
+    `_products` on the other pairs, shows there.  The report keeps only the
+    checked packed terms (4P, the gap and the roots), so certify decodes no
+    monomial; every `Polynomial` of the report is built from them, or from
+    m's bases, when it is read (see `CertificateReport`).
 
     What depends only on m is memoised on m, so a pair pays only for its
     own terms: the share masks (loops, the chain's test), the pair flats
@@ -544,11 +538,9 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
     if chain:
         for s, t, sign in _DELTA:
             add_products(gap, split[s], split[t], 4 * sign)
-        delta_orig = None  # the report builds Delta_M when it is read
     else:
         # Nothing is deleted, so the reduced Delta is Delta_M itself.
-        delta_orig = rayleigh_difference(m, e, f)
-        packed = delta_orig._packed
+        packed = rayleigh_difference(m, e, f)._packed
         if packed is None or packed[1] != m.elements:
             raise RuntimeError(_IDENTITY_VIOLATED)
         get = gap.get
@@ -558,7 +550,7 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
     if mode == "reduced-ansatz" and m.is_simple(chain):
         _check_closed_pair_structure(m, ie, jf, gap, four_p, squares)
     return CertificateReport(
-        (e, f), mode, m._labels(chain) if chain else (), delta_orig, m, four_p, gap,
+        (e, f), mode, m._labels(chain) if chain else (), m, four_p, gap,
         tuple(map(_A_AND_ROOT, squares)),
     )
 

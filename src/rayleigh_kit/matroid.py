@@ -25,11 +25,13 @@ from itertools import combinations, islice, repeat
 from operator import or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
+from . import _reserved_in
+
 
 def _check_element_id(el) -> str:
     if not isinstance(el, str) or not el:
         raise ValueError(f"element id must be a nonempty string, got {el!r}")
-    if any(ch.isspace() or ch in "*^," for ch in el):
+    if _reserved_in(el):
         raise ValueError(f"element id {el!r} contains a reserved character")
     return el
 

@@ -15,7 +15,7 @@ from itertools import combinations, combinations_with_replacement
 from math import gcd
 from typing import Iterable, Iterator, Mapping, Union
 
-from . import GGHH, GGHI, GHIJ
+from . import GGHH, GGHI, GHIJ, _reserved_in
 
 Coeff = Union[int, Fraction]
 
@@ -460,11 +460,14 @@ def format_packed(terms: Mapping[int, int], labels: Iterable[str], den: int = 1)
 
 
 def parse_polynomial(text: str) -> Polynomial:
-    """Inverse of format_polynomial (accepts any term order)."""
+    """Inverse of format_polynomial (accepts any term order); text that it
+    never writes, such as "" or a name no element id may be, is a ValueError."""
     text = text.strip()
     if text == "0":
         return Polynomial.zero()
     tokens = text.split()
+    if not tokens:
+        raise ValueError("empty polynomial text")
     acc: dict[Monomial, Coeff] = {}
     i = 0
     while i < len(tokens):
@@ -486,28 +489,22 @@ def parse_polynomial(text: str) -> Polynomial:
     return Polynomial(acc)
 
 
+def _digits(text: str) -> bool:
+    """ASCII digits only; `int` would also take a sign, `_` or other digits."""
+    return text.isascii() and text.isdigit()
+
+
 def _parse_coeff(token: str) -> Coeff:
-    if not token or token[0] not in "+-":
-        raise ValueError(f"expected signed coefficient, got {token!r}")
-    try:
-        if "/" in token:
-            num, den = token.split("/", 1)
-            return Fraction(int(num), int(den))
-        return int(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad coefficient {token!r}") from exc
+    num, slash, den = token[1:].partition("/")
+    if token[:1] not in ("+", "-") or not _digits(num) or slash and not (
+            _digits(den) and int(den)):
+        raise ValueError(f"expected a signed coefficient, got {token!r}")
+    value = int(token[0] + num)
+    return Fraction(value, int(den)) if slash else value
 
 
 def _parse_var(token: str) -> tuple[str, int]:
-    body = token[2:]
-    if "^" in body:
-        var, _, exp_text = body.rpartition("^")
-        try:
-            exp = int(exp_text)
-        except ValueError as exc:
-            raise ValueError(f"bad exponent in {token!r}") from exc
-    else:
-        var, exp = body, 1
-    if not var or exp < 1:
+    var, caret, exp_text = token[2:].partition("^")
+    if not var or _reserved_in(var) or caret and not (_digits(exp_text) and int(exp_text)):
         raise ValueError(f"bad variable token {token!r}")
-    return var, exp
+    return var, int(exp_text) if caret else 1

@@ -551,8 +551,16 @@ def test_rendered_reports_match_the_pinned_digest(pinned_reports):
     assert digest.hexdigest() == _REPORT_DIGEST
 
 
+def _minor_delta(rep):
+    """Delta of the reduced matroid by the independent route: the minor."""
+    return rayleigh_difference(rep.matroid.delete(rep.reduction_chain), *rep.pair)
+
+
 def test_report_fields_satisfy_the_read_time_identities(pinned_reports):
     for rep in pinned_reports:
+        # A chained pair's delta is decoded from gap + 4P, so the identity
+        # below holds by construction; the minor catches a wrong chain mask.
+        assert rep.delta == _minor_delta(rep), rep.pair
         assert rep.delta == rep.P + rep.residual, rep.pair
         four_p = Polynomial.zero()
         for _, packed in rep.roots:
@@ -566,6 +574,7 @@ def test_report_fields_satisfy_the_read_time_identities(pinned_reports):
 def test_packed_rendering_matches_the_report_fields(pinned_reports):
     for rep in pinned_reports:
         doc = rep.to_json_dict()
+        assert doc["delta"] == format_polynomial(_minor_delta(rep)), rep.pair
         assert doc["ansatz"] == format_polynomial(rep.P), rep.pair
         assert doc["residual"] == format_polynomial(rep.residual), rep.pair
         assert doc["residual_terms"] == len(rep.residual), rep.pair
@@ -639,35 +648,36 @@ def test_identity_check_fires_inside_certify(monkeypatch, corrupt):
             certify(m, e, f)
 
 
-def test_certify_builds_no_minor_until_delta_is_read(monkeypatch):
-    minors = []
-    real_minor = Matroid.minor
+def test_no_report_read_builds_a_matroid(monkeypatch):
+    # A report's Polynomials come from its packed terms, or from the input's
+    # bases for delta_original: neither certify nor any read builds a
+    # Matroid, so no minor M\X either.
+    classes = enumerate_simple_rank3(7).classes
+    built = []
+    real_init = Matroid.__init__
 
-    def counted_minor(self, *args, **kwargs):
-        minors.append(args)
-        return real_minor(self, *args, **kwargs)
+    def counted_init(self, *args):
+        built.append(args)
+        real_init(self, *args)
 
-    monkeypatch.setattr(Matroid, "minor", counted_minor)
-    reports = [certify(m, e, f)
-               for m in enumerate_simple_rank3(7).classes
-               for e, f in combinations(m.elements, 2)]
-    assert minors == []
+    monkeypatch.setattr(Matroid, "__init__", counted_init)
+    reports = [certify(m, e, f) for m in classes for e, f in combinations(m.elements, 2)]
     chained = next(rep for rep in reports if rep.reduction_chain)
     closed = next(rep for rep in reports if not rep.reduction_chain)
     for rep in (chained, closed):
-        rep.P, rep.residual, rep.delta_original
-    closed.delta
-    assert minors == []
-    chained.delta
-    assert len(minors) == 1
+        rep.P, rep.residual, rep.delta, rep.delta_original, repr(rep)
+        rep.text_fields(), rep.to_json_dict()
+    assert built == []
+    classes[0].delete(["1"])  # the counter sees a minor
+    assert len(built) == 1
 
 
 def test_certify_work_per_pair(monkeypatch):
     # Every pair multiplies one split out once.  A pair with a reduction
     # chain splits its bases once, adds that split's two Delta products
-    # straight into the gap with weight +-4 and builds no Delta dict and no
-    # delta_original; every other pair splits them twice: delta_original's
-    # split, whose one `_products` dict the gap is cut from, and certify's
+    # straight into the gap with weight +-4 and builds no Delta dict; every
+    # other pair splits them twice: rayleigh_difference's split, whose one
+    # `_products` dict (Delta_M) the gap is cut from, and certify's
     # own, which feeds only the identity check.  The parallel structure and
     # the packed bases are built once per matroid.
     splits = []
@@ -763,7 +773,7 @@ def _packed_off_by_one(m, e, f):
 
 def test_a_corrupted_delta_original_is_caught(monkeypatch):
     # Without a chain the reduced Delta is Delta_M, and certify cuts the gap
-    # from delta_original's packed terms.  A decoded Polynomial is not packed
+    # from rayleigh_difference's packed terms.  A decoded Polynomial is not packed
     # over m's labels, so it is rejected; a packed one with a coefficient off
     # by one fails the multiset identity against certify's own split.
     real_difference = certificate.rayleigh_difference
@@ -805,11 +815,11 @@ def test_a_chain_free_json_report_builds_no_second_delta(monkeypatch):
 
 
 def test_a_text_certificate_builds_one_delta_per_pair(monkeypatch, capsys):
-    # The text certificate prints delta, ansatz, residual and the squares.
-    # It reads the reduced Delta of a chained pair (one rayleigh_difference
-    # on the reduced matroid) and the delta_original certify built for every
-    # other pair, but no chained pair's Delta_M, which only the JSON report
-    # prints as delta_original.  bowtie7 has 21 pairs, 12 of them chained.
+    # The text certificate prints delta, ansatz, residual and the squares,
+    # all rendered from the packed terms certify checked: its only
+    # rayleigh_difference calls are certify's own, one per chain-free pair.
+    # The JSON report adds delta_original, which it builds only for a
+    # chained pair.  bowtie7 has 21 pairs, 12 of them chained.
     calls = []
     real_difference = certificate.rayleigh_difference
 
@@ -824,10 +834,10 @@ def test_a_text_certificate_builds_one_delta_per_pair(monkeypatch, capsys):
     calls.clear()
     assert main(["certificate", "bowtie7", "--format", "text"]) == 0
     text = capsys.readouterr().out
-    assert len(calls) == 21
+    assert len(calls) == 9
     calls.clear()
     docs = [rep.to_json_dict() for rep in reports]
-    assert len(calls) == 33 - 9  # certify's own 9 calls are not repeated
+    assert len(calls) == 12
     for rep, doc in zip(reports, docs):
         fields = rep.text_fields()
         assert fields == {key: doc[key] for key in fields}, rep.pair
@@ -909,8 +919,6 @@ def test_reports_survive_copy_and_pickle():
     assert any(rep.reduction_chain for rep in reports)
     for rep in reports:
         for twin in (copy.deepcopy(rep), pickle.loads(pickle.dumps(rep))):
-            if rep.delta_input is not None:  # a packed Polynomial stays packed
-                assert twin.delta_input._packed == rep.delta_input._packed
             assert twin.matroid == rep.matroid
             assert twin.to_json_dict() == rep.to_json_dict()
 
@@ -1022,7 +1030,9 @@ def test_shape_supports_follow_the_exponent_table(family):
             _explicit_supports(others, family)), k
 
 
-def test_report_delta_reduces_through_lemma33(monkeypatch):
+def test_report_delta_calls_no_lemma33_reduce(monkeypatch):
+    # A chained pair's delta is decoded from gap + 4P; it still equals
+    # Delta of the reduced matroid that lemma33_reduce would build.
     calls = []
     real_reduce = certificate.lemma33_reduce
 
@@ -1033,10 +1043,11 @@ def test_report_delta_reduces_through_lemma33(monkeypatch):
     monkeypatch.setattr(certificate, "lemma33_reduce", counted_reduce)
     m = named("fig1.I")
     chained, closed = certify(m, "2", "3"), certify(m, "1", "2")
-    assert calls == [] and closed.reduction_chain == ()
+    assert chained.reduction_chain == ("4",) and closed.reduction_chain == ()
     assert chained.delta == rayleigh_difference(m.delete(["4"]), "2", "3")
     assert closed.delta == closed.delta_original
-    assert calls == [("2", "3"), ("1", "2")]
+    chained.to_json_dict(), closed.to_json_dict()
+    assert calls == []
 
 
 def test_table_mismatch_fails_the_tables_command(monkeypatch, capsys):

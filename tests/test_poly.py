@@ -101,6 +101,17 @@ def test_parse_round_trip_golden():
     assert parse_polynomial("0").is_zero
 
 
+@pytest.mark.parametrize("text", [
+    "", "   ",  # no term at all
+    "+1 * y_a^2^3", "+1 * y_a,b", "+1 * y_a*b",  # reserved characters in a name
+    "+1 * y_a^+2", "+1_000", "+1/0", "+٣", "+1 * y_a^٢",  # what only int() reads
+    "1", "+1 * y_a^", "+1 * y_^2", "+1 * y_a^0", "+1 *",
+])
+def test_parse_rejects_text_that_format_never_writes(text):
+    with pytest.raises(ValueError):
+        parse_polynomial(text)
+
+
 @st.composite
 def polynomials(draw):
     names = ["1", "2", "3", "a"]
