@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 from .matroid import (
     Matroid,
+    _from_line_masks,
     _pair_bits,
     canonical_form,
     from_geometry,
@@ -131,13 +132,6 @@ def _candidate_lines(n: int) -> list[int]:
     ]
 
 
-def _space_matroid(masks: tuple[int, ...], n: int) -> Matroid:
-    points = _points(n)
-    return from_geometry(
-        points, ([points[i] for i in range(n) if mask >> i & 1] for mask in masks)
-    )
-
-
 @lru_cache(maxsize=None)
 def enumerate_simple_rank3(n: int) -> EnumerationResult:
     """All isomorphism classes of simple rank-3 matroids on n points, 3 <= n <= 10.
@@ -181,6 +175,7 @@ def enumerate_simple_rank3(n: int) -> EnumerationResult:
 
     extend((), 0, 0)
     found.sort(key=lambda masks: (len(masks), masks))
-    classes = tuple(_space_matroid(masks, n) for masks in found)
+    points = _points(n)
+    classes = tuple(_from_line_masks(points, masks) for masks in found)
     return EnumerationResult(n, classes, len(classes))
 

@@ -23,7 +23,7 @@ from collections import Counter
 from functools import lru_cache, reduce
 from itertools import combinations, islice, repeat
 from operator import or_
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import _reserved_in
 
@@ -521,10 +521,13 @@ def _pair_bits(mask: int, n: int) -> int:
 def from_geometry(points: Iterable[str], lines: Iterable[Iterable[str]]) -> Matroid:
     """The rank-3 matroid on `points` whose bases are the non-collinear triples.
 
-    The lines must make a linear space: each has >= 3 known points, and two
-    distinct points lie on at most one common line.  Violations are reported
-    in a fixed order (duplicate points, then each line in sorted order, then
-    each pair of lines), at most three of them.
+    This is the one check of a point-line geometry from outside (a file, the
+    catalog table): the lines must make a linear space, in which each line
+    has >= 3 known points and two distinct points lie on at most one common
+    line.  Violations are reported in a fixed order (duplicate points, then
+    each line in sorted order, then each pair of lines), at most three of
+    them.  The census builds its classes from line masks it found itself,
+    which already make a linear space, with `_from_line_masks`.
     """
     points = tuple(_check_element_id(p) for p in points)
     if len(points) > 64:
@@ -535,6 +538,9 @@ def from_geometry(points: Iterable[str], lines: Iterable[Iterable[str]]) -> Matr
     for line, copies in Counter(map(tuple, lines)).items():
         counts[tuple(sorted(set(line)))] += copies
     runs = sorted(counts.items())
+    # each line's mask over its known points
+    bit = {p: 1 << i for i, p in enumerate(points)}
+    masks = [sum(map(bit.get, line, repeat(0))) for line, _ in runs]
 
     def problems():
         known = set(points)
@@ -554,11 +560,7 @@ def from_geometry(points: Iterable[str], lines: Iterable[Iterable[str]]) -> Matr
         # Past this point at most two lines use unknown points (three would
         # have made three problems).  Two lines share two points when the
         # pair bits of their known points meet, or, for those two, directly.
-        bit = {p: 1 << i for i, p in enumerate(points)}
-        pairs = [
-            _pair_bits(sum(map(bit.get, line, repeat(0))), len(points))
-            for line, _ in runs
-        ]
+        pairs = [_pair_bits(mask, len(points)) for mask in masks]
 
         def clash(u: int, v: int) -> bool:
             if u in strays and v in strays:
@@ -593,19 +595,25 @@ def from_geometry(points: Iterable[str], lines: Iterable[Iterable[str]]) -> Matr
         raise ValueError("not a linear space: " + "; ".join(first))
     if len(points) < 3:
         raise ValueError("rank < 3: fewer than three points")
-    index = {p: i for i, p in enumerate(points)}
-    collinear = {
-        1 << a | 1 << b | 1 << c
-        for line, _ in runs
-        for a, b, c in combinations(sorted(index[p] for p in line), 3)
-    }
-    triples = (1 << a | 1 << b | 1 << c for a, b, c in combinations(range(len(points)), 3))
-    masks = [tri for tri in triples if tri not in collinear]
     # With every pair of points on at most one line, all triples are
     # collinear exactly when one line holds every point.
-    if not masks:
+    if any(len(line) == len(points) for line, _ in runs):
         raise ValueError("rank < 3: all points collinear")
-    return Matroid(points, 3, masks)
+    return _from_line_masks(points, masks)
+
+
+def _from_line_masks(points: Sequence[str], lines: Iterable[int]) -> Matroid:
+    """The rank-3 matroid on `points` whose bases are the triples that no line
+    holds, each line a bitmask over the positions of `points`.  The lines are
+    not checked: they must make a linear space on >= 3 points with no line
+    through all of them, as `from_geometry` ensures."""
+    collinear = {
+        1 << a | 1 << b | 1 << c
+        for line in lines
+        for a, b, c in combinations([i for i in range(len(points)) if line >> i & 1], 3)
+    }
+    triples = (1 << a | 1 << b | 1 << c for a, b, c in combinations(range(len(points)), 3))
+    return Matroid(points, 3, [tri for tri in triples if tri not in collinear])
 
 
 def line_masks(m: Matroid) -> tuple[int, ...]:

@@ -407,8 +407,7 @@ def pack_shape(kind: str, positions: Iterable[int]) -> int:
 
 def shape_text(kind: str) -> str:
     """A shape written over the variables g, h, i, j: `y_g^2 y_h y_i`."""
-    exps = zip("ghij", _SHAPE_EXPONENTS[kind])
-    return " ".join(f"y_{var}^{exp}" if exp > 1 else f"y_{var}" for var, exp in exps)
+    return _monomial_text(tuple(zip("ghij", _SHAPE_EXPONENTS[kind])))[1].removeprefix(" * ")
 
 
 # ---------------------------------------------------------------------------
@@ -460,51 +459,41 @@ def format_packed(terms: Mapping[int, int], labels: Iterable[str], den: int = 1)
 
 
 def parse_polynomial(text: str) -> Polynomial:
-    """Inverse of format_polynomial (accepts any term order); text that it
-    never writes, such as "" or a name no element id may be, is a ValueError."""
-    text = text.strip()
-    if text == "0":
-        return Polynomial.zero()
-    tokens = text.split()
-    if not tokens:
-        raise ValueError("empty polynomial text")
+    """Inverse of `format_polynomial`: accepts exactly the texts it writes,
+    with the terms in any order, and raises ValueError on anything else.  A
+    parse is kept only if formatting it writes back the same term strings,
+    and only if each variable name is one an element id may be."""
+    terms = _text_terms(text)
     acc: dict[Monomial, Coeff] = {}
-    i = 0
-    while i < len(tokens):
-        coeff = _parse_coeff(tokens[i])
-        i += 1
-        exponents: dict[str, int] = {}
-        if i < len(tokens) and tokens[i] == "*":
-            i += 1
-            saw_var = False
-            while i < len(tokens) and tokens[i].startswith("y_"):
-                var, exp = _parse_var(tokens[i])
-                exponents[var] = exponents.get(var, 0) + exp
-                saw_var = True
-                i += 1
-            if not saw_var:
-                raise ValueError("expected variables after '*'")
+    for coeff, *factors in terms:
+        exponents = {}
+        for token in factors:
+            if token != "*":
+                var, caret, exp = token[2:].partition("^")
+                if not var or _reserved_in(var):
+                    raise ValueError(f"bad variable token {token!r}")
+                exponents[var] = int(exp) if caret else 1
         mono = _mono_from_exponents(exponents)
-        acc[mono] = acc.get(mono, 0) + coeff
-    return Polynomial(acc)
+        # int, not Fraction's own parser, which would expand `+1e999999999`
+        num, slash, den = coeff.partition("/")
+        try:
+            acc[mono] = acc.get(mono, 0) + Fraction(int(num), int(den) if slash else 1)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {coeff!r}") from exc
+    p = Polynomial(acc)
+    written = _text_terms(format_polynomial(p))
+    if sorted(map(" ".join, terms)) != sorted(map(" ".join, written)):
+        raise ValueError(f"not a text that format_polynomial writes: {text!r}")
+    return p
 
 
-def _digits(text: str) -> bool:
-    """ASCII digits only; `int` would also take a sign, `_` or other digits."""
-    return text.isascii() and text.isdigit()
-
-
-def _parse_coeff(token: str) -> Coeff:
-    num, slash, den = token[1:].partition("/")
-    if token[:1] not in ("+", "-") or not _digits(num) or slash and not (
-            _digits(den) and int(den)):
-        raise ValueError(f"expected a signed coefficient, got {token!r}")
-    value = int(token[0] + num)
-    return Fraction(value, int(den)) if slash else value
-
-
-def _parse_var(token: str) -> tuple[str, int]:
-    var, caret, exp_text = token[2:].partition("^")
-    if not var or _reserved_in(var) or caret and not (_digits(exp_text) and int(exp_text)):
-        raise ValueError(f"bad variable token {token!r}")
-    return var, int(exp_text) if caret else 1
+def _text_terms(text: str) -> list[list[str]]:
+    """The tokens of text between single spaces, grouped into terms: each
+    token starts a term except `*` and a `y_` token after a `*`."""
+    terms: list[list[str]] = []
+    for token in text.split(" "):
+        if terms and (token == "*" or token.startswith("y_") and "*" in terms[-1]):
+            terms[-1].append(token)
+        else:
+            terms.append([token])
+    return terms

@@ -10,7 +10,6 @@ from rayleigh_kit.catalog import (
     EnumerationResult,
     _candidate_lines,
     _is_canonical,
-    _space_matroid,
     catalog_names,
     enumerate_simple_rank3,
     instance,
@@ -21,6 +20,7 @@ from rayleigh_kit.matroid import (
     Matroid,
     _pair_bits,
     canonical_form,
+    from_geometry,
     line_masks,
     lines_of,
 )
@@ -50,7 +50,13 @@ def naive_enumerate_simple_rank3(n):
 
     extend((), 0)
     ordered = sorted(seen, key=lambda masks: (len(masks), masks))
-    classes = tuple(_space_matroid(masks, n) for masks in ordered)
+    # through the validated route, which the census's own builder skips
+    points = [str(i) for i in range(1, n + 1)]
+
+    def lines(masks):
+        return [[p for i, p in enumerate(points) if mask >> i & 1] for mask in masks]
+
+    classes = tuple(from_geometry(points, lines(masks)) for masks in ordered)
     return EnumerationResult(n, classes, len(classes))
 
 

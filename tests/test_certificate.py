@@ -583,6 +583,9 @@ def test_packed_rendering_matches_the_report_fields(pinned_reports):
             [labels[a], format_polynomial(from_packed(root, labels))]
             for a, root in rep.roots
         ], rep.pair
+        rendered = [doc[key] for key in ("delta", "ansatz", "residual", "delta_original")]
+        for text in rendered + [root for _, root in doc["squares"]]:
+            assert format_polynomial(parse_polynomial(text)) == text, rep.pair
 
 
 def test_derived_views_follow_the_fields(pinned_reports):

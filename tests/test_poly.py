@@ -106,6 +106,9 @@ def test_parse_round_trip_golden():
     "+1 * y_a^2^3", "+1 * y_a,b", "+1 * y_a*b",  # reserved characters in a name
     "+1 * y_a^+2", "+1_000", "+1/0", "+٣", "+1 * y_a^٢",  # what only int() reads
     "1", "+1 * y_a^", "+1 * y_^2", "+1 * y_a^0", "+1 *",
+    "+2/4", "+01 * y_a", "+1 * y_a^01", "+1 * y_a^1", "-0",  # not as format writes it
+    "+1 * y_a y_a", "+1 +1",  # a repeated variable or monomial
+    "+1 * y_b y_a", "+1  *  y_a", " +1 * y_a ", "+1 * y_a^2 -0 * y_b", "+1e3",
 ])
 def test_parse_rejects_text_that_format_never_writes(text):
     with pytest.raises(ValueError):
