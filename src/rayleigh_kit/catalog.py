@@ -9,6 +9,10 @@ if that tuple is lexicographically minimal over all relabelings of the points.
 Minimality of a set implies minimality of every prefix, so the search may grow
 sets one line at a time, appending only lines larger than the current maximum,
 and prune as soon as a prefix is non-canonical.
+
+That test is the package's one canonical-form engine, `canonical_form` (with
+its twin test `transposition_twins`), which lives here beside the census;
+the coefficient tables (`tables`) pin their restrictions with it too.
 """
 
 from __future__ import annotations
@@ -16,16 +20,9 @@ from __future__ import annotations
 import itertools
 import re
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
-from .matroid import (
-    Matroid,
-    _from_line_masks,
-    _pair_bits,
-    canonical_form,
-    from_geometry,
-    transposition_twins,
-)
+from .matroid import Matroid, _from_line_masks, _pair_bits, from_geometry
 
 
 class NamedInstance(NamedTuple):
@@ -112,6 +109,205 @@ def instance(name: str) -> NamedInstance:
 def named(name: str) -> Matroid:
     """The matroid of a named instance (``fig2.III``, ``K4``, ``U_2_5``, ...)."""
     return instance(name).matroid
+
+
+# ---------------------------------------------------------------------------
+# Canonical forms.
+
+
+def transposition_twins(
+    family: frozenset[int], n: int, cell_of: Optional[list[int]] = None
+) -> list[int]:
+    """``twins[p]``: the points q of p's cell whose transposition with p maps
+    the family of bitmasks onto itself.
+
+    ``cell_of[p]`` is the bitmask of the cell holding point p (default: one
+    cell of all n points).  The relation is symmetric, and a point is never
+    its own twin.
+    """
+    if cell_of is None:
+        cell_of = [(1 << n) - 1] * n
+    degree = [0] * n  # an automorphism keeps each point's degree
+    for m in family:
+        while m:
+            low = m & -m
+            degree[low.bit_length() - 1] += 1
+            m ^= low
+    twins = [0] * n
+    for p in range(n):
+        later = cell_of[p] >> p + 1 << p + 1  # the points after p in its cell
+        while later:
+            low = later & -later
+            later ^= low
+            q = low.bit_length() - 1
+            swap = 1 << p | low
+            if degree[q] == degree[p] and all(
+                (m ^ swap) in family for m in family if (m & swap) not in (0, swap)
+            ):
+                twins[p] |= low
+                twins[q] |= 1 << p
+    return twins
+
+
+def canonical_form(
+    masks: Iterable[int],
+    n: int,
+    cells: Optional[Iterable[Iterable[int]]] = None,
+    *,
+    beat: Optional[tuple[int, ...]] = None,
+) -> Optional[tuple[int, ...]]:
+    """Lex-minimal image of a family of bitmasks over relabellings of range(n).
+
+    A relabelling sends each point to a position; the image of the family is
+    the ascending tuple of its relabelled masks.  `cells` is an ordered
+    partition of range(n) (default: one cell): the points of the first cell
+    take the first positions, those of the second the next ones, and so on.
+    Returns the minimal image, the form.  For a family of at most one mask
+    it is read off without a search: in each cell the mask's points take the
+    cell's lowest positions (cells fill disjoint ranges of positions, so no
+    other choice gives a smaller integer).
+
+    With `beat`, an ascending image of the same family (for instance the
+    family itself), the search stops at the first relabelling whose image is
+    lex-smaller than `beat` and returns that image, or returns None if there
+    is none.
+
+    Positions are filled in order.  A mask's image is fixed once its last
+    point is placed at position j, and then lies in [2^j, 2^(j+1)), so the
+    sorted image only ever grows by appending.  Each non-empty mask keeps
+    ``part``, the image of its placed points, and ``left``, the number of its
+    unplaced points; both are updated as a point is placed and undone on
+    backtrack.  A branch is cut when its prefix exceeds the best image, or
+    ties with it while the best image's next entry is below 2^(j+1); of two
+    unplaced points whose transposition maps the family onto itself only one
+    is tried at each position.
+
+    A look-ahead filter saves work at a node whose prefix ties with the best
+    image.  Let t be the best image's next entry.  The next entry of a
+    branch's image is the least final image of an unfinished mask, so the
+    branch can tie or win only if some unfinished mask ends at most t; and a
+    mask whose last point goes to position k ends at least at 2^k.  With
+    point p at position j, the least image of an unfinished mask m is
+    ``part | bits j..j+left-1`` if m holds p, and ``part | bits j+1..j+left``
+    if not.  So if the second bound is at most t for some m, every free point
+    passes; otherwise only the points of the masks whose first bound is at
+    most t do.  With t's last bit at position k and r = k - j + 1, a mask
+    with ``left > r`` meets neither bound; one with ``left == r`` meets only
+    the first, if ``part | bits j..k <= t``; one with ``left == r - 1``
+    meets the first, and the second if ``part | bits j+1..k <= t``; and one
+    with ``left < r - 1`` meets both.  Each dropped point starts a branch
+    that can only lose.  The
+    filter is set at node entry and stays safe, as the best image only
+    decreases.  The swap of two free twins maps the masks holding one onto
+    those holding the other, with the same ``part`` and ``left``, so twins
+    pass or fail together, and the points left are tried in the same order.
+    So the form and the `beat` result are those of the search without the
+    filter.
+    """
+    family = frozenset(masks)
+    size = len(family)
+    cells = [range(n)] if cells is None else [list(c) for c in cells]
+    if sorted(p for cell in cells for p in cell) != list(range(n)):
+        raise ValueError("cells must partition range(n)")
+    if beat is None and size <= 1:
+        # At most one mask: its points take the lowest positions of each
+        # cell, which gives the least image; the empty mask stays 0.
+        form = start = 0
+        for mask in family:
+            for cell in cells:
+                count = sum(mask >> p & 1 for p in cell)
+                form |= ((1 << count) - 1) << start
+                start += len(cell)
+        return (form,) if family else ()
+    slots: list[int] = []  # slots[j]: bitmask of the points allowed at position j
+    cell_of = [0] * n
+    for cell in cells:
+        cell_mask = sum(1 << p for p in cell)
+        for p in cell:
+            cell_of[p] = cell_mask
+        slots += [cell_mask] * len(cell)
+    members = [m for m in family if m]
+    # containing[p]: the indices i of the members that hold point p
+    containing: list[list[int]] = [[] for _ in range(n)]
+    for i, m in enumerate(members):
+        while m:
+            low = m & -m
+            containing[low.bit_length() - 1].append(i)
+            m ^= low
+    part = [0] * len(members)  # part[i]: the image of members[i]'s placed points
+    left = [m.bit_count() for m in members]  # left[i]: its unplaced points
+    twins = transposition_twins(family, n, cell_of)
+
+    prefix = [0] if 0 in family else []
+    initial = best = None if beat is None else list(beat)
+
+    def search(j: int, placed: int, tied: bool) -> bool:
+        """Extend the placement from position j; True means stop."""
+        nonlocal best
+        if j == n:
+            if tied:
+                return False
+            best = prefix[:]
+            return beat is not None
+        start = len(prefix)
+        bit = 1 << j
+        tried = 0
+        free = slots[j] & ~placed
+        if tied:
+            # Keep only points after which some unfinished mask can still
+            # end at most t, the best image's next entry (see above).
+            t = best[start] if start < size else 0
+            reach = (t >> j).bit_length()  # k - j + 1, t's last bit at k
+            last = ((1 << reach) - 1) << j  # bits j..k
+            keep = 0
+            for m, have, need in zip(members, part, left):
+                if need == reach:
+                    if have | last <= t:  # with p at j
+                        keep |= m
+                elif need and need < reach:  # with p at j, below 2^k
+                    if need < reach - 1 or have | last ^ bit <= t:
+                        break  # and without p: every point passes
+                    keep |= m
+            else:
+                free &= keep
+        while free:
+            low = free & -free
+            free ^= low
+            p = low.bit_length() - 1
+            if twins[p] & tried:
+                continue
+            tried |= low
+            mine = containing[p]
+            seg = [part[i] | bit for i in mine if left[i] == 1]
+            seg.sort()
+            end = start + len(seg)
+            child_tied = False
+            if tied:
+                target = best[start:end]
+                if seg > target:
+                    continue
+                if seg == target:
+                    if end == size or best[end] < 2 << j:
+                        continue
+                    child_tied = True
+            for i in mine:
+                part[i] |= bit
+                left[i] -= 1
+            prefix.extend(seg)
+            before = best
+            if search(j + 1, placed | low, child_tied):
+                return True
+            del prefix[start:]
+            # A new best found below extends this node's prefix.
+            if best is not before:
+                tied = True
+            for i in mine:
+                part[i] ^= bit
+                left[i] += 1
+        return False
+
+    search(0, 0, beat is not None)
+    return None if best is initial else tuple(best)
 
 
 # ---------------------------------------------------------------------------

@@ -28,19 +28,19 @@ coefficientwise nonnegative outright.
 classifies every degree-4 monomial of Delta and P over all small catalog
 matroids by the isomorphism type of the restriction to the monomial's support
 plus {e,f}, and compares the observed coefficients against an embedded table
-of expected values per type.
+of expected values per type.  That code lives in `tables`, which only this
+entry point imports, when it is called.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import reduce
 from operator import countOf, itemgetter, or_
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from . import GGHH, GGHI, GHIJ, REPORT_SCHEMA
-from .matroid import Matroid, canonical_form, line_masks
+from . import REPORT_SCHEMA
+from .matroid import Matroid
 from .poly import (
     PACKED_BITS,
     Polynomial,
@@ -51,7 +51,6 @@ from .poly import (
     format_polynomial,
     from_packed,
     pack_mask,
-    pack_shape,
     packed_shapes,
     shape_text,
 )
@@ -59,12 +58,14 @@ from .rayleigh import (
     _DELTA,
     _pair_positions,
     _product_keys,
-    _products,
     _split,
     _triple_positions,
     closed_pair_filter,
     rayleigh_difference,
 )
+
+if TYPE_CHECKING:
+    from .tables import TableReport
 
 
 # ---------------------------------------------------------------------------
@@ -557,282 +558,16 @@ def certify(m: Matroid, e: str, f: str) -> CertificateReport:
 
 # ---------------------------------------------------------------------------
 # Coefficient tables.
-#
-# For a simple matroid with {e,f} closed, the coefficient of a degree-4
-# monomial in Delta{e,f} (and each of its two product terms) depends only on
-# the isomorphism type of the restriction to {e,f} plus the monomial's
-# support, with {e,f} marked setwise and, for the y_g^2*y_h*y_i shape, g
-# marked as well.  The rows below enumerate all types that occur, keyed by
-# the named 4/5/6-point instances; `positive` is the coefficient in
-# M_e^f*M_f^e, `negative` the one in M_{ef}*M^{ef}.  The Ansatz coefficient
-# additionally depends on the ambient matroid (extra points can contribute
-# C(a)^2*D(a)^2 terms), so each row carries the full set of attainable
-# values, tagged by a case note.
-
-_F = Fraction
-
-
-class TableRow(NamedTuple):
-    """One expected row; its family is its key in `_TABLE_ROWS`."""
-
-    instance: str
-    pair: tuple[str, str]
-    g: Optional[str]
-    positive: int
-    negative: int
-    p_allowed: tuple[Fraction, ...]
-    note: str
-
-    @property
-    def label(self) -> str:
-        roman = self.instance.rsplit(".", 1)[-1]
-        e, f = self.pair
-        return f"{roman}{{{e},{f}}}" + (f",{self.g}" if self.g is not None else "")
-
-    @property
-    def delta(self) -> int:
-        return self.positive - self.negative
-
-
-_TABLE_ROWS = {
-    GGHH: (
-        TableRow("fig1.I", ("1", "2"), None, 0, 0, (_F(0),), ""),
-        TableRow("fig1.II", ("1", "2"), None, 1, 0, (_F(1, 2), _F(3, 4), _F(1)), "A"),
-    ),
-    GGHI: (
-        TableRow("fig2.I", ("1", "2"), "3", 0, 0, (_F(0),), ""),
-        TableRow("fig2.II", ("1", "2"), "3", 1, 1, (_F(0),), ""),
-        TableRow("fig2.II", ("1", "2"), "5", 1, 1, (_F(0),), ""),
-        TableRow("fig2.III", ("1", "2"), "3", 2, 0, (_F(1, 2),), "B"),
-        TableRow("fig2.III", ("1", "3"), "2", 2, 1, (_F(1, 2), _F(1)), "C"),
-        TableRow("fig2.III", ("1", "3"), "4", 1, 1, (_F(0),), ""),
-        TableRow("fig2.IV", ("1", "2"), "3", 2, 1, (_F(1, 2),), "B"),
-    ),
-    GHIJ: (
-        TableRow("fig3.I", ("1", "2"), None, 0, 0, (_F(0),), ""),
-        TableRow("fig3.II", ("1", "2"), None, 3, 3, (_F(0),), ""),
-        TableRow("fig3.III", ("1", "2"), None, 6, 0, (_F(0),), ""),
-        TableRow("fig3.III", ("1", "3"), None, 3, 3, (_F(0),), ""),
-        TableRow("fig3.IV", ("1", "2"), None, 2, 4, (_F(-2),), "D"),
-        TableRow("fig3.V", ("1", "4"), None, 3, 4, (_F(-1),), "E"),
-        TableRow("fig3.V", ("4", "5"), None, 4, 3, (_F(-1, 2),), "F"),
-        TableRow("fig3.VI", ("1", "2"), None, 4, 4, (_F(-1, 2),), "G"),
-        TableRow("fig3.VI", ("1", "3"), None, 5, 3, (_F(0),), ""),
-        TableRow("fig3.VI", ("3", "6"), None, 4, 4, (_F(0),), ""),
-        TableRow("fig3.VII", ("1", "2"), None, 5, 4, (_F(0), _F(1)), "H"),
-        TableRow("fig3.VIII", ("1", "2"), None, 6, 3, (_F(0),), ""),
-        TableRow("fig3.VIII", ("1", "4"), None, 5, 4, (_F(0),), ""),
-        TableRow("fig3.IX", ("1", "2"), None, 6, 4, (_F(0),), ""),
-    ),
-}
-
-
-class RowReport(NamedTuple):
-    """One table row's results: its monomial's coefficients in M_e^f*M_f^e,
-    M_{ef}*M^{ef} and P on its own instance, and the scanned monomials
-    classified to it, counted, with the Ansatz coefficients observed."""
-
-    row: TableRow
-    positive: int
-    negative: int
-    p_value: Fraction
-    occurrences: int
-    p_observed: tuple[Fraction, ...]
-
-    @property
-    def delta(self) -> int:
-        return self.positive - self.negative
-
-    @property
-    def ok(self) -> bool:
-        """The row's own instance gives the row's values."""
-        row = self.row
-        return (self.positive, self.negative) == (
-            row.positive, row.negative) and self.p_value in row.p_allowed
-
-
-class TableReport(NamedTuple):
-    family: str
-    rows: tuple[RowReport, ...]
-    unmatched: tuple[str, ...]
-    mismatches: tuple[str, ...]
-    uncovered: tuple[str, ...]
-
-    @property
-    def scan_occurrences(self) -> int:
-        """Every scanned monomial: those classified to a row, then the rest."""
-        return sum(r.occurrences for r in self.rows) + len(self.unmatched)
-
-    @property
-    def all_match(self) -> bool:
-        return all(r.ok for r in self.rows) and not (
-            self.unmatched or self.mismatches or self.uncovered)
-
-
-def _pinned_key(
-    lines: tuple[int, ...], n: int, e: int, f: int, support: tuple[int, ...],
-    family: str,
-) -> tuple[int, ...]:
-    """Canonical form of the restriction of a simple rank-3 matroid on n
-    points with these line masks to {e,f} plus a monomial's support, with
-    {e,f} pinned setwise and the support's positions pinned by exponent:
-    for the GGHI shape, g = support[0] pointwise.  All of them are positions.
-
-    Minimal sorted line-mask tuple over all relabelings sending {e,f} to
-    positions {0,1} and g to position 2.  The restriction's lines are the
-    lines that keep at least 3 of their points, cut down to the kept set;
-    the other positions lie on none of them and take the last cell, so the
-    form is the one the restriction itself would give.
-    """
-    exps = _SHAPE_EXPONENTS[family]
-    cells = [[e, f]] + [
-        [i for i, x in zip(support, exps) if x == exp] for exp in (2, 1) if exp in exps
-    ]
-    keep = sum(1 << i for i in support) | 1 << e | 1 << f
-    cells.append([i for i in range(n) if not keep >> i & 1])
-    masks = [line & keep for line in lines if (line & keep).bit_count() >= 3]
-    return canonical_form(masks, n, cells)
-
-
-def _pair_terms(m: Matroid, e: int, f: int) -> tuple[dict[int, int], ...]:
-    """(M_e^f * M_f^e, -M_{ef} * M^{ef}, 4P) as packed terms, for the pair
-    at positions e, f: each product of the `_DELTA` table on its own, read
-    off the pair's `_split`, then 4P."""
-    split = _split(m, (e, f))
-    return (
-        *(_products(split, (product,)) for product in _DELTA),
-        _four_p_terms(_squares(m, e, f)),
-    )
-
-
-def _coefficients(terms: tuple[dict[int, int], ...], key: int) -> tuple[int, int, Fraction]:
-    """The coefficients of the packed monomial `key` in M_e^f * M_f^e, in
-    M_{ef} * M^{ef} and in P, from the terms of `_pair_terms`."""
-    positive, negative, four_p = terms
-    return positive.get(key, 0), -negative.get(key, 0), Fraction(four_p.get(key, 0), 4)
-
-
-def _shape_supports(others: list[int], family: str):
-    """All supports of the family's shape over these positions, each listed
-    as `pack_shape` takes it: the squared positions in combination order,
-    then each combination of the rest."""
-    squared = _SHAPE_EXPONENTS[family].count(2)
-    linear = len(_SHAPE_EXPONENTS[family]) - squared
-    for sq in itertools.combinations(others, squared):
-        for lin in itertools.combinations([x for x in others if x not in sq], linear):
-            yield sq + lin
-
-
-def _where(pair: str, m: Matroid, support: tuple[int, ...], family: str) -> str:
-    """How a problem line names a scanned monomial: built only for problems."""
-    labels = [m.elements[i] for i in support]
-    return f"{pair} monomial {dict(sorted(zip(labels, _SHAPE_EXPONENTS[family])))}"
-
-
-def _scan_matroids() -> list[tuple[str, Matroid]]:
-    from .catalog import enumerate_simple_rank3, named
-
-    out = []
-    for n in (4, 5, 6):
-        for idx, cls in enumerate(enumerate_simple_rank3(n).classes):
-            out.append((f"n={n} class {idx}", cls))
-    out.append(("bowtie7", named("bowtie7")))
-    return out
 
 
 def table_coefficients(shape_family: str) -> TableReport:
-    """Verify one coefficient table (GGHH, GGHI or GHIJ).
+    """Verify one coefficient table (GGHH, GGHI or GHIJ): the rows on their
+    own instances, then the scan of every closed pair of the small catalog
+    (see `tables.table_report`).
 
-    Two passes.  Row fidelity: on each row's own named instance, the
-    coefficients of the designated monomial in M_e^f*M_f^e, M_{ef}*M^{ef} and
-    the Ansatz must match the embedded values.  Catalog scan: every monomial
-    of the family's shape, over every closed pair of every simple rank-3
-    matroid on <= 6 points (plus the 7-point witness `bowtie7`), must
-    classify — via the canonical form of the restriction with the pair and g
-    pinned — to exactly one row, with the observed Delta coefficients equal to
-    the row's and the observed Ansatz coefficient within the row's allowed
-    set.  Coverage requires every row to be hit and every allowed Ansatz
-    value to be observed somewhere.
+    The table code lives in `tables`, imported here on call, so the other
+    commands never compile it.
     """
-    from .catalog import named
+    from .tables import table_report
 
-    if shape_family not in _TABLE_ROWS:
-        raise ValueError(f"unknown shape family {shape_family!r}")
-    rows = _TABLE_ROWS[shape_family]
-
-    own: dict[str, tuple[int, int, Fraction]] = {}  # label -> on its own instance
-    rows_by_key: dict[tuple, TableRow] = {}
-    for row in rows:
-        inst = named(row.instance)
-        index = inst._index
-        others = [x for x in inst.elements if x not in row.pair]
-        support = sorted(others, key=lambda x: x != row.g)  # a squared g first
-        positions = tuple(index[x] for x in support)
-        e, f = index[row.pair[0]], index[row.pair[1]]
-        own[row.label] = _coefficients(
-            _pair_terms(inst, e, f), pack_shape(shape_family, positions)
-        )
-        key = _pinned_key(line_masks(inst), inst.n, e, f, positions, shape_family)
-        if key in rows_by_key:
-            raise RuntimeError(f"ambiguous table rows: {rows_by_key[key].label} "
-                               f"and {row.label} share a canonical form")
-        rows_by_key[key] = row
-
-    usage = {row.label: 0 for row in rows}
-    observed: dict[str, set[Fraction]] = {row.label: set() for row in rows}
-    unmatched: list[str] = []
-    mismatches: list[str] = []
-    for mname, m in _scan_matroids():
-        lines = line_masks(m)
-        for ie, jf in itertools.combinations(range(m.n), 2):
-            ef = 1 << ie | 1 << jf
-            if m.closure_mask(ef) != ef:
-                continue  # {e,f} is not closed: it spans a line
-            pair = f"{mname} pair {{{m.elements[ie]},{m.elements[jf]}}}"
-            terms = _pair_terms(m, ie, jf)
-            others = [i for i in range(m.n) if i not in (ie, jf)]
-            for support in _shape_supports(others, shape_family):
-                row = rows_by_key.get(
-                    _pinned_key(lines, m.n, ie, jf, support, shape_family)
-                )
-                if row is None:
-                    unmatched.append(_where(pair, m, support, shape_family))
-                    continue
-                usage[row.label] += 1
-                cpos, cneg, pval = _coefficients(
-                    terms, pack_shape(shape_family, support)
-                )
-                observed[row.label].add(pval)
-                if (cpos, cneg) != (row.positive, row.negative):
-                    mismatches.append(
-                        f"{_where(pair, m, support, shape_family)}: expected "
-                        f"{row.label} {row.positive}-{row.negative}, got {cpos}-{cneg}"
-                    )
-                if pval not in row.p_allowed:
-                    mismatches.append(
-                        f"{_where(pair, m, support, shape_family)}: ansatz "
-                        f"coefficient {pval} not in "
-                        f"{[str(v) for v in row.p_allowed]} for {row.label}"
-                    )
-
-    uncovered: list[str] = []
-    for row in rows:
-        if usage[row.label] == 0:
-            uncovered.append(f"row {row.label} never occurred in the scan")
-        for value in row.p_allowed:
-            if value not in observed[row.label]:
-                uncovered.append(
-                    f"row {row.label}: ansatz value {value} never observed"
-                )
-
-    return TableReport(
-        family=shape_family,
-        rows=tuple(
-            RowReport(row, *own[row.label], usage[row.label],
-                      tuple(sorted(observed[row.label])))
-            for row in rows
-        ),
-        unmatched=tuple(unmatched),
-        mismatches=tuple(mismatches),
-        uncovered=tuple(uncovered),
-    )
+    return table_report(shape_family)

@@ -7,10 +7,13 @@ everything verified, 1 a verification failure was found, 2 usage or input
 errors.  A stdout closed early (``| head``) ends the run quietly with exit
 code 1.  Output is byte-deterministic for a fixed invocation and seed.
 
-Each subcommand imports the modules it runs when it runs, so a call pays
-for compiling only those: ``enumerate`` never loads the certificate, the
-Rayleigh-difference or the polynomial code, ``delta`` and ``sample`` never
-load the certificate, and a MATROID given as a file never loads the catalog.
+Each subcommand imports the modules it runs when it runs, and each module
+holds only the code its commands run, so a call compiles only the code it
+runs: ``enumerate`` never loads the certificate, the Rayleigh-difference or
+the polynomial code, ``delta`` and ``sample`` never load the certificate,
+only ``tables`` loads the coefficient tables (``tables``, with their
+rendering), and a MATROID given as a file never loads the catalog, which
+holds the census search and its canonical form.
 """
 
 from __future__ import annotations
@@ -306,93 +309,24 @@ def cmd_certificate(args: argparse.Namespace) -> int:
 
 def cmd_tables(args: argparse.Namespace) -> int:
     from .certificate import table_coefficients
-    from .poly import shape_text
 
     families = [GGHH, GGHI, GHIJ] if args.family == "all" else [args.family]
     reports = [table_coefficients(fam) for fam in families]
+    overall = all(rep.all_match for rep in reports)
     if args.format == "json":
         _emit_json(
             {
                 "schema": REPORT_SCHEMA,
                 "kind": "tables",
-                "families": [
-                    {
-                        "family": rep.family,
-                        "shape": shape_text(rep.family),
-                        "rows": [
-                            {
-                                "label": r.row.label,
-                                "instance": r.row.instance,
-                                "expected": {
-                                    "positive": r.row.positive,
-                                    "negative": r.row.negative,
-                                    "delta": r.row.delta,
-                                    "ansatz_allowed": [str(v) for v in r.row.p_allowed],
-                                    "note": r.row.note,
-                                },
-                                "computed": {
-                                    "positive": r.positive,
-                                    "negative": r.negative,
-                                    "delta": r.delta,
-                                    "ansatz": str(r.p_value),
-                                },
-                                "match": r.ok,
-                            }
-                            for r in rep.rows
-                        ],
-                        "scan": {
-                            "occurrences": rep.scan_occurrences,
-                            "rows": [
-                                {
-                                    "label": r.row.label,
-                                    "occurrences": r.occurrences,
-                                    "ansatz_observed": [str(v) for v in r.p_observed],
-                                }
-                                for r in rep.rows
-                            ],
-                            "unmatched": list(rep.unmatched),
-                            "mismatches": list(rep.mismatches),
-                            "uncovered": list(rep.uncovered),
-                        },
-                        "all_match": rep.all_match,
-                    }
-                    for rep in reports
-                ],
-                "all_match": all(rep.all_match for rep in reports),
+                "families": [rep.to_json_dict() for rep in reports],
+                "all_match": overall,
             }
         )
     else:
         for rep in reports:
-            print(f"monomial shape {shape_text(rep.family)}")
-            header = (
-                f"  {'row':<12} {'expected':<10} {'computed':<10} "
-                f"{'ansatz allowed':<16} {'ansatz':<8} result"
-            )
-            print(header)
-            for r in rep.rows:
-                expected = f"{r.row.positive}-{r.row.negative}={r.row.delta}"
-                computed = f"{r.positive}-{r.negative}={r.delta}"
-                allowed = ",".join(str(v) for v in r.row.p_allowed)
-                result = "MATCH" if r.ok else "MISMATCH"
-                print(
-                    f"  {r.row.label:<12} {expected:<10} {computed:<10} "
-                    f"{allowed:<16} {str(r.p_value):<8} {result}"
-                )
-            scan_state = (
-                "complete"
-                if not (rep.unmatched or rep.mismatches or rep.uncovered)
-                else "INCOMPLETE"
-            )
-            print(
-                f"  scan: {rep.scan_occurrences} monomial occurrences over the "
-                f"n<=6 catalog and bowtie7; classification {scan_state}"
-            )
-            for line in rep.unmatched + rep.mismatches + rep.uncovered:
-                print(f"    problem: {line}")
-            print()
-        overall = all(rep.all_match for rep in reports)
+            print("\n".join(rep.text_lines()), end="\n\n")
         print(f"tables: {'all rows MATCH' if overall else 'MISMATCHES FOUND'}")
-    return 0 if all(rep.all_match for rep in reports) else 1
+    return 0 if overall else 1
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import prod
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .matroid import Matroid
@@ -299,11 +300,29 @@ _SCALE_SHIFT = _MANTISSA_BITS - _EXP_LOW  # weight * 2^_SCALE_SHIFT is integral
 _CROSS_CHECK_EVERY = 100  # samples between two exact re-checks of one pair
 
 
-def _draw_scaled_weight(rng: random.Random) -> int:
-    """One dyadic weight, pre-scaled by 2^_SCALE_SHIFT (an integer)."""
-    k = rng.randrange(_EXP_LOW, _EXP_HIGH)
-    mantissa = (1 << _MANTISSA_BITS) | rng.getrandbits(_MANTISSA_BITS)
-    return mantissa << (k - _EXP_LOW)
+def _draw_scaled_weights(rng: random.Random, count: int) -> list[int]:
+    """`count` dyadic weights, each pre-scaled by 2^_SCALE_SHIFT (an
+    integer): for each weight, its exponent from `randrange`, then its
+    mantissa from `getrandbits`."""
+    randrange, getrandbits = rng.randrange, rng.getrandbits
+    weights = []
+    for _ in range(count):
+        k = randrange(_EXP_LOW, _EXP_HIGH)
+        mantissa = (1 << _MANTISSA_BITS) | getrandbits(_MANTISSA_BITS)
+        weights.append(mantissa << (k - _EXP_LOW))
+    return weights
+
+
+def _getter(indices: list[int]) -> itemgetter:
+    """An `itemgetter` that reads these indices of a list as a sequence.
+
+    `itemgetter(i)` returns the bare item, and `itemgetter()` cannot be
+    built, so one index or none reads a slice of that length instead.
+    """
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    start = indices[0] if indices else 0
+    return itemgetter(slice(start, start + len(indices)))
 
 
 class Violation(NamedTuple):
@@ -332,12 +351,16 @@ def negative_correlation_sample(
     for every requested pair (default: all unordered pairs) by exact integer
     arithmetic on the scaled basis weights: M_x is the sum of the weights of
     the bases holding every element of x, and M the sum of all of them.
-    Before sampling, the indices of the bases holding each needed bitmask
-    ({e}, {f} and {e,f}) are listed once, so pairs sharing an element share
-    its list; a sample then weighs each basis once and sums each list once.
-    Every `_CROSS_CHECK_EVERY`-th sample one pair is re-verified through the
-    polynomial-evaluation path as an independent guard.  A negative
-    `samples` raises ValueError; 0 checks nothing.
+    Before sampling, one `itemgetter` per basis reads its elements' weights,
+    and one per needed bitmask ({e}, {f} and {e,f}) reads the weights of the
+    bases holding it, so pairs sharing an element share its getter; a
+    sample then multiplies and sums those reads in C.  Every
+    `_CROSS_CHECK_EVERY`-th sample one pair is re-verified through the
+    polynomial-evaluation path as an independent guard, at the sample's
+    integer-scaled point: both sides of the inequality have degree 2r - 2,
+    so scaling every weight by 2^_SCALE_SHIFT keeps the verdict.  A
+    violation reports the point itself, as Fractions.  A negative `samples`
+    raises ValueError; 0 checks nothing.
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
@@ -351,38 +374,37 @@ def negative_correlation_sample(
     rng = random.Random(seed)
     masks = m.basis_masks
     nelems = len(m.elements)
-    supports = [[i for i in range(nelems) if b >> i & 1] for b in masks]
-    holders: dict[int, list[int]] = {}  # bitmask -> indices of the bases holding it
-    keys = []  # per pair: the bitmasks of {e}, {f} and {e,f}
+    basis_weights = [_getter([i for i in range(nelems) if b >> i & 1]) for b in masks]
+    holders: dict[int, int] = {}  # bitmask -> its index in `held`
+    keys = []  # per pair: the indices in `held` of {e}, {f} and {e,f}
     for ie, jf in positions:
         trio = (1 << ie, 1 << jf, 1 << ie | 1 << jf)
-        for x in trio:
-            if x not in holders:
-                holders[x] = [i for i, b in enumerate(masks) if b & x == x]
-        keys.append(trio)
+        keys.append(tuple(holders.setdefault(x, len(holders)) for x in trio))
+    held_weights = [  # in index order, as `holders` lists them
+        _getter([i for i, b in enumerate(masks) if b & x == x]) for x in holders
+    ]
 
     violations = []
     cross_checks = 0
     for s in range(samples):
-        scaled = [_draw_scaled_weight(rng) for _ in range(nelems)]
-        weights = [prod([scaled[i] for i in support]) for support in supports]
+        scaled = _draw_scaled_weights(rng, nelems)
+        weights = [prod(get(scaled)) for get in basis_weights]
         total = sum(weights)
-        held = {x: sum(map(weights.__getitem__, idx)) for x, idx in holders.items()}
+        held = [sum(get(weights)) for get in held_weights]
 
         oks = [held[xef] * total <= held[xe] * held[xf] for xe, xf, xef in keys]
-        cross_check = s % _CROSS_CHECK_EVERY == 0
-        if cross_check or not all(oks):
+        if not all(oks):
             point = {
                 el: Fraction(w, 1 << _SCALE_SHIFT) for el, w in zip(m.elements, scaled)
             }
             violations.extend(
                 Violation(pair, s, dict(point)) for pair, ok in zip(pairs, oks) if not ok
             )
-        if cross_check:
+        if s % _CROSS_CHECK_EVERY == 0:
             c = (s // _CROSS_CHECK_EVERY) % len(pairs)
             e, f = pairs[c]
             try:
-                exact = negative_correlation_check(m, e, f, point)
+                exact = negative_correlation_check(m, e, f, dict(zip(m.elements, scaled)))
             except ValueError:
                 exact = oks[c]  # degenerate pair (loop): trivially equal sides
             if exact != oks[c]:

@@ -10,6 +10,7 @@ from rayleigh_kit.catalog import (
     EnumerationResult,
     _candidate_lines,
     _is_canonical,
+    canonical_form,
     catalog_names,
     enumerate_simple_rank3,
     instance,
@@ -19,7 +20,6 @@ from rayleigh_kit.catalog import (
 from rayleigh_kit.matroid import (
     Matroid,
     _pair_bits,
-    canonical_form,
     from_geometry,
     line_masks,
     lines_of,

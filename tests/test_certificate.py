@@ -13,13 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rayleigh_kit import certificate, poly, rayleigh
-from rayleigh_kit.catalog import enumerate_simple_rank3, named, uniform
+from rayleigh_kit import certificate, poly, rayleigh, tables
+from rayleigh_kit.catalog import canonical_form, enumerate_simple_rank3, named, uniform
 from rayleigh_kit.certificate import (
     _check_closed_pair_structure,
-    _pinned_key,
-    _scan_matroids,
-    _shape_supports,
     _squares,
     ansatz_parts,
     certify,
@@ -29,7 +26,6 @@ from rayleigh_kit.certificate import (
 from rayleigh_kit.cli import main
 from rayleigh_kit.matroid import (
     Matroid,
-    canonical_form,
     from_geometry,
     line_masks,
     lines_of,
@@ -53,6 +49,7 @@ from rayleigh_kit.rayleigh import (
     minor_polynomial,
     rayleigh_difference,
 )
+from rayleigh_kit.tables import _pinned_key, _scan_matroids, _shape_supports
 
 
 def _reference_delta(m, e, f):
@@ -715,7 +712,6 @@ def test_certify_work_per_pair(monkeypatch):
     # certify reads its own binding, rayleigh_difference the module's.
     monkeypatch.setattr(certificate, "_split", counted_split)
     monkeypatch.setattr(rayleigh, "_split", counted_split)
-    monkeypatch.setattr(certificate, "_products", counted_products)
     monkeypatch.setattr(rayleigh, "_products", counted_products)
     monkeypatch.setattr(certificate, "add_products", counted_add_products)
     for name in built:
@@ -1054,9 +1050,9 @@ def test_report_delta_calls_no_lemma33_reduce(monkeypatch):
 
 
 def test_table_mismatch_fails_the_tables_command(monkeypatch, capsys):
-    first, second = certificate._TABLE_ROWS["GGHH"]
+    first, second = tables._TABLE_ROWS["GGHH"]
     wrong = second._replace(positive=2)
-    monkeypatch.setitem(certificate._TABLE_ROWS, "GGHH", (first, wrong))
+    monkeypatch.setitem(tables._TABLE_ROWS, "GGHH", (first, wrong))
     report = table_coefficients("GGHH")
     assert not report.all_match
     assert [r.ok for r in report.rows] == [True, False]
@@ -1077,7 +1073,7 @@ def test_table_mismatch_fails_the_tables_command(monkeypatch, capsys):
     assert family["all_match"] is False and doc["all_match"] is False
 
 
-_GGHH_I, _GGHH_II = certificate._TABLE_ROWS["GGHH"]
+_GGHH_I, _GGHH_II = tables._TABLE_ROWS["GGHH"]
 
 
 @pytest.mark.parametrize("rows, scan, field, count, line", [
@@ -1097,9 +1093,9 @@ _GGHH_I, _GGHH_II = certificate._TABLE_ROWS["GGHH"]
 def test_table_scan_problems_fail_the_tables_command(
     monkeypatch, capsys, rows, scan, field, count, line
 ):
-    monkeypatch.setitem(certificate._TABLE_ROWS, "GGHH", rows)
+    monkeypatch.setitem(tables._TABLE_ROWS, "GGHH", rows)
     if scan is not None:
-        monkeypatch.setattr(certificate, "_scan_matroids", lambda: scan)
+        monkeypatch.setattr(tables, "_scan_matroids", lambda: scan)
     report = table_coefficients("GGHH")
     problems = getattr(report, field)
     assert len(problems) == count
@@ -1114,7 +1110,7 @@ def test_table_scan_problems_fail_the_tables_command(
 
 
 def test_ambiguous_table_rows_are_refused(monkeypatch):
-    monkeypatch.setitem(certificate._TABLE_ROWS, "GGHH", (_GGHH_I, _GGHH_I, _GGHH_II))
+    monkeypatch.setitem(tables._TABLE_ROWS, "GGHH", (_GGHH_I, _GGHH_I, _GGHH_II))
     with pytest.raises(RuntimeError, match=r"^ambiguous table rows: I\{1,2\} and "
                        r"I\{1,2\} share a canonical form$"):
         table_coefficients("GGHH")

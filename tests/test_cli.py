@@ -579,8 +579,9 @@ _PUBLIC = {
     "catalog": ("EnumerationResult", "NamedInstance", "catalog_names",
                 "enumerate_simple_rank3", "instance", "named", "uniform"),
     "certificate": ("AnsatzParts", "CertificateReport", "ReductionResult",
-                    "TableReport", "ansatz_parts", "certify",
-                    "lemma33_reduce", "table_coefficients"),
+                    "ansatz_parts", "certify", "lemma33_reduce",
+                    "table_coefficients"),
+    "tables": ("TableReport",),
 }
 
 
@@ -637,10 +638,11 @@ finally:
 
 @pytest.mark.parametrize("argv, loaded", [
     (("verify", "{tmp}/u35.json"), ("certificate", "matroid", "poly", "rayleigh")),
+    (("certificate", "{tmp}/u35.json"), ("certificate", "matroid", "poly", "rayleigh")),
     (("verify", "K4"), ("catalog", "certificate", "matroid", "poly", "rayleigh")),
     (("certificate", "K4"), ("catalog", "certificate", "matroid", "poly", "rayleigh")),
     (("tables", "--family", "GGHH"),
-     ("catalog", "certificate", "matroid", "poly", "rayleigh")),
+     ("catalog", "certificate", "matroid", "poly", "rayleigh", "tables")),
     (("delta", "K4", "1", "2"), ("catalog", "matroid", "poly", "rayleigh")),
     (("sample", "K4", "--samples", "20"), ("catalog", "matroid", "poly", "rayleigh")),
     (("sample", "{tmp}/u35.json", "--samples", "20"), ("matroid", "poly", "rayleigh")),
@@ -655,6 +657,8 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path, argv, loaded):
     assert proc.stdout
     modules = json.loads(proc.stderr.splitlines()[-1])
     assert modules == [f"rayleigh_kit.{name}" for name in loaded]
+    # The coefficient tables are compiled by `tables` alone.
+    assert ("rayleigh_kit.tables" in modules) == (argv[0] == "tables")
 
 
 def test_importing_the_package_loads_no_submodule():

@@ -10,11 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rayleigh_kit.catalog import catalog_names, enumerate_simple_rank3, named
+from rayleigh_kit.catalog import (
+    canonical_form,
+    catalog_names,
+    enumerate_simple_rank3,
+    named,
+    transposition_twins,
+)
 from rayleigh_kit.matroid import (
     Matroid,
     _pair_bits,
-    canonical_form,
     dumps_matroid,
     from_geometry,
     line_masks,
@@ -22,7 +27,6 @@ from rayleigh_kit.matroid import (
     loads_matroid,
     matroid_from_json_dict,
     matroid_to_json_dict,
-    transposition_twins,
     with_parallel_copy,
 )
 

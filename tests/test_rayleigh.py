@@ -15,7 +15,7 @@ from rayleigh_kit.matroid import Matroid, with_parallel_copy
 from rayleigh_kit.poly import Polynomial, dominates, parse_polynomial
 from rayleigh_kit.rayleigh import (
     _SCALE_SHIFT,
-    _draw_scaled_weight,
+    _draw_scaled_weights,
     central_term,
     closed_pair_filter,
     decomposition_check,
@@ -275,7 +275,7 @@ def test_negative_correlation_check_takes_only_exact_weights(bad):
 def test_dyadic_points_stay_in_range():
     rng = random.Random(123)
     for _ in range(20):
-        point = [Fraction(_draw_scaled_weight(rng), 1 << _SCALE_SHIFT) for _ in range(3)]
+        point = [Fraction(w, 1 << _SCALE_SHIFT) for w in _draw_scaled_weights(rng, 3)]
         for w in point:
             assert Fraction(1, 512) <= w < 512
             assert Fraction(1, 1000) <= w <= 1000
@@ -360,6 +360,43 @@ def test_sampler_cross_check_keeps_its_own_verdict_on_a_loop_pair():
         negative_correlation_check(m, "l", "1", {x: Fraction(1) for x in m.elements})
     r = negative_correlation_sample(m, pairs=[("l", "1"), ("1", "2")], samples=1)
     assert (r.cross_checks, r.checks, r.violations) == (1, 2, ())
+
+
+def _k4_with_loop():
+    k4 = named("K4")
+    return Matroid(k4.elements + ("l",), 3, k4.basis_masks)
+
+
+@pytest.mark.parametrize("m, pairs", [
+    (uniform(0, 3), None),  # one empty basis: M_e = 0 for every e
+    (uniform(1, 3), None),  # one element per basis, and no basis holds a pair
+    (uniform(2, 3), None),  # one basis holds each pair
+    (uniform(3, 3), None),  # one basis, holding every element and pair
+    (_k4_with_loop(), None),  # no basis holds the loop
+    (s8(), [("4", "8"), ("4", "5")]),  # {4,8} violates at some samples
+], ids=["U_0_3", "U_1_3", "U_2_3", "U_3_3", "K4+loop", "S8"])
+def test_sampler_verdicts_match_the_exact_check_on_edge_shapes(m, pairs):
+    # The sampler reads each basis's and each bitmask's weights through one
+    # getter, and on these shapes a getter reads no index or one.  At every
+    # sample, every pair's verdict must be the exact check's at that point.
+    pairs = pairs or list(combinations(m.elements, 2))
+    for seed in (0, 1, 2):
+        result = negative_correlation_sample(m, pairs=pairs, samples=40, seed=seed)
+        violated = {(v.pair, v.sample_index): v.point for v in result.violations}
+        rng = random.Random(seed)
+        for s in range(40):
+            point = {el: Fraction(w, 1 << _SCALE_SHIFT)
+                     for el, w in zip(m.elements, _draw_scaled_weights(rng, m.n))}
+            for pair in pairs:
+                try:
+                    ok = negative_correlation_check(m, *pair, point)
+                except ValueError:
+                    ok = True  # M_e or M vanishes, so M_ef * M = 0 <= M_e * M_f
+                assert ((pair, s) not in violated) == ok, (seed, s, pair)
+                if not ok:
+                    assert violated[pair, s] == point
+        assert result.checks == 40 * len(pairs)
+    assert (result.violations != ()) == (m.n == 8)
 
 
 def test_sampler_refuses_a_negative_count():
