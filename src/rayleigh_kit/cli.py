@@ -7,6 +7,11 @@ everything verified, 1 a verification failure was found, 2 usage or input
 errors.  A stdout closed early (``| head``) ends the run quietly with exit
 code 1.  Output is byte-deterministic for a fixed invocation and seed.
 
+Each ``cmd_*`` function returns its exit code and its report's lines, and
+`main` writes them, each followed by a newline.  With ``--out DIR`` it first
+writes the same bytes to ``DIR/<command>.json`` or ``.txt`` (``enumerate``
+writes its class files there instead), so a bad DIR leaves stdout empty.
+
 Each subcommand imports the modules it runs when it runs, and each module
 holds only the code its commands run, so a call compiles only the code it
 runs: ``enumerate`` never loads the certificate, the Rayleigh-difference or
@@ -19,13 +24,11 @@ holds the census search and its canonical form.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import itertools
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from . import GGHH, GGHI, GHIJ, REPORT_SCHEMA
 
@@ -33,75 +36,75 @@ if TYPE_CHECKING:
     from .certificate import CertificateReport
     from .matroid import Matroid
 
+Output = tuple[int, Iterable[str]]  # exit code, report lines
+
+
 class CliError(Exception):
     """Usage or input problem; maps to exit code 2."""
 
 
-def _load_matroid(token: str) -> tuple[Matroid, tuple[str, ...]]:
-    """Interpret the MATROID argument as a file path or a catalog name.
-
-    Returns the matroid with its loops removed, and the removed loops.
-    """
-    if os.path.exists(token):
+def _read_input(
+    args: argparse.Namespace, pair_tokens: Optional[list[str]]
+) -> tuple[Matroid, list[tuple[str, str]], list[str]]:
+    """Read MATROID (a file path or a catalog name) and the pairs that
+    `pair_tokens` name (every pair if none): returns the matroid with its
+    loops removed, the pairs, and the notes naming the removed loops."""
+    source = args.matroid
+    if os.path.exists(source):
         from .matroid import loads_matroid
 
         try:
-            with open(token, "r", encoding="utf-8") as fh:
+            with open(source, "r", encoding="utf-8") as fh:
                 m = loads_matroid(fh.read())
         except (ValueError, OSError) as exc:
-            raise CliError(f"cannot load matroid file {token!r}: {exc}") from exc
+            raise CliError(f"cannot load matroid file {source!r}: {exc}") from exc
     else:
         from .catalog import catalog_names, named
 
         try:
-            m = named(token)
+            m = named(source)
         except KeyError as exc:
             raise CliError(
-                f"{token!r} is neither a file nor a catalog name "
+                f"{source!r} is neither a file nor a catalog name "
                 f"(catalog: {', '.join(catalog_names())}, or U_r_m)"
             ) from exc
         except ValueError as exc:  # a U_r_m name that names no uniform matroid
-            raise CliError(f"cannot build {token!r}: {exc}") from exc
+            raise CliError(f"cannot build {source!r}: {exc}") from exc
     loops = m.loops()
     if loops:
         # Loops never lie in a basis, so removing them changes no check.
         m = m.delete(loops)
-    return m, loops
+    notes = [f"removed loops: {', '.join(loops)}"] if loops else []
+    if not pair_tokens:
+        return m, list(itertools.combinations(m.elements, 2)), notes
+    from .rayleigh import _pair_positions
 
-
-def _parse_pairs(
-    m: Matroid, tokens: Optional[list[str]], loops: tuple[str, ...]
-) -> list[tuple[str, str]]:
-    if tokens:
-        from .rayleigh import _pair_positions
-
-        out = []
-        for token in tokens:
-            pieces = [p.strip() for p in token.split(",")]
-            if len(pieces) != 2:
-                raise CliError(f"--pairs expects 'e,f', got {token!r}")
-            e, f = pieces
-            for el in (e, f):
-                if el in loops:
-                    raise CliError(
-                        f"element {el!r} is a loop of the input; "
-                        "loops are removed before any check"
-                    )
-            try:
-                _pair_positions(m, e, f)
-            except ValueError as exc:
-                raise CliError(str(exc)) from exc
-            out.append((e, f))
-        return out
-    return list(itertools.combinations(m.elements, 2))
+    pairs = []
+    for token in pair_tokens:
+        pieces = [p.strip() for p in token.split(",")]
+        if len(pieces) != 2:
+            raise CliError(f"--pairs expects 'e,f', got {token!r}")
+        e, f = pieces
+        for el in (e, f):
+            if el in loops:
+                raise CliError(
+                    f"element {el!r} is a loop of the input; "
+                    "loops are removed before any check"
+                )
+        try:
+            _pair_positions(m, e, f)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
+        pairs.append((e, f))
+    return m, pairs, notes
 
 
 def _write_files(directory: str, files: list[tuple[str, str]]) -> None:
     """Create `directory` if needed and write each (name, text) into it.
 
     A path that cannot be a directory (an existing file, or a path below
-    one) is an input error, exit 2; callers write here before they print,
-    so nothing reaches stdout then.
+    one) is an input error, exit 2; `main` and `enumerate` write here before
+    anything goes to stdout, so nothing reaches it then.
     """
     try:
         os.makedirs(directory, exist_ok=True)
@@ -112,23 +115,19 @@ def _write_files(directory: str, files: list[tuple[str, str]]) -> None:
         raise CliError(f"cannot write to --out {directory!r}: {exc}") from exc
 
 
-def _emit_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+def _json_lines(
+    kind: str, args: argparse.Namespace, notes: Optional[list[str]], fields: dict
+) -> list[str]:
+    """The JSON report as one output line: `schema`, `kind` and `fields`,
+    plus `input` and `notes` when a MATROID was read (`notes` not None)."""
+    doc = {"schema": REPORT_SCHEMA, "kind": kind, **fields}
+    if notes is not None:
+        doc.update(input=args.matroid, notes=notes)
+    return [json.dumps(doc, indent=2, sort_keys=True)]
 
 
-def _notes(loops: tuple[str, ...]) -> list[str]:
-    return [f"removed loops: {', '.join(loops)}"] if loops else []
-
-
-def _json_header(kind: str, args: argparse.Namespace, loops: tuple[str, ...]) -> dict:
-    return {
-        "schema": REPORT_SCHEMA, "kind": kind, "input": args.matroid, "notes": _notes(loops)
-    }
-
-
-def _print_notes(loops: tuple[str, ...]) -> None:
-    for note in _notes(loops):
-        print(f"note: {note}")
+def _note_lines(notes: list[str]) -> list[str]:
+    return [f"note: {note}" for note in notes]
 
 
 def _format_point(m: Matroid, point: dict) -> str:
@@ -150,45 +149,44 @@ def _certify_all(
         raise CliError(str(exc)) from exc
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    m, loops = _load_matroid(args.matroid)
-    pairs = _parse_pairs(m, args.pairs, loops)
+def cmd_verify(args: argparse.Namespace) -> Output:
+    m, pairs, notes = _read_input(args, args.pairs)
     if m.rank > 3:
-        return _verify_sampled(args, m, loops, pairs)
+        return _verify_sampled(args, m, pairs, notes)
     reports = _certify_all(m, pairs)
     all_ok = all(r.verdict for r in reports)
     if args.format == "json":
-        _emit_json(
+        lines = _json_lines(
+            "verify", args, notes,
             {
-                **_json_header("verify", args, loops),
                 "rank": m.rank,
                 "reports": [r.to_json_dict() for r in reports],
                 "all_verified": all_ok,
             }
         )
     else:
-        _print_notes(loops)
+        lines = _note_lines(notes)
         for rep in reports:
             e, f = rep.pair
             if rep.verdict:
                 detail = f"mode={rep.mode}"
                 if rep.reduction_chain:
                     detail += f", deleted [{', '.join(rep.reduction_chain)}]"
-                print(f"pair {{{e},{f}}}: certified ({detail})")
+                lines.append(f"pair {{{e},{f}}}: certified ({detail})")
             else:
-                print(
+                lines.append(
                     f"pair {{{e},{f}}}: NOT CERTIFIED (mode={rep.mode}; "
                     "dominance fails, which does not itself exhibit a "
                     "negative point)"
                 )
-        print(f"{sum(r.verdict for r in reports)}/{len(reports)} pairs certified")
-    return 0 if all_ok else 1
+        lines.append(f"{sum(r.verdict for r in reports)}/{len(reports)} pairs certified")
+    return (0 if all_ok else 1), lines
 
 
 def _verify_sampled(
-    args: argparse.Namespace, m: Matroid, loops: tuple[str, ...],
-    pairs: list[tuple[str, str]],
-) -> int:
+    args: argparse.Namespace, m: Matroid, pairs: list[tuple[str, str]],
+    notes: list[str],
+) -> Output:
     from .rayleigh import negative_correlation_sample
 
     result = negative_correlation_sample(
@@ -197,9 +195,9 @@ def _verify_sampled(
     by_pair = {v.pair: v for v in result.violations}
     unverified = f"unverified (rank > 3): no negative point found in {args.samples} samples"
     if args.format == "json":
-        _emit_json(
+        lines = _json_lines(
+            "verify", args, notes,
             {
-                **_json_header("verify", args, loops),
                 "rank": m.rank,
                 "mode": "sampled",
                 "samples": args.samples,
@@ -221,39 +219,38 @@ def _verify_sampled(
             }
         )
     else:
-        _print_notes(loops)
+        lines = _note_lines(notes)
         for pair in pairs:
             e, f = pair
             if pair in by_pair:
                 point = _format_point(m, by_pair[pair].point)
-                print(f"pair {{{e},{f}}}: VIOLATION at y = {point}")
+                lines.append(f"pair {{{e},{f}}}: VIOLATION at y = {point}")
             else:
-                print(f"pair {{{e},{f}}}: {unverified}")
-    return 1 if result.violations else 0
+                lines.append(f"pair {{{e},{f}}}: {unverified}")
+    return (1 if result.violations else 0), lines
 
 
 # ---------------------------------------------------------------------------
 # delta
 
 
-def cmd_delta(args: argparse.Namespace) -> int:
+def cmd_delta(args: argparse.Namespace) -> Output:
     from .poly import format_polynomial
     from .rayleigh import rayleigh_difference
 
-    m, loops = _load_matroid(args.matroid)
+    tokens = args.pairs
     if args.e is not None or args.f is not None:
         if args.e is None or args.f is None:
             raise CliError("give both elements: delta MATROID E F")
         if args.pairs:
             raise CliError("use either positional E F or --pairs, not both")
-        pairs = _parse_pairs(m, [f"{args.e},{args.f}"], loops)
-    else:
-        pairs = _parse_pairs(m, args.pairs, loops)
+        tokens = [f"{args.e},{args.f}"]
+    m, pairs, notes = _read_input(args, tokens)
     deltas = [(pair, rayleigh_difference(m, *pair)) for pair in pairs]
     if args.format == "json":
-        _emit_json(
+        lines = _json_lines(
+            "delta", args, notes,
             {
-                **_json_header("delta", args, loops),
                 "pairs": [
                     {"pair": list(pair), "delta": format_polynomial(d)}
                     for pair, d in deltas
@@ -262,78 +259,82 @@ def cmd_delta(args: argparse.Namespace) -> int:
         )
     elif args.e is not None:
         # Single explicit pair: print the bare polynomial.
-        print(format_polynomial(deltas[0][1]))
+        lines = [format_polynomial(deltas[0][1])]
     else:
-        _print_notes(loops)
+        lines = _note_lines(notes)
         for (e, f), d in deltas:
-            print(f"delta {{{e},{f}}}: {format_polynomial(d)}")
-    return 0
+            lines.append(f"delta {{{e},{f}}}: {format_polynomial(d)}")
+    return 0, lines
 
 
 # ---------------------------------------------------------------------------
 # certificate
 
 
-def cmd_certificate(args: argparse.Namespace) -> int:
-    m, loops = _load_matroid(args.matroid)
-    pairs = _parse_pairs(m, args.pairs, loops)
+def cmd_certificate(args: argparse.Namespace) -> Output:
+    m, pairs, notes = _read_input(args, args.pairs)
     reports = _certify_all(m, pairs)
     if args.format == "text":
-        _print_notes(loops)
-        for rep in reports:
-            e, f = rep.pair
-            verdict = "certified" if rep.verdict else "NOT CERTIFIED"
-            print(f"pair {{{e},{f}}}: {verdict} (mode={rep.mode})")
-            if rep.reduction_chain:
-                print(f"  deleted: {', '.join(rep.reduction_chain)}")
-            doc = rep.text_fields()
-            print(f"  delta    = {doc['delta']}")
-            print(f"  ansatz   = {doc['ansatz']}")
-            print(f"  residual = {doc['residual']}")
-            for a, root in doc["squares"]:
-                print(f"  square[{a}] = {root}")
+        lines = _certificate_lines(notes, reports)
     else:
-        _emit_json(
+        lines = _json_lines(
+            "certificate-set", args, notes,
             {
-                **_json_header("certificate-set", args, loops),
                 "reports": [r.to_json_dict() for r in reports],
                 "all_verified": all(r.verdict for r in reports),
             }
         )
-    return 0 if all(r.verdict for r in reports) else 1
+    return (0 if all(r.verdict for r in reports) else 1), lines
+
+
+def _certificate_lines(
+    notes: list[str], reports: list[CertificateReport]
+) -> Iterator[str]:
+    """The text report, rendered one certificate at a time."""
+    yield from _note_lines(notes)
+    for rep in reports:
+        e, f = rep.pair
+        verdict = "certified" if rep.verdict else "NOT CERTIFIED"
+        yield f"pair {{{e},{f}}}: {verdict} (mode={rep.mode})"
+        if rep.reduction_chain:
+            yield f"  deleted: {', '.join(rep.reduction_chain)}"
+        doc = rep.text_fields()
+        yield f"  delta    = {doc['delta']}"
+        yield f"  ansatz   = {doc['ansatz']}"
+        yield f"  residual = {doc['residual']}"
+        for a, root in doc["squares"]:
+            yield f"  square[{a}] = {root}"
 
 
 # ---------------------------------------------------------------------------
 # tables
 
 
-def cmd_tables(args: argparse.Namespace) -> int:
+def cmd_tables(args: argparse.Namespace) -> Output:
     from .certificate import table_coefficients
 
     families = [GGHH, GGHI, GHIJ] if args.family == "all" else [args.family]
     reports = [table_coefficients(fam) for fam in families]
     overall = all(rep.all_match for rep in reports)
     if args.format == "json":
-        _emit_json(
+        lines = _json_lines(
+            "tables", args, None,
             {
-                "schema": REPORT_SCHEMA,
-                "kind": "tables",
                 "families": [rep.to_json_dict() for rep in reports],
                 "all_match": overall,
             }
         )
     else:
-        for rep in reports:
-            print("\n".join(rep.text_lines()), end="\n\n")
-        print(f"tables: {'all rows MATCH' if overall else 'MISMATCHES FOUND'}")
-    return 0 if overall else 1
+        lines = [line for rep in reports for line in (*rep.text_lines(), "")]
+        lines.append(f"tables: {'all rows MATCH' if overall else 'MISMATCHES FOUND'}")
+    return (0 if overall else 1), lines
 
 
 # ---------------------------------------------------------------------------
 # enumerate
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def cmd_enumerate(args: argparse.Namespace) -> Output:
     from .catalog import enumerate_simple_rank3
     from .matroid import dumps_matroid
 
@@ -353,40 +354,37 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     _write_files(args.out, files)
     filenames = [fname for fname, _ in files]
     if args.format == "json":
-        _emit_json(
+        lines = _json_lines(
+            "enumerate", args, None,
             {
-                "schema": REPORT_SCHEMA,
-                "kind": "enumerate",
                 "n": result.n,
                 "count": result.count,
                 "files": filenames,
             }
         )
     else:
-        print(f"n={result.n}: {result.count} isomorphism classes")
-        for fname in filenames:
-            print(f"  {fname}")
-    return 0
+        lines = [f"n={result.n}: {result.count} isomorphism classes"]
+        lines.extend(f"  {fname}" for fname in filenames)
+    return 0, lines
 
 
 # ---------------------------------------------------------------------------
 # sample
 
 
-def cmd_sample(args: argparse.Namespace) -> int:
+def cmd_sample(args: argparse.Namespace) -> Output:
     from .rayleigh import negative_correlation_sample
 
-    m, loops = _load_matroid(args.matroid)
-    pairs = _parse_pairs(m, args.pairs, loops)
+    m, pairs, notes = _read_input(args, args.pairs)
     result = negative_correlation_sample(
         m, pairs=pairs, samples=args.samples, seed=args.seed
     )
     ok = result.checks - len(result.violations)
     rate = 100.0 * ok / result.checks if result.checks else 100.0
     if args.format == "json":
-        _emit_json(
+        lines = _json_lines(
+            "sample", args, notes,
             {
-                **_json_header("sample", args, loops),
                 "seed": args.seed,
                 "samples": result.samples,
                 "pairs": [list(p) for p in result.pairs],
@@ -404,24 +402,24 @@ def cmd_sample(args: argparse.Namespace) -> int:
             }
         )
     else:
-        _print_notes(loops)
-        print(
+        lines = _note_lines(notes)
+        lines.append(
             f"checked {len(result.pairs)} pairs x {result.samples} samples "
             f"= {result.checks} exact comparisons (seed {args.seed})"
         )
         for v in result.violations:
             e, f = v.pair
-            print(
+            lines.append(
                 f"VIOLATION pair {{{e},{f}}} sample #{v.sample_index}: "
                 f"y = {_format_point(m, v.point)}"
             )
-        print(
+        lines.append(
             f"violations: {len(result.violations)}; "
             f"{result.cross_checks} samples cross-checked against "
             f"polynomial evaluation"
         )
-        print(f"pass rate: {rate:.2f}%")
-    return 1 if result.violations else 0
+        lines.append(f"pass rate: {rate:.2f}%")
+    return (1 if result.violations else 0), lines
 
 
 # ---------------------------------------------------------------------------
@@ -523,17 +521,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "out", None) is not None and args.command != "enumerate":
-            # --out DIR also drops a copy of the report into DIR
-            buffer = io.StringIO()
-            with contextlib.redirect_stdout(buffer):
-                code = args.func(args)
-            text = buffer.getvalue()
+        code, lines = args.func(args)
+        text = (f"{line}\n" for line in lines)
+        if args.out is not None and args.command != "enumerate":
+            # the copy goes to --out DIR first, so a bad DIR leaves stdout empty
+            report = "".join(text)
             ext = "json" if args.format == "json" else "txt"
-            _write_files(args.out, [(f"{args.command}.{ext}", text)])
-            sys.stdout.write(text)
-        else:
-            code = args.func(args)
+            _write_files(args.out, [(f"{args.command}.{ext}", report)])
+            text = [report]
+        sys.stdout.writelines(text)
         sys.stdout.flush()  # so a closed pipe shows here, not at exit
         return code
     except CliError as exc:

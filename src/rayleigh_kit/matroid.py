@@ -12,8 +12,9 @@ Two minor conventions live side by side here, deliberately:
 * ``restriction`` re-ranks: its bases are the maximal independent subsets
   of the kept set, whatever their size.
 
-The first convention is what makes the Rayleigh-difference algebra work;
-the second is what "the restriction to S" means everywhere else.
+The first convention is what makes the Rayleigh-difference algebra work.
+The second, the textbook restriction, has no caller in the package: the
+table scan cuts line masks instead, and tests keep it as that cut's reference.
 """
 
 from __future__ import annotations

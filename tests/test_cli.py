@@ -155,6 +155,17 @@ def test_s8_violation_is_real(capsys, tmp_path):
     assert sorted(point) == sorted(m.elements)
     assert delta.evaluate(point) < 0
 
+    code, out, _ = run(capsys, "verify", str(path), "--pairs", "4,8", "--samples", "100",
+                       "--seed", "4", "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["all_verified"] is False
+    (report,) = doc["reports"]
+    assert (report["pair"], report["status"]) == (["4", "8"], "violation")
+    point = {el: Fraction(weight) for el, weight in report["violation_point"].items()}
+    assert sorted(point) == sorted(m.elements)
+    assert delta.evaluate(point) < 0
+
     code, out, _ = run(capsys, "sample", str(path), "--samples", "100", "--format", "json")
     assert code == 1
     violations = json.loads(out)["violations"]
@@ -195,8 +206,10 @@ def test_bad_pair_exits_two(capsys):
     assert code == 2
     code, _, err = run(capsys, "delta", "K4", "--pairs", "1,9")
     assert code == 2
-    code, _, err = run(capsys, "delta", "K4", "1")
-    assert code == 2
+    # usage is checked before MATROID is read: the missing F is the error
+    for source in ("K4", "missing.json"):
+        code, out, err = run(capsys, "delta", source, "1")
+        assert (code, out, err) == (2, "", "error: give both elements: delta MATROID E F\n")
 
 
 def test_loops_are_removed_with_note(capsys, tmp_path):
@@ -321,13 +334,34 @@ def test_sample_json(capsys):
     assert doc["pass_rate"] == "100.00"
 
 
+@pytest.mark.parametrize("argv", [
+    ("certificate", "bowtie7", "--pairs", "1,3", "--format", "text"),
+    ("verify", "K4", "--pairs", "1,2", "--format", "json"),
+    ("delta", "fig1.I", "--pairs", "2,3"),
+], ids=lambda argv: argv[0])
+def test_main_writes_exactly_the_lines_a_subcommand_returns(capsys, argv):
+    # a subcommand prints nothing, even while its lines are read
+    args = build_parser().parse_args(argv)
+    code, lines = args.func(args)
+    lines = list(lines)
+    assert capsys.readouterr() == ("", "")
+    assert lines
+    assert run(capsys, *argv) == (code, "".join(f"{line}\n" for line in lines), "")
+
+
 def test_out_dir_receives_report_copy(capsys, tmp_path):
-    code, out, _ = run(capsys, "verify", "U_3_4", "--pairs", "1,2",
-                       "--format", "json", "--out", str(tmp_path))
-    assert code == 0
-    copy = (tmp_path / "verify.json").read_text()
-    assert copy == out
-    assert json.loads(copy)["all_verified"] is True
+    # every report subcommand, in both formats: DIR/<cmd>.<ext> is stdout
+    for argv in (("verify", "U_3_4", "--pairs", "1,2"), ("delta", "K4", "1", "2"),
+                 ("certificate", "fig1.I", "--pairs", "2,3"), ("tables", "--family", "GGHH"),
+                 ("sample", "K4", "--samples", "20")):
+        for fmt, ext in (("text", "txt"), ("json", "json")):
+            out_dir = tmp_path / f"{argv[0]}-{fmt}"
+            code, out, err = run(capsys, *argv, "--format", fmt, "--out", str(out_dir))
+            assert (code, err) == (0, "")
+            assert [p.name for p in out_dir.iterdir()] == [f"{argv[0]}.{ext}"]
+            assert (out_dir / f"{argv[0]}.{ext}").read_bytes() == out.encode()
+            if fmt == "json":
+                assert json.loads(out)["kind"] in (argv[0], "certificate-set")
 
 
 _LOAD = ("verify", "{path}")

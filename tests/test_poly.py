@@ -1,6 +1,8 @@
 """Exact sparse polynomial arithmetic, formatting and shape classification."""
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -376,3 +378,18 @@ def test_immutability():
     p = y("a")
     with pytest.raises(AttributeError):
         p.new_field = 1
+
+
+def test_copies_and_pickles_rebuild_equal_polynomials():
+    from rayleigh_kit.catalog import named
+    from rayleigh_kit.rayleigh import rayleigh_difference
+
+    packed = rayleigh_difference(named("K4"), "1", "2")
+    parsed = parse_polynomial("+1/2 * y_a^2 y_b -3 * y_c +1")
+    assert packed._packed is not None and parsed._packed is None
+    for p in (packed, parsed):
+        for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert twin == p
+            assert format_polynomial(twin) == format_polynomial(p)
+            # a packed polynomial is rebuilt through `from_packed`, still packed
+            assert (twin._packed is not None) == (p is packed)

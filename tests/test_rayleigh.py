@@ -14,6 +14,9 @@ from rayleigh_kit.certificate import ansatz_parts, certify, lemma33_reduce
 from rayleigh_kit.matroid import Matroid, with_parallel_copy
 from rayleigh_kit.poly import Polynomial, dominates, parse_polynomial
 from rayleigh_kit.rayleigh import (
+    _EXP_HIGH,
+    _EXP_LOW,
+    _MANTISSA_BITS,
     _SCALE_SHIFT,
     _draw_scaled_weights,
     central_term,
@@ -281,6 +284,33 @@ def test_dyadic_points_stay_in_range():
             assert Fraction(1, 1000) <= w <= 1000
             # denominators are powers of two (exact dyadic rationals)
             assert w.denominator & (w.denominator - 1) == 0
+
+
+def _reference_draws(rng: random.Random, count: int) -> list[tuple[int, int]]:
+    """(exponent, mantissa) pairs read through `getrandbits` alone: 5 bits at
+    a time until a value below 18 comes up, then 19 bits."""
+    draws = []
+    for _ in range(count):
+        r = rng.getrandbits(5)
+        while r >= _EXP_HIGH - _EXP_LOW:
+            r = rng.getrandbits(5)
+        draws.append((_EXP_LOW + r, rng.getrandbits(_MANTISSA_BITS)))
+    return draws
+
+
+def test_exponent_draw_is_rejection_sampling_over_getrandbits():
+    # `randrange(-9, 9)` draws what the reference reads, so a sampler that
+    # reads its exponents that way keeps every pinned sample.
+    assert (_EXP_LOW, _EXP_HIGH, _MANTISSA_BITS) == (-9, 9, 19)
+    for seed in range(100):
+        draws = _reference_draws(random.Random(seed), 300)
+        rng = random.Random(seed)
+        for k, mantissa in draws:
+            assert rng.randrange(_EXP_LOW, _EXP_HIGH) == k
+            assert rng.getrandbits(_MANTISSA_BITS) == mantissa
+        assert _draw_scaled_weights(random.Random(seed), 300) == [
+            ((1 << _MANTISSA_BITS) | mantissa) << (k - _EXP_LOW) for k, mantissa in draws
+        ]
 
 
 def test_sampler_is_deterministic_and_clean():
